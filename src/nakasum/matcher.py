@@ -20,12 +20,13 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
-from .linalg import EigenSpectrum, eigenvalues_sym, greens_fit
+from .linalg import CorrelationMatrix, EigenSpectrum, eigenvalues_sym
 from .moments import (
     EnsembleSpec,
     EqualCorrelation,
     MomentPair,
-    fourth_moment_Z,
+    _fourth_moment_Z,
+    _markov_fit,
     second_moment_Z,
 )
 
@@ -96,7 +97,8 @@ class GammaSumModel:
         )
 
 
-def _proxy_spectrum(spec: EnsembleSpec) -> EigenSpectrum:
+def _proxy_spectrum(spec: EnsembleSpec,
+                    fitted: CorrelationMatrix | None) -> EigenSpectrum:
     L = spec.branch_count
     if spec.is_maximal():
         return EigenSpectrum((float(L),) + (0.0,) * (L - 1))
@@ -105,7 +107,7 @@ def _proxy_spectrum(spec: EnsembleSpec) -> EigenSpectrum:
         return EigenSpectrum((1.0 + (L - 1) * sr,) + (1.0 - sr,) * (L - 1))
     # One matrix defines both the joint moments and the proxy spectrum;
     # the fit is an identity for exponential correlation.
-    return eigenvalues_sym(greens_fit(spec.sqrt_corr_matrix()))
+    return eigenvalues_sym(fitted)
 
 
 def match_parameters(spec: EnsembleSpec) -> GammaSumModel:
@@ -113,9 +115,10 @@ def match_parameters(spec: EnsembleSpec) -> GammaSumModel:
     L = spec.branch_count
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        spectrum = _proxy_spectrum(spec)
+        fitted = _markov_fit(spec)
+        spectrum = _proxy_spectrum(spec, fitted)
         m2 = second_moment_Z(spec)
-        m4 = fourth_moment_Z(spec)
+        m4 = _fourth_moment_Z(spec, fitted)
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     flags = tuple(f"{w.category.__name__}: {w.message}" for w in caught)

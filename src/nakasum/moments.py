@@ -12,6 +12,16 @@ and four envelopes:
   its Markov-product fit) uses single-series expansions driven by the
   tridiagonal inverses of 3x3 and 4x4 principal submatrices.
 
+The Markov series are evaluated for all C(L,3) triples (once per exponent
+pattern) and all C(L,4) quadruples as arrays over subsets.  Term k is
+exp(k log q + log-gamma terms) times one or two factors 2F1(a0 + k, b; c; x)
+with b, c and x fixed per subset, so each factor starts from two series
+values and advances along k by the Gauss contiguous relation in the first
+parameter (DLMF 15.5.11); for 0 <= x < 1 the function is the dominant
+solution and forward recursion is stable.  Each subset stops at its first
+k > 3 whose term is at most the relative tolerance times its partial sum.
+The public per-subset routines are the same evaluation with one subset.
+
 Joint-moment routines take unit-power envelopes; the fourth-moment
 assembly supplies the power prefactors explicitly.
 """
@@ -26,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BoundaryError, DomainError, TruncationError, ValidationError
-from .linalg import CorrelationMatrix, greens_fit, principal_submatrix_inverse
+from .linalg import CorrelationMatrix, greens_fit, principal_submatrix_inverses
 from .specfun import (
     DEFAULT_SERIES,
     SeriesControl,
@@ -283,16 +293,128 @@ def w_coefficient(orders: tuple[int, ...], m_z: int, rho: float,
     return _w_via_fa(orders, m_z, rho, ctrl)
 
 
-def _require_tridiagonal(mat: NDArray[np.float64], name: str) -> None:
-    n = mat.shape[0]
-    scale = np.abs(mat).max()
-    for i in range(n):
-        for j in range(i + 2, n):
-            if abs(mat[i, j]) > 1e-8 * scale:
-                raise ValidationError(
-                    f"{name} must be tridiagonal (entry ({i},{j}) is "
-                    f"{mat[i, j]:.3e}); only Markov-structured correlation "
-                    "admits this expansion")
+def _require_tridiagonal(mats: NDArray[np.float64], name: str) -> None:
+    rows, cols = np.triu_indices(mats.shape[-1], 2)
+    band = mats[:, rows, cols]
+    scale = np.maximum(mats.max(axis=(1, 2)), -mats.min(axis=(1, 2)))
+    bad = np.abs(band) > 1e-8 * scale[:, None]
+    if bad.any():
+        s, e = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"{name} must be tridiagonal (entry ({rows[e]},{cols[e]}) is "
+            f"{band[s, e]:.3e}); only Markov-structured correlation "
+            "admits this expansion")
+
+
+def _require_ratio_below_one(ratio: NDArray[np.float64]) -> None:
+    if np.any(ratio >= 1.0 - 1e-9):
+        raise TruncationError(
+            "joint-moment series ratio at or above 1; correlation is "
+            "effectively maximal and must be handled analytically",
+            partial=math.nan,
+        )
+
+
+def _joint_series(pref: NDArray[np.float64], q: NDArray[np.float64],
+                  lgam, a0: float, b: float, c: float, x: NDArray[np.float64],
+                  ctrl: SeriesControl) -> NDArray[np.float64]:
+    """pref * sum_k exp(k log q + lgam(k)) prod_j 2F1(a0 + k, b; c; x_j)
+    for every lane (subset) at once.
+
+    ``x`` holds one row per 2F1 factor and one column per lane.  Each lane
+    stops at its first k > 3 whose term is at most ``ctrl.rel_tol`` times
+    its partial sum and leaves the batch; a non-finite term in a lane that
+    is still summing raises.  The factors start from two series values and
+    advance along k by the contiguous relation in the first parameter.
+    """
+    total = np.zeros(q.size)
+    lanes = np.arange(q.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_q = np.log(q)
+        # factors with equal x (equal gaps under exponential correlation)
+        # share their two series values
+        ux, slot = np.unique(x, return_inverse=True)
+        slot = slot.reshape(x.shape)
+        cur = np.array([gauss_2f1(a0, b, c, xi) for xi in ux.tolist()])[slot]
+        nxt = np.array([gauss_2f1(a0 + 1.0, b, c, xi) for xi in ux.tolist()])[slot]
+        omx = 1.0 - x
+        for k in range(ctrl.max_terms):
+            lt = k * log_q + lgam(k) if k > 0 else np.full(lanes.size, lgam(0))
+            term = np.exp(lt)
+            for f in cur:
+                term *= f
+            finite = np.isfinite(term)
+            if not finite.all():
+                lane = lanes[np.argmin(finite)]
+                raise TruncationError(
+                    "joint-moment series term overflowed; the correlation is "
+                    "too close to maximal for this expansion in double precision",
+                    partial=float(pref[lane] * total[lane]),
+                )
+            total[lanes] += term
+            if k > 3:
+                keep = ~(term <= ctrl.rel_tol * total[lanes])
+                if not keep.all():
+                    lanes, log_q = lanes[keep], log_q[keep]
+                    cur, nxt, x, omx = cur[:, keep], nxt[:, keep], x[:, keep], omx[:, keep]
+                    if lanes.size == 0:
+                        return pref * total
+            # DLMF 15.5.11: F(a+1) from F(a) and F(a-1), here a = a0 + k + 1;
+            # F is the dominant solution for 0 <= x < 1
+            a = a0 + k + 1.0
+            cur, nxt = nxt, ((2.0 * a - c + (b - a) * x) * nxt + (c - a) * cur) / (a * omx)
+    summing = log_q > -np.inf
+    if not summing.any():
+        # q = 0 leaves the k = 0 term alone, however short the budget
+        return pref * total
+    lane = lanes[np.argmax(summing)]
+    raise TruncationError(
+        f"joint-moment series did not converge in {ctrl.max_terms} terms",
+        partial=float(pref[lane] * total[lane]),
+    )
+
+
+def _triple_series(n: tuple[int, int, int], deltas: NDArray[np.float64], m_z: int,
+                   ctrl: SeriesControl = JOINT_SERIES) -> NDArray[np.float64]:
+    """joint_moment_triple for a stack of 3x3 tridiagonal inverses."""
+    n1, n2, n3 = n
+    _require_tridiagonal(deltas, "delta")
+    m = float(m_z)
+    d11, d22, d33 = deltas[:, 0, 0], deltas[:, 1, 1], deltas[:, 2, 2]
+    d12, d23 = deltas[:, 0, 1], deltas[:, 1, 2]
+    pref = np.linalg.det(deltas) ** m / (
+        d11 ** (m + n1 / 2.0) * d22 ** (m + n2 / 2.0) * d33 ** (m + n3 / 2.0))
+    pref *= math.exp(ln_gamma(m + n3 / 2.0) - 2.0 * ln_gamma(m))
+    pref /= m ** ((n1 + n2 + n3) / 2.0)
+    q = d12 * d12 / (d11 * d22)
+    x = d23 * d23 / (d22 * d33)
+    _require_ratio_below_one(q / np.maximum(1.0 - x, 1e-300))
+
+    def lgam(k: int) -> float:
+        return (ln_gamma(m + k + n1 / 2.0) + ln_gamma(m + k + n2 / 2.0)
+                - ln_gamma(m + k) - ln_gamma(k + 1.0))
+
+    return _joint_series(pref, q, lgam, m + n2 / 2.0, m + n3 / 2.0, m, x[None], ctrl)
+
+
+def _quad_series(psis: NDArray[np.float64], m_z: int,
+                 ctrl: SeriesControl = JOINT_SERIES) -> NDArray[np.float64]:
+    """joint_moment_quad for a stack of 4x4 tridiagonal inverses."""
+    _require_tridiagonal(psis, "psi")
+    m = float(m_z)
+    p11, p22, p33, p44 = (psis[:, i, i] for i in range(4))
+    p12, p23, p34 = psis[:, 0, 1], psis[:, 1, 2], psis[:, 2, 3]
+    pref = np.linalg.det(psis) ** m / (p11 * p22 * p33 * p44) ** (m + 0.5)
+    pref *= math.exp(2.0 * ln_gamma(m + 0.5) - 3.0 * ln_gamma(m)) / m ** 2
+    q = p23 * p23 / (p22 * p33)
+    x1 = p12 * p12 / (p11 * p22)
+    x2 = p34 * p34 / (p33 * p44)
+    _require_ratio_below_one(q / np.maximum((1.0 - x1) * (1.0 - x2), 1e-300))
+
+    def lgam(k: int) -> float:
+        return 2.0 * ln_gamma(m + k + 0.5) - ln_gamma(k + 1.0) - ln_gamma(m + k)
+
+    return _joint_series(pref, q, lgam, m + 0.5, m + 0.5, m, np.stack([x1, x2]), ctrl)
 
 
 def joint_moment_triple(n1: int, n2: int, n3: int, delta: NDArray[np.float64],
@@ -309,47 +431,7 @@ def joint_moment_triple(n1: int, n2: int, n3: int, delta: NDArray[np.float64],
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (3, 3):
         raise ValidationError(f"delta must be 3x3, got {delta.shape}")
-    _require_tridiagonal(delta, "delta")
-    m = float(m_z)
-    d11, d22, d33 = delta[0, 0], delta[1, 1], delta[2, 2]
-    d12, d23 = delta[0, 1], delta[1, 2]
-    det = float(np.linalg.det(delta))
-    pref = det ** m / (
-        d11 ** (m + n1 / 2.0) * d22 ** (m + n2 / 2.0) * d33 ** (m + n3 / 2.0))
-    pref *= math.exp(ln_gamma(m + n3 / 2.0) - 2.0 * ln_gamma(m))
-    pref /= m ** ((n1 + n2 + n3) / 2.0)
-    q = d12 * d12 / (d11 * d22)
-    x = d23 * d23 / (d22 * d33)
-    if q / max(1.0 - x, 1e-300) >= 1.0 - 1e-9:
-        raise TruncationError(
-            "joint-moment series ratio at or above 1; correlation is "
-            "effectively maximal and must be handled analytically",
-            partial=math.nan,
-        )
-    total = 0.0
-    log_q = math.log(q) if q > 0.0 else None
-    for k in range(ctrl.max_terms):
-        if k > 0 and log_q is None:
-            break
-        lt = (k * log_q if k > 0 else 0.0)
-        lt += (ln_gamma(m + k + n1 / 2.0) + ln_gamma(m + k + n2 / 2.0)
-               - ln_gamma(m + k) - ln_gamma(k + 1.0))
-        term = math.exp(lt) * gauss_2f1(m + k + n2 / 2.0, m + n3 / 2.0, m, x)
-        if not math.isfinite(term):
-            raise TruncationError(
-                "joint-moment series term overflowed; the correlation is too "
-                "close to maximal for this expansion in double precision",
-                partial=pref * total,
-            )
-        total += term
-        if k > 3 and term <= ctrl.rel_tol * total:
-            return pref * total
-    if log_q is None:
-        return pref * total
-    raise TruncationError(
-        f"joint-moment series did not converge in {ctrl.max_terms} terms",
-        partial=pref * total,
-    )
+    return float(_triple_series((n1, n2, n3), delta[None], m_z, ctrl)[0])
 
 
 def joint_moment_quad(psi: NDArray[np.float64], m_z: int,
@@ -359,47 +441,7 @@ def joint_moment_quad(psi: NDArray[np.float64], m_z: int,
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (4, 4):
         raise ValidationError(f"psi must be 4x4, got {psi.shape}")
-    _require_tridiagonal(psi, "psi")
-    m = float(m_z)
-    p11, p22, p33, p44 = psi[0, 0], psi[1, 1], psi[2, 2], psi[3, 3]
-    p12, p23, p34 = psi[0, 1], psi[1, 2], psi[2, 3]
-    det = float(np.linalg.det(psi))
-    pref = det ** m / (p11 * p22 * p33 * p44) ** (m + 0.5)
-    pref *= math.exp(2.0 * ln_gamma(m + 0.5) - 3.0 * ln_gamma(m)) / m ** 2
-    q = p23 * p23 / (p22 * p33)
-    x1 = p12 * p12 / (p11 * p22)
-    x2 = p34 * p34 / (p33 * p44)
-    if q / max((1.0 - x1) * (1.0 - x2), 1e-300) >= 1.0 - 1e-9:
-        raise TruncationError(
-            "joint-moment series ratio at or above 1; correlation is "
-            "effectively maximal and must be handled analytically",
-            partial=math.nan,
-        )
-    total = 0.0
-    log_q = math.log(q) if q > 0.0 else None
-    for k in range(ctrl.max_terms):
-        if k > 0 and log_q is None:
-            break
-        lt = (k * log_q if k > 0 else 0.0)
-        lt += 2.0 * ln_gamma(m + k + 0.5) - ln_gamma(k + 1.0) - ln_gamma(m + k)
-        term = math.exp(lt)
-        term *= gauss_2f1(m + 0.5, k + m + 0.5, m, x1)
-        term *= gauss_2f1(m + 0.5, k + m + 0.5, m, x2)
-        if not math.isfinite(term):
-            raise TruncationError(
-                "joint-moment series term overflowed; the correlation is too "
-                "close to maximal for this expansion in double precision",
-                partial=pref * total,
-            )
-        total += term
-        if k > 3 and term <= ctrl.rel_tol * total:
-            return pref * total
-    if log_q is None:
-        return pref * total
-    raise TruncationError(
-        f"joint-moment series did not converge in {ctrl.max_terms} terms",
-        partial=pref * total,
-    )
+    return float(_quad_series(psi[None], m_z, ctrl)[0])
 
 
 def _fourth_moment_pair_terms(spec: EnsembleSpec) -> float:
@@ -447,21 +489,20 @@ def _fourth_moment_joint_equal(spec: EnsembleSpec) -> float:
 def _fourth_moment_joint_markov(spec: EnsembleSpec,
                                 fitted: CorrelationMatrix) -> float:
     m = spec.fading_m
-    powers = spec.powers
+    p = np.asarray(spec.powers)
     L = spec.branch_count
-    total = 0.0
-    for a, b, c in itertools.combinations(range(L), 3):
-        delta = principal_submatrix_inverse(fitted, (a, b, c))
-        pa, pb, pc = powers[a], powers[b], powers[c]
-        total += 12.0 * (
-            pa * math.sqrt(pb * pc) * joint_moment_triple(2, 1, 1, delta, m)
-            + math.sqrt(pa) * pb * math.sqrt(pc) * joint_moment_triple(1, 2, 1, delta, m)
-            + math.sqrt(pa * pb) * pc * joint_moment_triple(1, 1, 2, delta, m))
-    for a, b, c, d in itertools.combinations(range(L), 4):
-        psi = principal_submatrix_inverse(fitted, (a, b, c, d))
-        total += 24.0 * math.sqrt(powers[a] * powers[b] * powers[c] * powers[d]) * \
-            joint_moment_quad(psi, m)
-    return total
+    triples = np.array(list(itertools.combinations(range(L), 3)))
+    deltas = principal_submatrix_inverses(fitted, triples)
+    pa, pb, pc = p[triples].T
+    total = 12.0 * np.sum(
+        pa * np.sqrt(pb * pc) * _triple_series((2, 1, 1), deltas, m)
+        + np.sqrt(pa) * pb * np.sqrt(pc) * _triple_series((1, 2, 1), deltas, m)
+        + np.sqrt(pa * pb) * pc * _triple_series((1, 1, 2), deltas, m))
+    if L >= 4:
+        quads = np.array(list(itertools.combinations(range(L), 4)))
+        psis = principal_submatrix_inverses(fitted, quads)
+        total += 24.0 * np.sum(np.sqrt(np.prod(p[quads], axis=1)) * _quad_series(psis, m))
+    return float(total)
 
 
 def fourth_moment_Z(spec: EnsembleSpec) -> float:
@@ -473,6 +514,19 @@ def fourth_moment_Z(spec: EnsembleSpec) -> float:
     Markov-product fit of the correlation matrix (an identity operation
     for exponential correlation).
     """
+    return _fourth_moment_Z(spec, _markov_fit(spec))
+
+
+def _markov_fit(spec: EnsembleSpec) -> CorrelationMatrix | None:
+    """The Markov-product fit that drives the joint moments, or None when
+    the equal-correlation coefficients or maximal correlation apply."""
+    if spec.is_maximal() or isinstance(spec.correlation, EqualCorrelation):
+        return None
+    return greens_fit(spec.sqrt_corr_matrix())
+
+
+def _fourth_moment_Z(spec: EnsembleSpec, fitted: CorrelationMatrix | None) -> float:
+    """fourth_moment_Z given ``_markov_fit(spec)``."""
     m = spec.fading_m
     powers = spec.powers
     if spec.is_maximal():
@@ -480,10 +534,9 @@ def fourth_moment_Z(spec: EnsembleSpec) -> float:
     total = (m + 1.0) / m * math.fsum(p * p for p in powers)
     total += _fourth_moment_pair_terms(spec)
     if spec.branch_count >= 3:
-        if isinstance(spec.correlation, EqualCorrelation):
+        if fitted is None:
             total += _fourth_moment_joint_equal(spec)
         else:
-            fitted = greens_fit(spec.sqrt_corr_matrix())
             total += _fourth_moment_joint_markov(spec, fitted)
     return total
 

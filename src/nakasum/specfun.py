@@ -1,22 +1,26 @@
-"""Scalar special functions: log-gamma, Gauss and Kummer hypergeometric
-series, and the Lauricella F_A function of several variables.
+"""Special functions: log-gamma, Gauss and Kummer hypergeometric series,
+and the Lauricella F_A function of several variables.
 
-All functions are pure and operate on plain floats.  Series evaluation is
-governed by a :class:`SeriesControl`: a series is accepted once the current
-term stays below ``rel_tol`` times the partial sum for three consecutive
-terms, which guards against premature truncation of oscillating-sign series
-(negative half-integer parameters produce such series).
+All functions are pure and take and return plain floats.  The Gauss and
+Kummer series are scalar; F_A evaluates its quadrature integrand over the
+whole node array at once with ``scipy.special.hyp1f1``.  Series evaluation
+is governed by a :class:`SeriesControl`: a series is accepted once the
+current term stays below ``rel_tol`` times the partial sum for three
+consecutive terms, which guards against premature truncation of
+oscillating-sign series (negative half-integer parameters produce such
+series).
 """
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammasgn, roots_genlaguerre
+from scipy.special import gammasgn, hyp1f1, roots_genlaguerre
 
 from .errors import (
     ConvergenceQualityWarning,
@@ -254,13 +258,15 @@ def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
     if all(xi == 0.0 for xi in x):
         return 1.0
 
-    scales = [xi / (1.0 - s) for xi in x]
     front = (1.0 - s) ** (-a) / math.gamma(a)
+    # identical factors are evaluated once and raised to their multiplicity
+    factors = Counter((bi, ci, xi / (1.0 - s)) for bi, ci, xi in zip(b, c, x))
+    max_scale = max(sc for _, _, sc in factors)
 
-    def integrand(u: float) -> float:
+    def integrand(u):
         g = 1.0
-        for bi, ci, sc in zip(b, c, scales):
-            g *= kummer_1f1(ci - bi, ci, -sc * u, ctrl)
+        for (bi, ci, sc), count in factors.items():
+            g = g * hyp1f1(ci - bi, ci, -sc * u) ** count
         return g
 
     # Close to the boundary the transformed integrand varies on the scale
@@ -269,15 +275,12 @@ def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
     # scipy cannot deliver usable weights beyond 256 nodes, so fine-featured
     # integrands go straight to adaptive quadrature.  The coarse second
     # gate below rejects spurious early agreement.
-    if max(scales) <= 25.0:
+    if max_scale <= 25.0:
         estimates: list[float] = []
         nodes_used = 32
         while nodes_used <= 256:
             nodes, weights = _genlaguerre_nodes(nodes_used, a - 1.0)
-            total = 0.0
-            for u, w in zip(nodes, weights):
-                total += w * integrand(u)
-            estimates.append(front * total)
+            estimates.append(front * float(weights @ integrand(nodes)))
             if (len(estimates) >= 3
                     and abs(estimates[-1] - estimates[-2]) <= ctrl.rel_tol * abs(estimates[-1])
                     and abs(estimates[-2] - estimates[-3]) <= 1e-6 * abs(estimates[-2])):

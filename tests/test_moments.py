@@ -2,7 +2,9 @@
 quadrature and Monte-Carlo oracles."""
 import itertools
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
@@ -10,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nakasum.errors import BoundaryError, DomainError, ValidationError
-from nakasum.linalg import CorrelationMatrix, principal_submatrix_inverse
+from nakasum.errors import BoundaryError, DomainError, TruncationError, ValidationError
+from nakasum.linalg import CorrelationMatrix, greens_fit, principal_submatrix_inverse
 from nakasum.moments import (
     ArbitraryCorrelation,
     EnsembleSpec,
     EqualCorrelation,
     ExponentialCorrelation,
     MomentPair,
+    _fourth_moment_pair_terms,
     _w_via_fa,
     fourth_moment_Z,
     j_identity,
@@ -29,6 +32,7 @@ from nakasum.moments import (
     w_coefficient,
 )
 from nakasum.simkit import sample_correlated_nakagami
+from nakasum.specfun import SeriesControl
 
 
 def gamma(x):
@@ -238,6 +242,117 @@ class TestJointMomentSeries:
     def test_rejects_bad_exponents(self):
         with pytest.raises(DomainError):
             joint_moment_triple(3, 1, 1, np.eye(3), 1)
+
+
+def mp_joint_moment(rho, idx, m, orders):
+    """Joint-moment series of an exponentially correlated subset, summed
+    in mpmath from an mpmath inverse with one mpmath 2F1 per term."""
+    m = mp.mpf(m)
+    r = mp.sqrt(mp.mpf(rho))
+    d = mp.inverse(mp.matrix([[r ** abs(i - j) for j in idx] for i in idx]))
+    if len(orders) == 4:
+        pref = mp.det(d) ** m / (d[0, 0] * d[1, 1] * d[2, 2] * d[3, 3]) ** (m + 0.5)
+        pref *= mp.gamma(m + 0.5) ** 2 / mp.gamma(m) ** 3 / m ** 2
+        q = d[1, 2] ** 2 / (d[1, 1] * d[2, 2])
+        x1 = d[0, 1] ** 2 / (d[0, 0] * d[1, 1])
+        x2 = d[2, 3] ** 2 / (d[2, 2] * d[3, 3])
+
+        def term(k):
+            return (q ** k * mp.gamma(m + k + 0.5) ** 2
+                    / (mp.gamma(m + k) * mp.factorial(k))
+                    * mp.hyp2f1(m + k + 0.5, m + 0.5, m, x1)
+                    * mp.hyp2f1(m + k + 0.5, m + 0.5, m, x2))
+    else:
+        h1, h2, h3 = (mp.mpf(n) / 2 for n in orders)
+        pref = mp.det(d) ** m / (
+            d[0, 0] ** (m + h1) * d[1, 1] ** (m + h2) * d[2, 2] ** (m + h3))
+        pref *= mp.gamma(m + h3) / mp.gamma(m) ** 2 / m ** (h1 + h2 + h3)
+        q = d[0, 1] ** 2 / (d[0, 0] * d[1, 1])
+        x = d[1, 2] ** 2 / (d[1, 1] * d[2, 2])
+
+        def term(k):
+            return (q ** k * mp.gamma(m + k + h1) * mp.gamma(m + k + h2)
+                    / (mp.gamma(m + k) * mp.factorial(k))
+                    * mp.hyp2f1(m + k + h2, m + h3, m, x))
+    total = mp.mpf(0)
+    for k in itertools.count():
+        t = term(k)
+        total += t
+        if k > 3 and t < mp.mpf(10) ** -17 * total:
+            return pref * total
+
+
+class TestJointMomentOracles:
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.8, 0.9])
+    @pytest.mark.parametrize("m_z", [1, 2, 3])
+    def test_against_mpmath_series(self, rho, m_z):
+        # gapped subsets, so the inverses couple non-adjacent branches
+        mat = CorrelationMatrix.exponential(rho, 6)
+        cases = [((2, 1, 1), (0, 2, 3)), ((1, 2, 1), (0, 1, 3)),
+                 ((1, 1, 2), (1, 2, 5)), ((1, 1, 1, 1), (0, 1, 3, 4))]
+        with mp.workdps(30):
+            for orders, idx in cases:
+                inv = principal_submatrix_inverse(mat, idx)
+                if len(idx) == 4:
+                    got = joint_moment_quad(inv, m_z)
+                else:
+                    got = joint_moment_triple(*orders, inv, m_z)
+                ref = float(mp_joint_moment(rho, idx, m_z, orders))
+                assert got == pytest.approx(ref, rel=1e-10), (orders, idx)
+
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec(fading_m=2, powers=tuple(math.exp(-0.3 * k) for k in range(8)),
+                     correlation=ExponentialCorrelation(0.7)),
+        EnsembleSpec(fading_m=1, powers=(1.0, 0.8, 1.3, 0.5, 1.1, 0.9),
+                     correlation=ArbitraryCorrelation(CorrelationMatrix(np.array([
+                         [1.0, 0.7, 0.5, 0.4, 0.2, 0.3],
+                         [0.7, 1.0, 0.6, 0.5, 0.3, 0.2],
+                         [0.5, 0.6, 1.0, 0.7, 0.4, 0.3],
+                         [0.4, 0.5, 0.7, 1.0, 0.6, 0.4],
+                         [0.2, 0.3, 0.4, 0.6, 1.0, 0.5],
+                         [0.3, 0.2, 0.3, 0.4, 0.5, 1.0]])))),
+    ], ids=["exp-L8", "arbitrary-L6"])
+    def test_batched_fourth_moment_matches_per_subset_calls(self, spec):
+        m = spec.fading_m
+        p = spec.powers
+        fitted = greens_fit(spec.sqrt_corr_matrix())
+        total = (m + 1.0) / m * math.fsum(x * x for x in p)
+        total += _fourth_moment_pair_terms(spec)
+        for a, b, c in itertools.combinations(range(len(p)), 3):
+            delta = principal_submatrix_inverse(fitted, (a, b, c))
+            total += 12.0 * (
+                p[a] * math.sqrt(p[b] * p[c]) * joint_moment_triple(2, 1, 1, delta, m)
+                + math.sqrt(p[a] * p[c]) * p[b] * joint_moment_triple(1, 2, 1, delta, m)
+                + math.sqrt(p[a] * p[b]) * p[c] * joint_moment_triple(1, 1, 2, delta, m))
+        for idx in itertools.combinations(range(len(p)), 4):
+            psi = principal_submatrix_inverse(fitted, idx)
+            total += 24.0 * math.sqrt(math.prod(p[i] for i in idx)) * \
+                joint_moment_quad(psi, m)
+        assert fourth_moment_Z(spec) == pytest.approx(total, rel=1e-12)
+
+    def test_no_warning_from_finished_subsets(self):
+        # at rho=0.97 the adjacent subsets need ~500 terms, while subsets
+        # with one distant branch finish early with 2F1 factors that would
+        # overflow long before the batch ends
+        spec = unit_exponential_spec(1, 0.97, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert math.isfinite(fourth_moment_Z(spec))
+
+    def test_independent_subset_needs_only_its_first_term(self):
+        # q = 0 ends the series at k = 0, even on a budget below the
+        # stop rule's first chance at k = 4
+        short = SeriesControl(max_terms=3)
+        assert joint_moment_triple(2, 1, 1, np.eye(3), 2, short) == \
+            joint_moment_triple(2, 1, 1, np.eye(3), 2)
+        assert joint_moment_quad(np.eye(4), 2, short) == joint_moment_quad(np.eye(4), 2)
+        delta = principal_submatrix_inverse(CorrelationMatrix.exponential(0.3, 3), (0, 1, 2))
+        with pytest.raises(TruncationError):
+            joint_moment_triple(2, 1, 1, delta, 2, short)
+
+    def test_near_maximal_still_raises(self):
+        with pytest.raises(TruncationError):
+            fourth_moment_Z(unit_exponential_spec(1, 0.98, 4))
 
 
 class TestFourthMoment:
