@@ -17,14 +17,13 @@ def main():
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--per-trial", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     cls = EqualCorrelation if args.model == "equal" else ExponentialCorrelation
     spec = EnsembleSpec(fading_m=args.mz, powers=(1.0,) * args.L,
                         correlation=cls(args.rho))
     report = gof_campaign(spec, trials=args.trials, per_trial=args.per_trial,
-                          seed=args.seed, threads=args.threads)
+                          seed=args.seed)
     print(report.to_json())
 
 

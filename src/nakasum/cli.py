@@ -201,8 +201,8 @@ def cmd_pdf(args) -> int:
     meta = json.dumps({"branches": spec.branch_count,
                        "m_r": model.m_r, "omega_r": model.omega_r},
                       sort_keys=True)
-    for r in grid:
-        rows.append({"r": float(r), "value": model_pdf(model, float(r)),
+    for r, value in zip(grid, model_pdf(model, grid)):
+        rows.append({"r": float(r), "value": float(value),
                      "kind": "envelope-pdf", "meta": meta})
     _emit(_rows_to_text(rows, ("r", "value", "kind", "meta"), args.format), args.out)
     return 0
@@ -246,8 +246,7 @@ def _gof_table(args) -> str:
                                     correlation=cls(rho))
                 rep = gof.gof_campaign(
                     spec, trials=args.trials, per_trial=args.per_trial,
-                    seed=args.seed, alpha_mode=args.alpha_mode,
-                    threads=args.threads)
+                    seed=args.seed, alpha_mode=args.alpha_mode)
                 lines.append(f"{rho:>4} {mz:>3} {L:>3} "
                              f"{rep.alpha_cs:>10.4f} {rep.alpha_ks:>10.4f}")
     return "\n".join(lines) + "\n"
@@ -264,7 +263,7 @@ def cmd_validate(args) -> int:
     if args.kind == "gof":
         report = gof.gof_campaign(
             spec, trials=args.trials, per_trial=args.per_trial,
-            seed=args.seed, alpha_mode=args.alpha_mode, threads=args.threads)
+            seed=args.seed, alpha_mode=args.alpha_mode)
         _emit(report.to_json(), args.out)
         return 0
     rx = egc.ReceiverSpec(ensemble=spec, noise_psd=args.n0, modulation=args.mod)
@@ -355,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-grid", default="0:16:5")
     p.add_argument("--n-bits", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     _add_io_flags(p)
     p.set_defaults(func=cmd_validate)
 

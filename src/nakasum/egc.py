@@ -4,10 +4,11 @@ maximal-ratio system.
 The combiner output SNR is (sum_k Z_k)^2 / (L N0), so its distribution is
 the fitted Gamma-sum proxy with the power rescaled to omega_r / (L N0).
 Outage follows from the proxy CDF; average error probabilities follow from
-the MGF: a Gauss-Chebyshev quadrature over (0, pi/2) for coherent BPSK and
-the single value mgf(-1/2)/2 for noncoherent BFSK.  Every number produced
-here is an equivalent-MRC approximation of the true EGC metric, and curve
-metadata says so.
+the MGF: panelled Gauss-Legendre quadrature over (0, pi/2) for coherent
+BPSK, with the MGF evaluated over all nodes of a panel set in one array
+call, and the single value mgf(-1/2)/2 for noncoherent BFSK.  Every number
+produced here is an equivalent-MRC approximation of the true EGC metric,
+and curve metadata says so.
 """
 from __future__ import annotations
 
@@ -134,11 +135,7 @@ def _panel_ber(model: GammaSumModel, nodes: int) -> float:
     ))
     theta = edges[:-1, None] + np.diff(edges)[:, None] * xg[None, :]
     s = np.sin(theta)
-    vals = np.empty_like(s)
-    flat_s = s.ravel()
-    flat_v = vals.ravel()
-    for i, si in enumerate(flat_s):
-        flat_v[i] = mgf(model, -1.0 / (si * si))
+    vals = mgf(model, -1.0 / (s * s))
     total = float(np.sum(np.diff(edges)[:, None] * wg[None, :] * vals))
     return total / math.pi
 

@@ -10,20 +10,23 @@ p-values (the regularised upper incomplete gamma for chi-square, the
 Kolmogorov Q function for K-S): a small level means misfit was detected,
 and a level of about 0.4-0.5 means the averaged statistic sits at its
 null mean.  The report carries raw numbers without reinterpreting them.
+
+The model CDF used by both tests is a monotone interpolation of the exact
+CDF, evaluated on its whole grid in one array call; chi-square bin edges
+are model quantiles, found once per campaign.  ``scipy.optimize`` and
+``scipy.interpolate`` are imported on first use, so that importing the
+package does not load them.
 """
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
-from scipy.special import gammaincc
+from scipy.special import gammaincc, kolmogorov
 
 from .errors import BinningError, ValidationError
 from .gammasum import QuadratureControl, cdf
@@ -68,15 +71,7 @@ class GofReport:
 
 def kolmogorov_sf(x: float) -> float:
     """Asymptotic Kolmogorov survival function Q(x) = 2 sum (-1)^(k-1) e^(-2k^2x^2)."""
-    if x <= 1e-3:
-        return 1.0
-    total = 0.0
-    for k in range(1, 101):
-        term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
-        total += term
-        if abs(term) < 1e-16:
-            break
-    return min(1.0, max(0.0, total))
+    return float(kolmogorov(x))
 
 
 def ks_test(samples: NDArray[np.float64],
@@ -102,18 +97,38 @@ def ks_test(samples: NDArray[np.float64],
     return d, kolmogorov_sf(math.sqrt(n) * d)
 
 
-def _quantile_edges(cdf_fn: Callable[[float], float], probs: NDArray[np.float64],
-                    lo: float, hi: float) -> NDArray[np.float64]:
-    # expand the bracket until it covers the largest requested quantile
-    f_hi = cdf_fn(hi)
+def _bin_edges(cdf_fn: Callable, n_bins: int, hi: float) -> NDArray[np.float64]:
+    """Interior edges of n_bins equiprobable bins: model quantiles found by
+    root bracketing from 0, with ``hi`` doubled until it covers the last."""
+    from scipy.optimize import brentq
+
+    def scalar_cdf(r):
+        return float(np.asarray(cdf_fn(np.asarray([r], dtype=float)))[0])
+
+    probs = np.arange(1, n_bins) / n_bins
+    lo = 0.0
+    f_hi = scalar_cdf(hi)
     while f_hi < probs[-1] and hi < 1e12:
         hi *= 2.0
-        f_hi = cdf_fn(hi)
+        f_hi = scalar_cdf(hi)
     edges = np.empty(probs.size)
     for i, p in enumerate(probs):
-        edges[i] = brentq(lambda r: cdf_fn(r) - p, lo, hi, xtol=1e-12, rtol=1e-12)
+        edges[i] = brentq(lambda r: scalar_cdf(r) - p, lo, hi, xtol=1e-12, rtol=1e-12)
         lo = edges[i]
     return edges
+
+
+def _chi_square(x_sorted: NDArray[np.float64],
+                edges: NDArray[np.float64]) -> tuple[float, float]:
+    """Chi-square statistic of sorted samples over equiprobable bins with
+    the given interior edges, and its upper-tail significance level."""
+    n = x_sorted.size
+    n_bins = edges.size + 1
+    counts = np.diff(np.searchsorted(x_sorted, edges, side="right"),
+                     prepend=0, append=n)
+    expected = n / n_bins
+    chi2 = float(np.sum((counts - expected) ** 2) / expected)
+    return chi2, float(gammaincc((n_bins - 1) / 2.0, chi2 / 2.0))
 
 
 def chi_square_test(samples: NDArray[np.float64],
@@ -134,20 +149,15 @@ def chi_square_test(samples: NDArray[np.float64],
     if n < 5 * n_bins:
         raise BinningError(
             f"{n} samples give expected bin counts below 5 with {n_bins} bins")
-    probs = np.arange(1, n_bins) / n_bins
-
-    def scalar_cdf(r):
-        return float(np.asarray(cdf_fn(np.asarray([r], dtype=float)))[0])
-
     x_sorted = np.sort(x)
-    hi = max(float(x_sorted[-1]), 1.0)
-    edges = _quantile_edges(scalar_cdf, probs, 0.0, hi)
-    counts = np.diff(np.searchsorted(x_sorted, edges, side="right"),
-                     prepend=0, append=n)
-    expected = n / n_bins
-    chi2 = float(np.sum((counts - expected) ** 2) / expected)
-    alpha = float(gammaincc((n_bins - 1) / 2.0, chi2 / 2.0))
-    return chi2, alpha
+    edges = _bin_edges(cdf_fn, n_bins, max(float(x_sorted[-1]), 1.0))
+    return _chi_square(x_sorted, edges)
+
+
+# Power-of-two multiples of the mean square searched for the grid's upper
+# end; the (1 - 1e-10) quantile of a Gamma law of shape >= 1/2 is below 42
+# times its mean.
+_BRACKET_DOUBLINGS = 16
 
 
 def model_envelope_cdf(model: GammaSumModel, tail_prob: float = 1e-10,
@@ -160,17 +170,20 @@ def model_envelope_cdf(model: GammaSumModel, tail_prob: float = 1e-10,
     clamped to 1.  Interpolation error is far below the K-S statistic
     resolution at the campaign sample sizes.
     """
+    from scipy.interpolate import PchipInterpolator
+
     ctrl = ctrl or QuadratureControl(abs_tol=1e-10)
-    mean_sq = model.mean_square
-    t_hi = mean_sq
-    while cdf(model, t_hi, ctrl) < 1.0 - tail_prob:
-        t_hi *= 2.0
-    r_hi = math.sqrt(t_hi)
+    # first power-of-two multiple of the mean square past the (1 - tail_prob)
+    # quantile
+    t_try = model.mean_square * 2.0 ** np.arange(_BRACKET_DOUBLINGS)
+    past = np.flatnonzero(cdf(model, t_try, ctrl) >= 1.0 - tail_prob)
+    if past.size == 0:
+        raise ValidationError(
+            f"model CDF stays below 1 - {tail_prob} up to {t_try[-1]:.3e}")
+    r_hi = math.sqrt(t_try[past[0]])
     r_grid = np.linspace(0.0, r_hi, grid_points)
-    f_grid = np.empty(grid_points)
-    f_grid[0] = 0.0
-    for i in range(1, grid_points):
-        f_grid[i] = cdf(model, float(r_grid[i]) ** 2, ctrl)
+    f_grid = np.zeros(grid_points)
+    f_grid[1:] = cdf(model, r_grid[1:] ** 2, ctrl)
     f_grid = np.maximum.accumulate(np.clip(f_grid, 0.0, 1.0))
     interp = PchipInterpolator(r_grid, f_grid, extrapolate=False)
 
@@ -184,13 +197,13 @@ def model_envelope_cdf(model: GammaSumModel, tail_prob: float = 1e-10,
 
 def gof_campaign(spec: EnsembleSpec, trials: int = 100, per_trial: int = 10_000,
                  seed: int = 0, n_bins: int = 100,
-                 alpha_mode: str = "stat-mean", threads: int = 1) -> GofReport:
+                 alpha_mode: str = "stat-mean") -> GofReport:
     """Run the averaged goodness-of-fit campaign for one ensemble.
 
     Each trial draws ``per_trial`` independent envelope sums, computes the
     chi-square and K-S statistics against the fitted model, and the
     statistics are averaged across trials.  Results are deterministic for
-    a given seed and independent of the thread count.
+    a given seed.
     """
     if trials < 1 or per_trial < 10:
         raise ValidationError("need at least 1 trial of at least 10 samples")
@@ -198,29 +211,15 @@ def gof_campaign(spec: EnsembleSpec, trials: int = 100, per_trial: int = 10_000,
         raise ValidationError(f"unknown alpha_mode {alpha_mode!r}")
     model = match_parameters(spec)
     env_cdf = model_envelope_cdf(model)
-
-    probs = np.arange(1, n_bins) / n_bins
-
-    def scalar_cdf(r):
-        return float(np.asarray(env_cdf(np.asarray([r])))[0])
-
-    edges = _quantile_edges(scalar_cdf, probs, 0.0, math.sqrt(model.mean_square))
-    expected = per_trial / n_bins
+    edges = _bin_edges(env_cdf, n_bins, math.sqrt(model.mean_square))
 
     def one_trial(idx: int) -> tuple[float, float, float, float]:
         z = np.sort(sample_sum(spec, per_trial, derive_seed(seed, 0x60F, idx)))
-        counts = np.diff(np.searchsorted(z, edges, side="right"),
-                         prepend=0, append=per_trial)
-        chi2 = float(np.sum((counts - expected) ** 2) / expected)
+        chi2, alpha_cs = _chi_square(z, edges)
         d, alpha_ks = ks_test(z, env_cdf)
-        alpha_cs = float(gammaincc((n_bins - 1) / 2.0, chi2 / 2.0))
         return chi2, d, alpha_cs, alpha_ks
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(i) for i in range(trials)]
+    results = [one_trial(i) for i in range(trials)]
 
     chi2_mean = math.fsum(r[0] for r in results) / trials
     d_mean = math.fsum(r[1] for r in results) / trials

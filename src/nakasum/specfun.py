@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammasgn, hyp1f1, roots_genlaguerre
 
 from .errors import (
@@ -38,6 +37,15 @@ __all__ = [
     "ln_kummer_1f1",
     "lauricella_fa",
 ]
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first use: only the adaptive F_A
+    fallback needs it, and importing it loads ``scipy.optimize`` too.
+    (perfbench/tracer.py counts the fallbacks by wrapping this name.)"""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
 
 # Largest exponent for which exp() and the positive-term 1F1 series stay
 # inside float64 range with headroom for the gamma prefactors.

@@ -1,12 +1,14 @@
 """Distribution tests: MGF identities, density and CDF against closed
 forms, route equivalence, and normalization."""
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
+from nakasum import gammasum
 from nakasum.errors import DomainError
 from nakasum.gammasum import QuadratureControl, cdf, mgf, pdf, pdf_equal_corr
 from nakasum.matcher import match_parameters
@@ -165,3 +167,78 @@ class TestCdf:
         t = model.mean_square
         v = cdf(model, t)
         assert 0.3 < v < 0.8
+
+
+def takes_series(model, ctrl):
+    shapes, scales = gammasum._distinct_gammas(model)
+    return gammasum._mixture(shapes, scales, gammasum._SERIES_SHARE * ctrl.abs_tol) is not None
+
+
+class TestSeriesRoute:
+    """The Moschopoulos series against the oscillatory quadrature, closed
+    forms and itself, and the route choice near maximal correlation."""
+
+    def test_matches_quadrature(self):
+        ctrl = QuadratureControl(abs_tol=1e-12)
+        for model in random_models(6, seed=11):
+            assert takes_series(model, ctrl)
+            rates = gammasum._active_rates(model)
+            ts = np.linspace(0.1, 3.0, 5) * model.mean_square
+            quad_cdf = [gammasum._quadrature_cdf(rates, model.m_r, float(t), ctrl)
+                        for t in ts]
+            quad_pdf = [gammasum._quadrature_pdf(rates, model.m_r, float(r), ctrl)
+                        for r in np.sqrt(ts)]
+            assert np.max(np.abs(cdf(model, ts, ctrl) - quad_cdf)) <= 1e-11
+            assert np.max(np.abs(pdf(model, np.sqrt(ts), ctrl) - quad_pdf)) <= 1e-11
+
+    @pytest.mark.parametrize("powers, rho", [((1.7,), 0.0), ((1.0, 0.5, 2.0), 1.0)])
+    def test_single_active_eigenvalue_is_incomplete_gamma(self, powers, rho):
+        model = match_parameters(
+            EnsembleSpec(fading_m=2, powers=powers, correlation=EqualCorrelation(rho)))
+        scale = model.omega_r * max(model.spectrum.values) / model.m_r
+        ts = np.array([0.05, 0.4, 1.0, 3.0, 9.0]) * model.mean_square
+        assert np.array_equal(cdf(model, ts), gammainc(model.m_r, ts / scale))
+
+    def test_equal_eigenvalues_merge(self):
+        model = balanced_model(EqualCorrelation(0.0), 2, 3)
+        shapes, _ = gammasum._distinct_gammas(model)
+        assert shapes.size == 1 and shapes[0] == 3 * model.m_r
+        t = model.mean_square
+        want = float(gammainc(3 * model.m_r, 3 * model.m_r * t / model.mean_square))
+        assert cdf(model, t) == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("corr, L", [(ExponentialCorrelation(0.5), 4),
+                                         (ExponentialCorrelation(0.97), 4)])
+    def test_array_equals_scalar_loop(self, corr, L):
+        model = balanced_model(corr, 1, L)
+        t = np.array([[0.2, 1.0, 2.5], [0.7, 4.0, 1.3]]) * model.mean_square
+        s = -np.array([[0.1, 1.0, 30.0], [0.0, 2.0, 0.5]])
+        for fn, x in ((cdf, t), (pdf, np.sqrt(t)), (mgf, s)):
+            arr = fn(model, x)
+            assert arr.shape == x.shape
+            assert np.array_equal(arr, [[fn(model, float(v)) for v in row] for row in x])
+        assert isinstance(cdf(model, float(t[0, 0])), float)
+        assert mgf(model, np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+
+    def test_array_domain_and_pole(self):
+        model = balanced_model(EqualCorrelation(0.3), 2, 3)
+        with pytest.raises(DomainError):
+            cdf(model, np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            pdf(model, np.array([0.5, -1.0]))
+        pole = model.m_r / (model.omega_r * model.spectrum.values[0])
+        with pytest.raises(DomainError):
+            mgf(model, np.array([-1.0, 1.5 * pole]))
+
+    @pytest.mark.parametrize("corr", [ExponentialCorrelation(0.97), EqualCorrelation(0.999)])
+    def test_near_maximal_takes_quadrature(self, corr):
+        model = balanced_model(corr, 1, 4)
+        assert not takes_series(model, gammasum.DEFAULT_QUADRATURE)
+        rs = np.linspace(0.2, 1.8, 4) * math.sqrt(model.mean_square)
+        start = time.perf_counter()
+        values = pdf(model, rs)
+        cdf(model, rs * rs)
+        assert time.perf_counter() - start < 2.0
+        if isinstance(corr, EqualCorrelation):
+            want = [pdf_equal_corr(model, corr.rho, float(r)) for r in rs]
+            assert np.max(np.abs(values - want)) <= 1e-8

@@ -32,6 +32,12 @@ class TestKolmogorovSf:
         assert kolmogorov_sf(1e-6) == 1.0
         assert kolmogorov_sf(5.0) < 1e-10
 
+    @pytest.mark.parametrize("x", [0.0011, 0.005, 0.01])
+    def test_small_argument_is_one(self, x):
+        # sqrt(n) * D >= 1/(2 sqrt(n)) reaches these at n = 1e4; the
+        # alternating series converges too slowly to sum here
+        assert kolmogorov_sf(x) == pytest.approx(1.0, abs=1e-15)
+
     def test_monotone(self):
         xs = np.linspace(0.2, 3.0, 30)
         vals = [kolmogorov_sf(float(x)) for x in xs]
@@ -159,11 +165,11 @@ class TestCampaign:
         assert 0.001 < report.alpha_cs < 0.999
         assert 0.001 < report.alpha_ks < 0.999
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         spec = EnsembleSpec(fading_m=1, powers=(1.0, 1.0),
                             correlation=EqualCorrelation(0.3))
-        a = gof_campaign(spec, trials=6, per_trial=2000, seed=8, threads=1)
-        b = gof_campaign(spec, trials=6, per_trial=2000, seed=8, threads=3)
+        a = gof_campaign(spec, trials=6, per_trial=2000, seed=8)
+        b = gof_campaign(spec, trials=6, per_trial=2000, seed=8)
         assert a == b
 
     def test_alpha_mean_mode(self):
