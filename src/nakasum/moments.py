@@ -12,15 +12,19 @@ and four envelopes:
   its Markov-product fit) uses single-series expansions driven by the
   tridiagonal inverses of 3x3 and 4x4 principal submatrices.
 
-The Markov series are evaluated for all C(L,3) triples (once per exponent
-pattern) and all C(L,4) quadruples as arrays over subsets.  Term k is
-exp(k log q + log-gamma terms) times one or two factors 2F1(a0 + k, b; c; x)
-with b, c and x fixed per subset, so each factor starts from two series
-values and advances along k by the Gauss contiguous relation in the first
-parameter (DLMF 15.5.11); for 0 <= x < 1 the function is the dominant
-solution and forward recursion is stable.  Each subset stops at its first
-k > 3 whose term is at most the relative tolerance times its partial sum.
-The public per-subset routines are the same evaluation with one subset.
+A fit sums its Markov series in one call whose lanes are all C(L,3)
+triples (once per exponent pattern) and all C(L,4) quadruples.  Term k of
+a lane is exp(k log q + log-gamma terms) times two factors
+2F1(a0 + k, b; c; x) with a0, b, c and x fixed per lane; a triple's second
+factor has x = 0 and stays exactly 1.  Each factor starts from two values
+of one ``scipy.special.hyp2f1`` array call and advances along k by the
+Gauss contiguous relation in the first parameter (DLMF 15.5.11); for
+0 <= x < 1 the function is the dominant solution and forward recursion is
+stable.  k advances in blocks: the recursion steps through k, while the
+terms, the running sums, the stop rule (the first k > 3 whose term is at
+most the relative tolerance times the lane's partial sum) and the
+overflow check are array operations over the block.  The public
+per-subset routines are the same evaluation with one lane.
 
 Joint-moment routines take unit-power envelopes; the fourth-moment
 assembly supplies the power prefactors explicitly.
@@ -30,10 +34,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.special import hyp2f1
 
 from .errors import BoundaryError, DomainError, TruncationError, ValidationError
 from .linalg import CorrelationMatrix, greens_fit, principal_submatrix_inverses
@@ -315,91 +320,172 @@ def _require_ratio_below_one(ratio: NDArray[np.float64]) -> None:
         )
 
 
-def _joint_series(pref: NDArray[np.float64], q: NDArray[np.float64],
-                  lgam, a0: float, b: float, c: float, x: NDArray[np.float64],
-                  ctrl: SeriesControl) -> NDArray[np.float64]:
-    """pref * sum_k exp(k log q + lgam(k)) prod_j 2F1(a0 + k, b; c; x_j)
-    for every lane (subset) at once.
+class _Lanes(NamedTuple):
+    """Lanes of the joint-moment series, one per subset and exponent
+    pattern: prefactor, geometric ratio q, 2F1 parameters a0 and b, one row
+    of arguments x per 2F1 factor, and the lane's log-gamma group (a column
+    of ``_joint_lgam``)."""
 
-    ``x`` holds one row per 2F1 factor and one column per lane.  Each lane
-    stops at its first k > 3 whose term is at most ``ctrl.rel_tol`` times
-    its partial sum and leaves the batch; a non-finite term in a lane that
-    is still summing raises.  The factors start from two series values and
-    advance along k by the contiguous relation in the first parameter.
+    pref: NDArray[np.float64]
+    q: NDArray[np.float64]
+    a0: NDArray[np.float64]
+    b: NDArray[np.float64]
+    x: NDArray[np.float64]
+    group: NDArray[np.intp]
+
+
+_TRIPLE_PATTERNS = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
+# log-gamma groups: (2,1,1) and (1,2,1) add the same two log-gammas
+_TRIPLE_GROUP = {(2, 1, 1): 0, (1, 2, 1): 0, (1, 1, 2): 1}
+_QUAD_GROUP = 2
+
+# (k x lane) cells per block of the joint-moment series; bounds the block
+# arrays of the large-L fits (3500 lanes at L = 16)
+_BLOCK_CELLS = 2 ** 13
+
+
+def _joint_lgam(m: float, k0: int, rows: int) -> NDArray[np.float64]:
+    """Log-gamma part of terms k0 .. k0 + rows - 1, one column per group."""
+    ks = range(k0, k0 + rows)
+    g0 = np.array([math.lgamma(m + k) for k in ks])
+    gh = np.array([math.lgamma(m + k + 0.5) for k in ks])
+    g1 = np.array([math.lgamma(m + k + 1.0) for k in ks])
+    gk = np.array([math.lgamma(k + 1.0) for k in ks])
+    return np.stack([g1 + gh - g0 - gk, gh + gh - g0 - gk, 2.0 * gh - gk - g0], axis=1)
+
+
+def _first_block_rows(ratio: NDArray[np.float64], rel_tol: float) -> int:
+    """Terms to the stop rule predicted from the lanes' largest asymptotic
+    term ratio q / prod(1 - x_j).  The term falls like k ratio^k, so n
+    solves n ratio^n = rel_tol to first order; the margin covers the
+    stop indices of the benchmark's fits, and a lane that needs more
+    terms goes on in the next block."""
+    r = float(ratio.max())
+    if not 0.0 < r < 1.0:
+        return 8
+    n = max(math.log(rel_tol) / math.log(r), 1.0)
+    return max(int(1.1 * (math.log(rel_tol) - math.log(n)) / math.log(r)) + 4, 8)
+
+
+def _factor_block(cur: NDArray[np.float64], nxt: NDArray[np.float64], a0: NDArray[np.float64],
+                  b: NDArray[np.float64], c: float, x: NDArray[np.float64], k0: int,
+                  rows: int) -> NDArray[np.float64]:
+    """2F1(a0 + k, b; c; x) for k = k0 .. k0 + rows + 1, one row per k,
+    from the rows ``cur`` (k0) and ``nxt`` (k0 + 1)."""
+    # DLMF 15.5.11: F(a+1) from F(a) and F(a-1), here a = a0 + k + 1;
+    # F is the dominant solution for 0 <= x < 1
+    a = a0 + np.arange(k0, k0 + rows, dtype=float)[:, None] + 1.0
+    fwd = (b - a)[:, None] * x
+    fwd += (2.0 * a - c)[:, None]
+    back = (c - a)[:, None]
+    den = a[:, None] * (1.0 - x)
+    f = np.empty((rows + 2,) + x.shape)
+    f[0], f[1] = cur, nxt
+    tmp = np.empty(x.shape)
+    for j in range(rows):
+        np.multiply(fwd[j], f[j + 1], out=f[j + 2])
+        f[j + 2] += np.multiply(back[j], f[j], out=tmp)
+        f[j + 2] /= den[j]
+    return f
+
+
+def _joint_series(lanes: _Lanes, m: float, ctrl: SeriesControl) -> NDArray[np.float64]:
+    """pref * sum_k exp(k log q + lgam_g(k)) prod_j 2F1(a0 + k, b; m; x_j)
+    for every lane at once, g being the lane's log-gamma group.
+
+    Each lane stops at its first k > 3 whose term is at most
+    ``ctrl.rel_tol`` times its partial sum; a non-finite term at or before
+    a lane's stop raises.  k advances in blocks of at most ``_BLOCK_CELLS``
+    (k x lane) cells.  Within a block only the contiguous recurrence of
+    the 2F1 factors steps through k; the terms, the running sums (added in
+    order of k), the stop rule and the overflow check are array operations
+    over the block.
     """
+    pref, q, a0, b, x, group = lanes
+    c = m
     total = np.zeros(q.size)
-    lanes = np.arange(q.size)
+    live = np.arange(q.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_q = np.log(q)
-        # factors with equal x (equal gaps under exponential correlation)
-        # share their two series values
-        ux, slot = np.unique(x, return_inverse=True)
-        slot = slot.reshape(x.shape)
-        cur = np.array([gauss_2f1(a0, b, c, xi) for xi in ux.tolist()])[slot]
-        nxt = np.array([gauss_2f1(a0 + 1.0, b, c, xi) for xi in ux.tolist()])[slot]
-        omx = 1.0 - x
-        for k in range(ctrl.max_terms):
-            lt = k * log_q + lgam(k) if k > 0 else np.full(lanes.size, lgam(0))
-            term = np.exp(lt)
-            for f in cur:
-                term *= f
-            finite = np.isfinite(term)
-            if not finite.all():
-                lane = lanes[np.argmin(finite)]
+        cur, nxt = hyp2f1(a0, b, c, x), hyp2f1(a0 + 1.0, b, c, x)
+        rows = _first_block_rows(q / np.prod(1.0 - x, axis=0), ctrl.rel_tol)
+        k0 = 0
+        while k0 < ctrl.max_terms:
+            rows = min(rows, max(_BLOCK_CELLS // live.size, 1), ctrl.max_terms - k0)
+            f = _factor_block(cur, nxt, a0, b, c, x, k0, rows)
+            k = np.arange(k0, k0 + rows, dtype=float)[:, None]
+            term = k * log_q
+            if k0 == 0:
+                term[0] = 0.0
+            term += _joint_lgam(m, k0, rows)[:, group]
+            np.exp(term, out=term)
+            for factor in f[:rows].transpose(1, 0, 2):
+                term *= factor
+            # row i: the partial sum before term k0 + i
+            part = np.cumsum(np.concatenate([total[live][None], term]), axis=0)
+            stop = (term <= ctrl.rel_tol * part[1:]) & (k > 3)
+            stop_at = np.where(stop.any(axis=0), stop.argmax(axis=0), rows)
+            bad = ~np.isfinite(term)
+            bad_at = np.where(bad.any(axis=0), bad.argmax(axis=0), rows)
+            fails = (bad_at < rows) & (bad_at <= stop_at)
+            if fails.any():
+                col = np.argmin(np.where(fails, bad_at, rows))
                 raise TruncationError(
                     "joint-moment series term overflowed; the correlation is "
                     "too close to maximal for this expansion in double precision",
-                    partial=float(pref[lane] * total[lane]),
+                    partial=float(pref[live[col]] * part[bad_at[col], col]),
                 )
-            total[lanes] += term
-            if k > 3:
-                keep = ~(term <= ctrl.rel_tol * total[lanes])
-                if not keep.all():
-                    lanes, log_q = lanes[keep], log_q[keep]
-                    cur, nxt, x, omx = cur[:, keep], nxt[:, keep], x[:, keep], omx[:, keep]
-                    if lanes.size == 0:
-                        return pref * total
-            # DLMF 15.5.11: F(a+1) from F(a) and F(a-1), here a = a0 + k + 1;
-            # F is the dominant solution for 0 <= x < 1
-            a = a0 + k + 1.0
-            cur, nxt = nxt, ((2.0 * a - c + (b - a) * x) * nxt + (c - a) * cur) / (a * omx)
+            total[live] = part[np.minimum(stop_at + 1, rows), np.arange(live.size)]
+            keep = stop_at == rows
+            if not keep.any():
+                return pref * total
+            live, log_q, a0, b, group = live[keep], log_q[keep], a0[keep], b[keep], group[keep]
+            x, cur, nxt = x[:, keep], f[rows][:, keep], f[rows + 1][:, keep]
+            # release this block's arrays before the next is allocated
+            del f, term, part, stop, bad
+            k0 += rows
+            # a lane past the prediction gets blocks that grow with k, so a
+            # slow lane costs few blocks and overshoots its stop by little
+            rows = max(k0 // 4, 8)
     summing = log_q > -np.inf
     if not summing.any():
         # q = 0 leaves the k = 0 term alone, however short the budget
         return pref * total
-    lane = lanes[np.argmax(summing)]
+    lane = live[np.argmax(summing)]
     raise TruncationError(
         f"joint-moment series did not converge in {ctrl.max_terms} terms",
         partial=float(pref[lane] * total[lane]),
     )
 
 
-def _triple_series(n: tuple[int, int, int], deltas: NDArray[np.float64], m_z: int,
-                   ctrl: SeriesControl = JOINT_SERIES) -> NDArray[np.float64]:
-    """joint_moment_triple for a stack of 3x3 tridiagonal inverses."""
-    n1, n2, n3 = n
+def _triple_lanes(patterns: tuple[tuple[int, int, int], ...],
+                  deltas: NDArray[np.float64], m_z: int) -> _Lanes:
+    """Lanes of joint_moment_triple for a stack of 3x3 tridiagonal inverses,
+    pattern by pattern.  The absent second factor has x = 0, where 2F1 is 1
+    and its recurrence keeps it at exactly 1."""
     _require_tridiagonal(deltas, "delta")
     m = float(m_z)
     d11, d22, d33 = deltas[:, 0, 0], deltas[:, 1, 1], deltas[:, 2, 2]
     d12, d23 = deltas[:, 0, 1], deltas[:, 1, 2]
-    pref = np.linalg.det(deltas) ** m / (
-        d11 ** (m + n1 / 2.0) * d22 ** (m + n2 / 2.0) * d33 ** (m + n3 / 2.0))
-    pref *= math.exp(ln_gamma(m + n3 / 2.0) - 2.0 * ln_gamma(m))
-    pref /= m ** ((n1 + n2 + n3) / 2.0)
+    det = np.linalg.det(deltas)
     q = d12 * d12 / (d11 * d22)
     x = d23 * d23 / (d22 * d33)
     _require_ratio_below_one(q / np.maximum(1.0 - x, 1e-300))
+    size = len(deltas)
+    lanes = []
+    for n1, n2, n3 in patterns:
+        pref = det ** m / (
+            d11 ** (m + n1 / 2.0) * d22 ** (m + n2 / 2.0) * d33 ** (m + n3 / 2.0))
+        pref *= math.exp(ln_gamma(m + n3 / 2.0) - 2.0 * ln_gamma(m))
+        pref /= m ** ((n1 + n2 + n3) / 2.0)
+        lanes.append(_Lanes(pref, q, np.full(size, m + n2 / 2.0), np.full(size, m + n3 / 2.0),
+                            np.stack([x, np.zeros(size)]),
+                            np.full(size, _TRIPLE_GROUP[n1, n2, n3])))
+    return _concat_lanes(lanes)
 
-    def lgam(k: int) -> float:
-        return (ln_gamma(m + k + n1 / 2.0) + ln_gamma(m + k + n2 / 2.0)
-                - ln_gamma(m + k) - ln_gamma(k + 1.0))
 
-    return _joint_series(pref, q, lgam, m + n2 / 2.0, m + n3 / 2.0, m, x[None], ctrl)
-
-
-def _quad_series(psis: NDArray[np.float64], m_z: int,
-                 ctrl: SeriesControl = JOINT_SERIES) -> NDArray[np.float64]:
-    """joint_moment_quad for a stack of 4x4 tridiagonal inverses."""
+def _quad_lanes(psis: NDArray[np.float64], m_z: int) -> _Lanes:
+    """Lanes of joint_moment_quad for a stack of 4x4 tridiagonal inverses."""
     _require_tridiagonal(psis, "psi")
     m = float(m_z)
     p11, p22, p33, p44 = (psis[:, i, i] for i in range(4))
@@ -410,11 +496,13 @@ def _quad_series(psis: NDArray[np.float64], m_z: int,
     x1 = p12 * p12 / (p11 * p22)
     x2 = p34 * p34 / (p33 * p44)
     _require_ratio_below_one(q / np.maximum((1.0 - x1) * (1.0 - x2), 1e-300))
+    size = len(psis)
+    return _Lanes(pref, q, np.full(size, m + 0.5), np.full(size, m + 0.5),
+                  np.stack([x1, x2]), np.full(size, _QUAD_GROUP))
 
-    def lgam(k: int) -> float:
-        return 2.0 * ln_gamma(m + k + 0.5) - ln_gamma(k + 1.0) - ln_gamma(m + k)
 
-    return _joint_series(pref, q, lgam, m + 0.5, m + 0.5, m, np.stack([x1, x2]), ctrl)
+def _concat_lanes(lanes: list[_Lanes]) -> _Lanes:
+    return _Lanes(*(np.concatenate(field, axis=-1) for field in zip(*lanes)))
 
 
 def joint_moment_triple(n1: int, n2: int, n3: int, delta: NDArray[np.float64],
@@ -426,12 +514,13 @@ def joint_moment_triple(n1: int, n2: int, n3: int, delta: NDArray[np.float64],
     Single series over k with one Gauss-hypergeometric factor per term;
     the term ratio is geometric with ratio delta_12^2/(delta_11 delta_22).
     """
-    if (n1, n2, n3) not in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
+    if (n1, n2, n3) not in _TRIPLE_PATTERNS:
         raise DomainError(f"unsupported exponent triple ({n1}, {n2}, {n3})")
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (3, 3):
         raise ValidationError(f"delta must be 3x3, got {delta.shape}")
-    return float(_triple_series((n1, n2, n3), delta[None], m_z, ctrl)[0])
+    lanes = _triple_lanes(((n1, n2, n3),), delta[None], m_z)
+    return float(_joint_series(lanes, float(m_z), ctrl)[0])
 
 
 def joint_moment_quad(psi: NDArray[np.float64], m_z: int,
@@ -441,7 +530,7 @@ def joint_moment_quad(psi: NDArray[np.float64], m_z: int,
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (4, 4):
         raise ValidationError(f"psi must be 4x4, got {psi.shape}")
-    return float(_quad_series(psi[None], m_z, ctrl)[0])
+    return float(_joint_series(_quad_lanes(psi[None], m_z), float(m_z), ctrl)[0])
 
 
 def _fourth_moment_pair_terms(spec: EnsembleSpec) -> float:
@@ -454,7 +543,8 @@ def _fourth_moment_pair_terms(spec: EnsembleSpec) -> float:
     t3 = 0.0
     for i, j in itertools.combinations(range(spec.branch_count), 2):
         rij = spec.rho(i, j)
-        t2 += powers[i] * powers[j] * gauss_2f1(-1.0, -1.0, m, rij)
+        # 2F1(-1, -1; m; rij) terminates after its linear term
+        t2 += powers[i] * powers[j] * (1.0 + rij / m)
         t3 += (powers[i] ** 1.5 * powers[j] ** 0.5 +
                powers[i] ** 0.5 * powers[j] ** 1.5) * \
             gauss_2f1(-1.5, -0.5, m, rij)
@@ -492,16 +582,20 @@ def _fourth_moment_joint_markov(spec: EnsembleSpec,
     p = np.asarray(spec.powers)
     L = spec.branch_count
     triples = np.array(list(itertools.combinations(range(L), 3)))
-    deltas = principal_submatrix_inverses(fitted, triples)
-    pa, pb, pc = p[triples].T
-    total = 12.0 * np.sum(
-        pa * np.sqrt(pb * pc) * _triple_series((2, 1, 1), deltas, m)
-        + np.sqrt(pa) * pb * np.sqrt(pc) * _triple_series((1, 2, 1), deltas, m)
-        + np.sqrt(pa * pb) * pc * _triple_series((1, 1, 2), deltas, m))
+    lanes = [_triple_lanes(_TRIPLE_PATTERNS, principal_submatrix_inverses(fitted, triples), m)]
     if L >= 4:
         quads = np.array(list(itertools.combinations(range(L), 4)))
-        psis = principal_submatrix_inverses(fitted, quads)
-        total += 24.0 * np.sum(np.sqrt(np.prod(p[quads], axis=1)) * _quad_series(psis, m))
+        lanes.append(_quad_lanes(principal_submatrix_inverses(fitted, quads), m))
+    # one series call: the three triple patterns over all subsets, then the quads
+    series = _joint_series(_concat_lanes(lanes), float(m), JOINT_SERIES)
+    t211, t121, t112, tquad = np.split(series, [len(triples), 2 * len(triples),
+                                                3 * len(triples)])
+    pa, pb, pc = p[triples].T
+    total = 12.0 * np.sum(pa * np.sqrt(pb * pc) * t211
+                          + np.sqrt(pa) * pb * np.sqrt(pc) * t121
+                          + np.sqrt(pa * pb) * pc * t112)
+    if L >= 4:
+        total += 24.0 * np.sum(np.sqrt(np.prod(p[quads], axis=1)) * tquad)
     return float(total)
 
 

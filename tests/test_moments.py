@@ -13,14 +13,24 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nakasum.errors import BoundaryError, DomainError, TruncationError, ValidationError
-from nakasum.linalg import CorrelationMatrix, greens_fit, principal_submatrix_inverse
+from nakasum import moments
+from nakasum.linalg import (
+    CorrelationMatrix,
+    greens_fit,
+    principal_submatrix_inverse,
+    principal_submatrix_inverses,
+)
 from nakasum.moments import (
+    JOINT_SERIES,
     ArbitraryCorrelation,
     EnsembleSpec,
     EqualCorrelation,
     ExponentialCorrelation,
     MomentPair,
+    _concat_lanes,
     _fourth_moment_pair_terms,
+    _quad_lanes,
+    _triple_lanes,
     _w_via_fa,
     fourth_moment_Z,
     j_identity,
@@ -32,7 +42,7 @@ from nakasum.moments import (
     w_coefficient,
 )
 from nakasum.simkit import sample_correlated_nakagami
-from nakasum.specfun import SeriesControl
+from nakasum.specfun import SeriesControl, gauss_2f1
 
 
 def gamma(x):
@@ -353,6 +363,209 @@ class TestJointMomentOracles:
     def test_near_maximal_still_raises(self):
         with pytest.raises(TruncationError):
             fourth_moment_Z(unit_exponential_spec(1, 0.98, 4))
+
+
+# -- the joint-moment series summed one k at a time --------------------------
+#
+# `per_k_series` is the reference for the blocked `_joint_series`: one call
+# per exponent pattern, term k formed, checked, added and tested against
+# the stop rule before k + 1 is looked at.  It takes its starting values
+# from the same `scipy.special.hyp2f1` (checked against mpmath in
+# `test_hyp2f1_starting_values_against_mpmath`), so the comparison isolates
+# the block arithmetic, which keeps the per-k order of operations and must
+# agree to the last bit.
+
+def per_k_lgam(pattern, m):
+    if pattern == "quad":
+        return lambda k: (2.0 * math.lgamma(m + k + 0.5) - math.lgamma(k + 1.0)
+                          - math.lgamma(m + k))
+    n1, n2, _ = pattern
+    return lambda k: (math.lgamma(m + k + n1 / 2.0) + math.lgamma(m + k + n2 / 2.0)
+                      - math.lgamma(m + k) - math.lgamma(k + 1.0))
+
+
+def per_k_series(lanes, pattern, m, ctrl=JOINT_SERIES):
+    """(values, stop k per lane) of same-pattern lanes, summed per k."""
+    lgam = per_k_lgam(pattern, m)
+    pref, q, a0, b, x = lanes.pref, lanes.q, lanes.a0[0], lanes.b[0], lanes.x
+    c = m
+    total = np.zeros(q.size)
+    stops = np.full(q.size, -1)
+    live = np.arange(q.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_q = np.log(q)
+        cur, nxt = scipy.special.hyp2f1(a0, b, c, x), scipy.special.hyp2f1(a0 + 1.0, b, c, x)
+        omx = 1.0 - x
+        for k in range(ctrl.max_terms):
+            lt = k * log_q + lgam(k) if k > 0 else np.full(live.size, lgam(0))
+            term = np.exp(lt)
+            for f in cur:
+                term *= f
+            finite = np.isfinite(term)
+            if not finite.all():
+                lane = live[np.argmin(finite)]
+                raise TruncationError("overflow", partial=float(pref[lane] * total[lane]))
+            total[live] += term
+            if k > 3:
+                keep = ~(term <= ctrl.rel_tol * total[live])
+                if not keep.all():
+                    stops[live[~keep]] = k
+                    live, log_q = live[keep], log_q[keep]
+                    cur, nxt, x, omx = cur[:, keep], nxt[:, keep], x[:, keep], omx[:, keep]
+                    if live.size == 0:
+                        return pref * total, stops
+            a = a0 + k + 1.0
+            cur, nxt = nxt, ((2.0 * a - c + (b - a) * x) * nxt + (c - a) * cur) / (a * omx)
+    if not (log_q > -np.inf).any():
+        return pref * total, stops
+    lane = live[np.argmax(log_q > -np.inf)]
+    raise TruncationError("budget", partial=float(pref[lane] * total[lane]))
+
+
+def per_k_fourth_moment(spec):
+    """E[Z^4] with each exponent pattern's series summed by `per_k_series`."""
+    m = spec.fading_m
+    p = np.asarray(spec.powers)
+    L = len(p)
+    fitted = greens_fit(spec.sqrt_corr_matrix())
+    triples = np.array(list(itertools.combinations(range(L), 3)))
+    deltas = principal_submatrix_inverses(fitted, triples)
+    t211, t121, t112 = (per_k_series(_triple_lanes((n,), deltas, m), n, float(m))[0]
+                        for n in ((2, 1, 1), (1, 2, 1), (1, 1, 2)))
+    pa, pb, pc = p[triples].T
+    total = (m + 1.0) / m * math.fsum(p * p) + _fourth_moment_pair_terms(spec)
+    joint = 12.0 * np.sum(pa * np.sqrt(pb * pc) * t211 + np.sqrt(pa) * pb * np.sqrt(pc) * t121
+                          + np.sqrt(pa * pb) * pc * t112)
+    if L >= 4:
+        quads = np.array(list(itertools.combinations(range(L), 4)))
+        tq = per_k_series(_quad_lanes(principal_submatrix_inverses(fitted, quads), m),
+                          "quad", float(m))[0]
+        joint += 24.0 * np.sum(np.sqrt(np.prod(p[quads], axis=1)) * tq)
+    return total + float(joint)
+
+
+def latent_factor_spec(seed, L, m_z):
+    rng = np.random.default_rng(seed)
+    a = np.abs(rng.standard_normal((L, 3)))
+    c = a @ a.T + 2.0 * np.eye(L)
+    d = np.sqrt(np.diag(c))
+    return EnsembleSpec(fading_m=m_z, powers=tuple(rng.uniform(0.5, 1.5, L)),
+                        correlation=ArbitraryCorrelation(CorrelationMatrix(c / np.outer(d, d))))
+
+
+class TestBlockedSeries:
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec(fading_m=2, powers=tuple(math.exp(-0.3 * k) for k in range(8)),
+                     correlation=ExponentialCorrelation(0.7)),
+        EnsembleSpec(fading_m=1, powers=tuple(math.exp(-0.3 * k) for k in range(16)),
+                     correlation=ExponentialCorrelation(0.5)),
+        latent_factor_spec(1, 5, 1),
+        latent_factor_spec(2, 6, 2),
+        latent_factor_spec(3, 6, 1),
+        unit_exponential_spec(1, 0.97, 4),
+    ], ids=["exp-L8", "exp-L16", "arbitrary-L5", "arbitrary-L6-m2", "arbitrary-L6",
+            "exp-rho0.97-L4"])
+    def test_fourth_moment_matches_per_k_oracle(self, spec):
+        # exp rho=0.97, L=4 also pins the underflow at k = 542 that ends its
+        # quad series early (ROADMAP item 3)
+        assert fourth_moment_Z(spec) == pytest.approx(per_k_fourth_moment(spec), rel=1e-13)
+
+    def test_stops_on_block_edges(self, monkeypatch):
+        # blocks of exactly `rows` rows; over rows = 2..12 the lanes' stop
+        # indices fall on the first and on the last row of a block
+        spec = latent_factor_spec(3, 6, 1)
+        fitted = greens_fit(spec.sqrt_corr_matrix())
+        quads = np.array(list(itertools.combinations(range(6), 4)))
+        lanes = _quad_lanes(principal_submatrix_inverses(fitted, quads), 1)
+        want, stops = per_k_series(lanes, "quad", 1.0)
+        first_row = last_row = False
+        for rows in range(2, 13):
+            monkeypatch.setattr(moments, "_BLOCK_CELLS", rows * lanes.q.size)
+            assert np.array_equal(moments._joint_series(lanes, 1.0, JOINT_SERIES), want)
+            first_row |= bool((stops % rows == 0).any())
+            last_row |= bool((stops % rows == rows - 1).any())
+        assert first_row and last_row
+
+    def test_stop_index_matches_per_k_oracle(self):
+        # each lane converges on a budget that just reaches the oracle's
+        # stop index and raises on one term less (rho = 1e-5 stops at the
+        # first chance, k = 4)
+        deltas = np.stack([principal_submatrix_inverse(CorrelationMatrix.exponential(rho, 3),
+                                                       (0, 1, 2)) for rho in (1e-5, 0.3, 0.6)])
+        lanes = _triple_lanes(((2, 1, 1),), deltas, 1)
+        want, stops = per_k_series(lanes, (2, 1, 1), 1.0)
+        assert stops[0] == 4
+        for i, stop in enumerate(stops):
+            lane = moments._Lanes(*(field[..., i:i + 1] for field in lanes))
+            got = moments._joint_series(lane, 1.0, SeriesControl(max_terms=stop + 1))
+            assert got[0] == want[i]
+            with pytest.raises(TruncationError):
+                moments._joint_series(lane, 1.0, SeriesControl(max_terms=stop))
+
+    def test_lane_stopping_before_another_overflows(self):
+        # lane 0 stops at k ~ 5; past k ~ 150 its factors overflow, inside
+        # the block the slow lane 1 (about 300 terms) still needs
+        one = np.ones(2)
+        lanes = moments._Lanes(pref=one, q=np.array([1e-6, 0.9]), a0=1.5 * one, b=1.5 * one,
+                               x=np.array([[0.99, 0.0], [0.99, 0.0]]),
+                               group=np.full(2, moments._QUAD_GROUP))
+        want, stops = per_k_series(lanes, "quad", 1.0)
+        assert stops[0] < 10 < 200 < stops[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = moments._joint_series(lanes, 1.0, JOINT_SERIES)
+        assert np.array_equal(got, want)
+
+    def test_truncation_partial_matches_per_k_oracle(self):
+        mat = CorrelationMatrix.exponential(0.98, 6)
+        triples = np.array(list(itertools.combinations(range(6), 3)))
+        lanes = _triple_lanes(((2, 1, 1),), principal_submatrix_inverses(mat, triples), 1)
+        short = SeriesControl(rel_tol=1e-12, max_terms=40)
+        for ctrl, cause, message in ((JOINT_SERIES, "overflow", "overflowed"),
+                                     (short, "budget", "did not converge")):
+            with pytest.raises(TruncationError, match=cause) as want:
+                per_k_series(lanes, (2, 1, 1), 1.0, ctrl)
+            with pytest.raises(TruncationError, match=message) as got:
+                moments._joint_series(lanes, 1.0, ctrl)
+            assert got.value.partial == pytest.approx(want.value.partial, rel=1e-13)
+        with pytest.raises(TruncationError) as got:
+            joint_moment_triple(2, 1, 1, principal_submatrix_inverse(mat, (0, 1, 2)), 1)
+        with pytest.raises(TruncationError) as want:
+            per_k_series(_triple_lanes(((2, 1, 1),), principal_submatrix_inverses(
+                mat, np.array([[0, 1, 2]])), 1), (2, 1, 1), 1.0)
+        assert got.value.partial == pytest.approx(want.value.partial, rel=1e-13)
+
+    def test_hyp2f1_starting_values_against_mpmath(self):
+        xs = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999, 0.9999]
+        worst = 0.0
+        with mp.workdps(40):
+            for m in range(1, 11):
+                lanes = _concat_lanes([_triple_lanes(moments._TRIPLE_PATTERNS, np.eye(3)[None], m),
+                                       _quad_lanes(np.eye(4)[None], m)])
+                for a0, b in set(zip(lanes.a0, lanes.b)):
+                    for a in (a0, a0 + 1.0):
+                        for x in xs:
+                            ref = mp.hyp2f1(a, b, m, x)
+                            got = scipy.special.hyp2f1(a, b, float(m), x)
+                            worst = max(worst, float(abs(got - ref) / ref))
+        assert worst < 1e-13
+
+
+def test_pair_term_closed_form_matches_gauss_2f1():
+    # 2F1(-1, -1; m; r) = 1 + r/m; the pair terms assembled with the
+    # general series instead must agree to rounding
+    for m in range(1, 11):
+        c2 = 6.0 * moments._gamma_ratio(m + 1.0, m) ** 2 / m ** 2
+        c3 = 4.0 * math.exp(math.lgamma(m + 1.5) + math.lgamma(m + 0.5)
+                            - 2.0 * math.lgamma(m)) / m ** 2
+        for r in np.linspace(0.0, 0.999, 38):
+            r = float(r)
+            assert 1.0 + r / m == pytest.approx(gauss_2f1(-1.0, -1.0, m, r), rel=1e-15, abs=0)
+            spec = EnsembleSpec(fading_m=m, powers=(1.0, 0.7),
+                                correlation=ExponentialCorrelation(r))
+            want = (c2 * (0.7 * gauss_2f1(-1.0, -1.0, m, r))
+                    + c3 * ((0.7 ** 0.5 + 0.7 ** 1.5) * gauss_2f1(-1.5, -0.5, m, r)))
+            assert _fourth_moment_pair_terms(spec) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 class TestFourthMoment:
