@@ -7,7 +7,6 @@ from .errors import (
     BinningError,
     BoundaryError,
     ConsistencyError,
-    ConvergenceQualityWarning,
     DivergenceError,
     DomainError,
     FitClampWarning,
@@ -57,7 +56,6 @@ __all__ = [
     "BinningError",
     "BoundaryError",
     "ConsistencyError",
-    "ConvergenceQualityWarning",
     "CorrelationMatrix",
     "DivergenceError",
     "DomainError",

@@ -58,9 +58,5 @@ class AccuracyError(NakasumError):
         self.estimates = estimates
 
 
-class ConvergenceQualityWarning(UserWarning):
-    """A value was computed but close to a convergence boundary."""
-
-
 class FitClampWarning(UserWarning):
     """An optimized parameter was clamped back into its feasible range."""

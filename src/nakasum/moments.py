@@ -217,7 +217,7 @@ def j_identity(m: float, a: float, p: float, q: float) -> float:
     if a <= -0.5:
         raise DomainError(f"j_identity requires a > -1/2, got {a}")
     x = -a * a / (1.0 + 2.0 * a)
-    f = gauss_2f1(m + p / 2.0, -q / 2.0, m, x)
+    f = float(hyp2f1(m + p / 2.0, -q / 2.0, m, x))
     return (1.0 + a) ** (p / 2.0) * ((1.0 + 2.0 * a) / (1.0 + a)) ** (q / 2.0) * f
 
 
@@ -539,15 +539,16 @@ def _fourth_moment_pair_terms(spec: EnsembleSpec) -> float:
     c2 = 6.0 * _gamma_ratio(m + 1.0, m) ** 2 / m ** 2
     c3 = 4.0 * math.exp(
         ln_gamma(m + 1.5) + ln_gamma(m + 0.5) - 2.0 * ln_gamma(m)) / m ** 2
+    pairs = list(itertools.combinations(range(spec.branch_count), 2))
+    rho = [spec.rho(i, j) for i, j in pairs]
+    f3 = hyp2f1(-1.5, -0.5, m, np.array(rho)).tolist()
     t2 = 0.0
     t3 = 0.0
-    for i, j in itertools.combinations(range(spec.branch_count), 2):
-        rij = spec.rho(i, j)
+    for (i, j), rij, f3ij in zip(pairs, rho, f3):
         # 2F1(-1, -1; m; rij) terminates after its linear term
         t2 += powers[i] * powers[j] * (1.0 + rij / m)
         t3 += (powers[i] ** 1.5 * powers[j] ** 0.5 +
-               powers[i] ** 0.5 * powers[j] ** 1.5) * \
-            gauss_2f1(-1.5, -0.5, m, rij)
+               powers[i] ** 0.5 * powers[j] ** 1.5) * f3ij
     return c2 * t2 + c3 * t3
 
 

@@ -1,32 +1,26 @@
-"""Special functions: log-gamma, Gauss and Kummer hypergeometric series,
-and the Lauricella F_A function of several variables.
+"""Special functions: log-gamma, the Gauss and Kummer hypergeometric
+functions, and the Lauricella F_A function of several variables.
 
-All functions are pure and take and return plain floats.  The Gauss and
-Kummer series are scalar; F_A evaluates its quadrature integrand over the
-whole node array at once with ``scipy.special.hyp1f1``.  Series evaluation
-is governed by a :class:`SeriesControl`: a series is accepted once the
-current term stays below ``rel_tol`` times the partial sum for three
-consecutive terms, which guards against premature truncation of
-oscillating-sign series (negative half-integer parameters produce such
-series).
+All functions are pure and take and return plain floats.  Kummer's 1F1 is
+``scipy.special.hyp1f1``; its logarithm continues past the float range
+with the large-argument expansion.  The Gauss 2F1 is a scalar series
+governed by a :class:`SeriesControl`: it is accepted once the current
+term stays below ``rel_tol`` times the partial sum for three consecutive
+terms, which guards against premature truncation of oscillating-sign
+series (negative half-integer parameters produce such series).  F_A is
+its Laplace integral, computed with an exp-sinh trapezoid rule whose step
+halves until two sums agree to ``rel_tol``.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammasgn, hyp1f1, roots_genlaguerre
+from scipy.special import gammasgn, hyp1f1
 
-from .errors import (
-    ConvergenceQualityWarning,
-    DivergenceError,
-    DomainError,
-    TruncationError,
-)
+from .errors import DivergenceError, DomainError, TruncationError
 
 __all__ = [
     "SeriesControl",
@@ -39,22 +33,18 @@ __all__ = [
 ]
 
 def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on first use: only the adaptive F_A
-    fallback needs it, and importing it loads ``scipy.optimize`` too.
-    (perfbench/tracer.py counts the fallbacks by wrapping this name.)"""
+    """``scipy.integrate.quad``, imported on first use.  No routine here
+    calls it; perfbench/tracer.py counts adaptive F_A fallbacks by wrapping
+    this name, and with the exp-sinh rule that count is zero."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
 
 
-# Largest exponent for which exp() and the positive-term 1F1 series stay
-# inside float64 range with headroom for the gamma prefactors.
-_EXP_SAFE = 600.0
-
-
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for infinite series and node-doubling quadratures."""
+    """Truncation policy: the relative tolerance and term budget of a
+    series, and the relative tolerance at which F_A's step halving stops."""
 
     rel_tol: float = 1e-12
     max_terms: int = 100_000
@@ -144,99 +134,52 @@ def _lgamma_abs(x: float) -> float:
     return math.lgamma(x)
 
 
-def _f11_series(a: float, c: float, x: float, ctrl: SeriesControl) -> float:
-    term = 1.0
-    total = 1.0
-    small = 0
-    for k in range(ctrl.max_terms):
-        term *= (a + k) / (c + k) * x / (k + 1.0)
-        total += term
-        if abs(term) <= ctrl.rel_tol * abs(total):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise TruncationError(
-        f"1F1({a};{c};{x}) did not converge in {ctrl.max_terms} terms",
-        partial=total,
-    )
-
-
-def _f11_large_negative(b: float, c: float, y: float) -> float:
-    """1F1(b; c; -y) for large y > 0 via the dominant asymptotic branch.
-
-    Valid when c - b is not a gamma pole; the recessive e^{-y} branch is
-    below double precision for the y >= _EXP_SAFE arguments reaching here.
-    """
-    if _is_nonpositive_integer(c - b):
-        raise DomainError(
-            f"asymptotic 1F1 branch unsupported for c-b={c - b} at a gamma pole")
-    coef = gammasgn(c) * gammasgn(c - b) * math.exp(_lgamma_abs(c) - _lgamma_abs(c - b))
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    for n in range(400):
-        term *= (b + n) * (1.0 + b - c + n) / ((n + 1.0) * y)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return coef * y ** (-b) * total
-
-
-def kummer_1f1(a: float, c: float, x: float,
-               ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def kummer_1f1(a: float, c: float, x: float) -> float:
     """Kummer confluent hypergeometric function 1F1(a; c; x).
 
-    Route selection keeps every evaluation cancellation-free: negative
-    arguments go through the Kummer transformation e^x 1F1(c-a; c; -x)
-    whose series has one sign, and |x| beyond the exp() range uses the
-    large-argument expansion.  Values that genuinely exceed float range
-    come back as inf.
+    ``scipy.special.hyp1f1``; values that exceed float range come back as
+    inf.
     """
     if _is_nonpositive_integer(c):
         raise DomainError(f"1F1 undefined for non-positive integer c={c}")
-    if x == 0.0:
-        return 1.0
-    if _is_nonpositive_integer(a):
-        # terminating polynomial of degree |a|, stable for any argument
-        return _f11_series(a, c, x, ctrl)
-    if x < 0.0:
-        y = -x
-        if y <= _EXP_SAFE:
-            return math.exp(x) * _f11_series(c - a, c, y, ctrl)
-        return _f11_large_negative(a, c, y)
-    if x <= _EXP_SAFE:
-        return _f11_series(a, c, x, ctrl)
-    tail = _f11_large_negative(c - a, c, x)
-    try:
-        scale = math.exp(x)
-    except OverflowError:
-        return math.inf if tail > 0 else -math.inf
-    return scale * tail
+    return float(hyp1f1(a, c, x))
 
 
-def ln_kummer_1f1(a: float, c: float, x: float,
-                  ctrl: SeriesControl = DEFAULT_SERIES) -> float:
-    """log(1F1(a; c; x)) for a, c > 0 and x >= 0, safe against overflow."""
+def ln_kummer_1f1(a: float, c: float, x: float) -> float:
+    """log(1F1(a; c; x)) for a, c > 0 and x >= 0, safe against overflow.
+
+    Where ``hyp1f1`` overflows, Kummer's transformation
+    1F1(a; c; x) = e^x 1F1(c-a; c; -x) and the large-x expansion
+    (DLMF 13.7.2) give x + (a-c) log x + log(Gamma(c)/Gamma(a)) + log S,
+    S = sum_n (1-a)_n (c-a)_n / (n! x^n) taken to its smallest term.  The
+    other branch is e^-x smaller and lies far below double precision there.
+    """
     if a <= 0 or c <= 0 or x < 0:
         raise DomainError("ln_kummer_1f1 requires a, c > 0 and x >= 0")
-    if x <= _EXP_SAFE:
-        return math.log(_f11_series(a, c, x, ctrl))
-    return x + math.log(_f11_large_negative(c - a, c, x))
+    val = float(hyp1f1(a, c, x))
+    if 0.0 < val < math.inf:
+        return math.log(val)
+    total = term = 1.0
+    n = 0
+    while abs(term) > 1e-17 * abs(total):
+        ratio = (n + 1.0 - a) * (n + c - a) / ((n + 1.0) * x)
+        # past n = a - 1 the term ratio grows with n: once it reaches 1 the
+        # smallest term has been added
+        if n >= a - 1.0 and abs(ratio) >= 1.0:
+            break
+        term *= ratio
+        total += term
+        n += 1
+    return x + (a - c) * math.log(x) + math.lgamma(c) - math.lgamma(a) + math.log(total)
 
 
-@lru_cache(maxsize=64)
-def _genlaguerre_nodes(n: int, alpha: float):
-    # scipy's Newton refinement overflows harmlessly at the extreme nodes
-    # for large n; the affected weights underflow to zero
-    with np.errstate(over="ignore", invalid="ignore"):
-        nodes, weights = roots_genlaguerre(n, alpha)
-    keep = np.isfinite(nodes) & np.isfinite(weights)
-    return nodes[keep], weights[keep]
+# Exp-sinh rule for F_A: u = exp(pi/2 sinh v) maps v in R onto u > 0, the
+# transformed integrand decays double-exponentially at both ends, and the
+# nodes are log-spaced near u = 0, where the factors vary on the scale
+# (1-s)/max(x).  v runs from where the weight u^a falls to e^-40 up to
+# u = 700, past which e^-u underflows.  The step starts at 1/2 and halves
+# at most _FA_LEVELS times.
+_FA_LEVELS = 10
 
 
 def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
@@ -246,11 +189,9 @@ def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
     Evaluated through its Laplace-type integral
     ``(1/Gamma(a)) int_0^inf t^(a-1) e^-t prod_i 1F1(b_i; c_i; x_i t) dt``
     after Kummer-transforming each factor, which turns the weight into
-    ``e^-(1-s)t`` with s = sum(x) and leaves slowly varying factors.  The
-    transformed integral is computed with generalized Gauss-Laguerre
-    quadrature, doubling the node count until two successive estimates
-    agree to ``ctrl.rel_tol``; an adaptive fallback covers the rare case
-    where node doubling stalls close to the s -> 1 boundary.
+    ``e^-(1-s)t`` with s = sum(x) and leaves slowly varying factors.  With
+    u = (1-s)t, the integral is computed with an exp-sinh trapezoid rule
+    whose step halves until two successive sums agree to ``ctrl.rel_tol``.
     """
     n = len(b)
     if len(c) != n or len(x) != n:
@@ -268,48 +209,33 @@ def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
 
     front = (1.0 - s) ** (-a) / math.gamma(a)
     # identical factors are evaluated once and raised to their multiplicity
-    factors = Counter((bi, ci, xi / (1.0 - s)) for bi, ci, xi in zip(b, c, x))
-    max_scale = max(sc for _, _, sc in factors)
+    factors = Counter((ci - bi, ci, xi / (1.0 - s)) for bi, ci, xi in zip(b, c, x))
+    v_lo = -math.asinh(2.0 / math.pi * 40.0 / a)
+    v_hi = math.asinh(2.0 / math.pi * math.log(700.0))
 
-    def integrand(u):
-        g = 1.0
-        for (bi, ci, sc), count in factors.items():
-            g = g * hyp1f1(ci - bi, ci, -sc * u) ** count
-        return g
+    def node_sum(h: float, odd_only: bool) -> float:
+        # h times the integrand summed over the nodes j*h in [v_lo, v_hi],
+        # or over those with odd j: the nodes the step h adds to step 2h
+        j = np.arange(math.ceil(v_lo / h), math.floor(v_hi / h) + 1)
+        if odd_only:
+            j = j[j % 2 == 1]
+        v = h * j
+        ln_u = 0.5 * math.pi * np.sinh(v)
+        u = np.exp(ln_u)
+        g = np.exp(a * ln_u - u) * (0.5 * math.pi * np.cosh(v))
+        for (p, ci, sc), count in factors.items():
+            g *= hyp1f1(p, ci, -sc * u) ** count
+        return h * float(g.sum())
 
-    # Close to the boundary the transformed integrand varies on the scale
-    # (1-s)/max(x); once that drops below the smallest Gauss-Laguerre node
-    # two under-resolved ladder levels can agree on a wrong value, and
-    # scipy cannot deliver usable weights beyond 256 nodes, so fine-featured
-    # integrands go straight to adaptive quadrature.  The coarse second
-    # gate below rejects spurious early agreement.
-    if max_scale <= 25.0:
-        estimates: list[float] = []
-        nodes_used = 32
-        while nodes_used <= 256:
-            nodes, weights = _genlaguerre_nodes(nodes_used, a - 1.0)
-            estimates.append(front * float(weights @ integrand(nodes)))
-            if (len(estimates) >= 3
-                    and abs(estimates[-1] - estimates[-2]) <= ctrl.rel_tol * abs(estimates[-1])
-                    and abs(estimates[-2] - estimates[-3]) <= 1e-6 * abs(estimates[-2])):
-                return estimates[-1]
-            nodes_used *= 2
-
-    warnings.warn(
-        f"F_A evaluated near its convergence boundary (sum(x)={s:.6f}); "
-        "using adaptive quadrature",
-        ConvergenceQualityWarning,
-        stacklevel=2,
+    h = 0.5
+    total = node_sum(h, False)
+    for _ in range(_FA_LEVELS):
+        h /= 2.0
+        finer = 0.5 * total + node_sum(h, True)
+        if abs(finer - total) <= ctrl.rel_tol * abs(finer):
+            return front * finer
+        total = finer
+    raise TruncationError(
+        f"F_A exp-sinh rule did not converge in {_FA_LEVELS} step halvings",
+        partial=front * total,
     )
-    val, abserr = quad(
-        lambda u: u ** (a - 1.0) * math.exp(-u) * integrand(u),
-        0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=400,
-    )
-    val *= front
-    if abs(abserr * front) > 1e-8 * abs(val):
-        raise TruncationError(
-            f"F_A adaptive quadrature error {abserr * front:.2e} too large "
-            f"relative to {val:.6e}",
-            partial=val,
-        )
-    return val

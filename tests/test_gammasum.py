@@ -116,6 +116,18 @@ class TestPdfEqualCorr:
                           0.0, np.inf, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("m_z,L,rho,rs", [
+        (8, 15, 0.8, (12.71, 14.96)),
+        (7, 16, 0.8, (18.34,)),
+        (10, 16, 0.7, (13.55,)),
+    ])
+    def test_bulk_matches_series_pdf(self, m_z, L, rho, rs):
+        # 1F1 arguments of 690-1380, on both sides of hyp1f1's overflow
+        model = balanced_model(EqualCorrelation(rho), m_z, L)
+        for r in rs:
+            assert pdf_equal_corr(model, rho, r) == pytest.approx(
+                pdf(model, r), abs=gammasum.DEFAULT_QUADRATURE.abs_tol)
+
     def test_large_argument_no_overflow(self):
         rho = 0.81
         model = balanced_model(EqualCorrelation(rho), 3, 5)

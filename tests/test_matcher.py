@@ -129,17 +129,27 @@ class TestClosureAndInvariance:
 
 class TestNearMaximalCorrelation:
     def test_equal_path_approaches_branch_parameter(self):
-        import warnings
         prev = None
         for rho in (0.95, 0.99, 0.999):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                m_r = match_parameters(balanced(EqualCorrelation(rho), 1, 4)).m_r
+            m_r = match_parameters(balanced(EqualCorrelation(rho), 1, 4)).m_r
             assert m_r < 1.0
             if prev is not None:
                 assert m_r > prev
             prev = m_r
         assert prev > 0.999
+
+    @pytest.mark.parametrize("L", [3, 4, 8, 16])
+    def test_equal_panel_fits_up_to_one_minus_1e6(self, L):
+        import warnings
+        for m_z in (1, 2, 5, 10):
+            prev = 0.0
+            for rho in (0.999, 0.9999, 0.99999, 1.0 - 1e-6):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    model = match_parameters(balanced(EqualCorrelation(rho), m_z, L))
+                assert model.flags == ()
+                assert prev < model.m_r < m_z
+                prev = model.m_r
 
     def test_markov_path_raises_cleanly_when_series_overflows(self):
         from nakasum.errors import TruncationError

@@ -41,7 +41,7 @@ from nakasum.moments import (
     w211_reduced,
     w_coefficient,
 )
-from nakasum.simkit import sample_correlated_nakagami
+from nakasum.simkit import estimate_sum_moments, sample_correlated_nakagami
 from nakasum.specfun import SeriesControl, gauss_2f1
 
 
@@ -169,6 +169,28 @@ class TestWCoefficients:
         want = (gamma(m + 0.5) / gamma(m)) ** 4 * \
             ((1.0 - sr) / (1.0 + 3.0 * sr)) ** m * ref_fa
         assert w_coefficient((1, 1, 1, 1), m, rho) == pytest.approx(want, rel=1e-8)
+
+    def test_w211_against_mpmath_near_maximal(self):
+        # the four-term reduction summed in 50-digit mpmath from the exact
+        # sqrt(rho); what remains is the float rounding of sqrt(rho),
+        # amplified by 1/(1 - sqrt(rho))
+        def j_mp(m, a, p, q):
+            x = -a * a / (1 + 2 * a)
+            return ((1 + a) ** (mp.mpf(p) / 2) * ((1 + 2 * a) / (1 + a)) ** (mp.mpf(q) / 2)
+                    * mp.hyp2f1(m + mp.mpf(p) / 2, -mp.mpf(q) / 2, m, x))
+
+        with mp.workdps(50):
+            for m_z in (1, 2, 5, 10):
+                m = mp.mpf(m_z)
+                for rho in (0.25, 0.9, 0.99, 0.999, 0.9999):
+                    sr = mp.sqrt(mp.mpf(rho))
+                    ap = sr / (1 - sr)
+                    bracket = j_mp(m, ap, 1, 1) + ap * (
+                        (m + 0.5) ** 2 / m ** 2 * j_mp(m + 1, ap, 1, 1)
+                        - (m + 0.5) / m ** 2 * j_mp(m + 1, ap, 1, -1)
+                        + 1 / (4 * m ** 2) * j_mp(m + 1, ap, -1, -1))
+                    want = float(m * (mp.gamma(m + 0.5) / mp.gamma(m)) ** 2 * bracket)
+                    assert w211_reduced(m_z, rho) == pytest.approx(want, rel=5e-13)
 
     def test_w211_monotone_in_rho(self):
         vals = [w211_reduced(3, rho) for rho in np.arange(0.0, 0.95, 0.1)]
@@ -552,20 +574,21 @@ class TestBlockedSeries:
 
 
 def test_pair_term_closed_form_matches_gauss_2f1():
-    # 2F1(-1, -1; m; r) = 1 + r/m; the pair terms assembled with the
-    # general series instead must agree to rounding
-    for m in range(1, 11):
-        c2 = 6.0 * moments._gamma_ratio(m + 1.0, m) ** 2 / m ** 2
-        c3 = 4.0 * math.exp(math.lgamma(m + 1.5) + math.lgamma(m + 0.5)
-                            - 2.0 * math.lgamma(m)) / m ** 2
-        for r in np.linspace(0.0, 0.999, 38):
-            r = float(r)
-            assert 1.0 + r / m == pytest.approx(gauss_2f1(-1.0, -1.0, m, r), rel=1e-15, abs=0)
-            spec = EnsembleSpec(fading_m=m, powers=(1.0, 0.7),
-                                correlation=ExponentialCorrelation(r))
-            want = (c2 * (0.7 * gauss_2f1(-1.0, -1.0, m, r))
-                    + c3 * ((0.7 ** 0.5 + 0.7 ** 1.5) * gauss_2f1(-1.5, -0.5, m, r)))
-            assert _fourth_moment_pair_terms(spec) == pytest.approx(want, rel=1e-15, abs=0)
+    # 2F1(-1, -1; m; r) = 1 + r/m; the pair terms must match the same sum
+    # with 2F1(-3/2, -1/2; m; r) from mpmath to rounding
+    with mp.workdps(30):
+        for m in range(1, 11):
+            c2 = 6.0 * moments._gamma_ratio(m + 1.0, m) ** 2 / m ** 2
+            c3 = 4.0 * math.exp(math.lgamma(m + 1.5) + math.lgamma(m + 0.5)
+                                - 2.0 * math.lgamma(m)) / m ** 2
+            for r in np.linspace(0.0, 0.999, 38):
+                r = float(r)
+                assert 1.0 + r / m == pytest.approx(gauss_2f1(-1.0, -1.0, m, r), rel=1e-15, abs=0)
+                spec = EnsembleSpec(fading_m=m, powers=(1.0, 0.7),
+                                    correlation=ExponentialCorrelation(r))
+                f3 = float(mp.hyp2f1(-1.5, -0.5, m, r))
+                want = c2 * 0.7 * (1.0 + r / m) + c3 * (0.7 ** 0.5 + 0.7 ** 1.5) * f3
+                assert _fourth_moment_pair_terms(spec) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestFourthMoment:
@@ -638,6 +661,13 @@ class TestFourthMoment:
                     CorrelationMatrix.exponential(rho, L)))
             assert fourth_moment_Z(arb_spec) == pytest.approx(
                 fourth_moment_Z(exp_spec), rel=1e-11)
+
+    def test_near_maximal_equal_against_monte_carlo(self):
+        spec = EnsembleSpec(fading_m=1, powers=(1.0,) * 4,
+                            correlation=EqualCorrelation(0.9999))
+        est = estimate_sum_moments(spec, 2_000_000, seed=607)
+        assert abs(second_moment_Z(spec) - est["m2"]) < 3.0 * est["se2"]
+        assert abs(fourth_moment_Z(spec) - est["m4"]) < 3.0 * est["se4"]
 
     def test_table_scenarios_spot_values(self):
         # frozen four-decimal shape parameters for balanced branches

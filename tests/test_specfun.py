@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nakasum import specfun
 from nakasum.errors import DivergenceError, DomainError, TruncationError
 from nakasum.specfun import (
     SeriesControl,
@@ -125,6 +126,24 @@ class TestKummer1F1:
             ref = float(mp.log(mp.hyp1f1(1.2, 3.6, mp.mpf(x))))
             assert ln_kummer_1f1(1.2, 3.6, x) == pytest.approx(ref, rel=1e-11)
 
+    def test_log_variant_grid_against_mpmath(self):
+        # c = a L as in the equal-correlation density; x spans the range
+        # where hyp1f1 is finite and, past about 700, where it overflows
+        xs = np.concatenate([np.logspace(-6, 8, 57), np.linspace(650.0, 3000.0, 48)])
+        worst = 0.0
+        for a in (0.55, 0.98, 1.0, 1.5, 2.3, 2.9999, 4.5, 7.25, 9.7, 10.0):
+            for L in (1, 2, 3, 4, 8, 15, 16):
+                c = a * L
+                for x in xs.tolist():
+                    ref = float(mp.log(mp.hyp1f1(a, c, x)))
+                    err = abs(ln_kummer_1f1(a, c, x) - ref) / max(abs(ref), 1.0)
+                    worst = max(worst, err)
+        assert worst < 1e-13
+
+    def test_log_variant_domain(self):
+        with pytest.raises(DomainError):
+            ln_kummer_1f1(1.0, 2.0, -1.0)
+
     def test_c_pole(self):
         with pytest.raises(DomainError):
             kummer_1f1(1.0, -2.0, 0.5)
@@ -162,6 +181,29 @@ def fa_series_oracle(a, bs, cs, xs, kmax=600, tol=1e-12):
     tail_log = inc_log[-1] + math.log(ratio / (1.0 - ratio))
     assert tail_log < math.log(tol) + total_log, "oracle tail too large"
     return math.exp(total_log)
+
+
+def fa_integral_oracle(a, bs, cs, xs):
+    """F_A from its Kummer-transformed Laplace integral in mpmath at the
+    working precision, with breakpoints across the boundary layer of width
+    (1 - sum(x)) / max(x) at u = 0."""
+    a = mp.mpf(a)
+    s = mp.fsum(mp.mpf(x) for x in xs)
+    factors = {}
+    for b, c, x in zip(bs, cs, xs):
+        key = (mp.mpf(c) - b, mp.mpf(c), mp.mpf(x) / (1 - s))
+        factors[key] = factors.get(key, 0) + 1
+
+    def integrand(u):
+        g = u ** (a - 1) * mp.exp(-u)
+        for (p, c, sc), count in factors.items():
+            g *= mp.hyp1f1(p, c, -sc * u) ** count
+        return g
+
+    layer = 1 / max(sc for _, _, sc in factors)
+    cuts = {mp.mpf(0), mp.mpf(1), a + 1, a + 40, mp.inf}
+    cuts.update(layer * 10 ** k for k in range(-1, 4) if layer * 10 ** k < 1)
+    return (1 - s) ** (-a) / mp.gamma(a) * mp.quad(integrand, sorted(cuts))
 
 
 def fa_mesh_oracle(a, bs, cs, xs, kmax):
@@ -225,6 +267,26 @@ class TestLauricellaFA:
         val = lauricella_fa(float(m), bs, cs, (x,) * 4)
         ref = fa_series_oracle(float(m), bs, cs, (x,) * 4, kmax=900, tol=1e-10)
         assert val == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10])
+    def test_four_variable_near_boundary_against_integral(self, m):
+        # W(1,1,1,1) arguments up to rho = 1 - 1e-6, where 1 - sum(x) is
+        # about 1.25e-7 and the factors vary on that scale near u = 0
+        with mp.workdps(20):
+            for rho in (0.9999, 1.0 - 1e-6):
+                sqrt_rho = math.sqrt(rho)
+                args = (float(m), (m + 0.5,) * 4, (float(m),) * 4,
+                        (sqrt_rho / (1.0 + 3.0 * sqrt_rho),) * 4)
+                ref = float(fa_integral_oracle(*args))
+                assert lauricella_fa(*args) == pytest.approx(ref, rel=1e-13)
+
+    def test_truncation_carries_partial(self, monkeypatch):
+        args = (2.0, (2.5, 1.5), (2.0, 2.0), (0.2, 0.4))
+        want = lauricella_fa(*args)
+        monkeypatch.setattr(specfun, "_FA_LEVELS", 1)
+        with pytest.raises(TruncationError) as err:
+            lauricella_fa(*args)
+        assert err.value.partial == pytest.approx(want, rel=1e-3)
 
     def test_pure(self):
         args = (2.0, (2.5, 1.5), (2.0, 2.0), (0.2, 0.4))
