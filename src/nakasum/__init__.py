@@ -26,7 +26,7 @@ from .moments import (
     fourth_moment_Z,
     second_moment_Z,
 )
-from .gammasum import QuadratureControl, cdf, mgf, pdf, pdf_equal_corr
+from .gammasum import cdf, mgf, pdf, pdf_equal_corr
 from .egc import (
     PerfCurve,
     PerfPoint,
@@ -70,7 +70,6 @@ __all__ = [
     "NakasumError",
     "PerfCurve",
     "PerfPoint",
-    "QuadratureControl",
     "ReceiverSpec",
     "SampleBatch",
     "SeriesControl",

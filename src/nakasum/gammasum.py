@@ -20,16 +20,18 @@ evaluated at once.
 The series converges like q_max^k with q_max = 1 - lambda_min/lambda_max,
 so near-maximal correlation needs too many terms.  When the Chernoff bound
 asks for more than ``_MAX_SERIES_TERMS`` the PDF and CDF fall back to the
-semi-infinite oscillatory integrals, integrated with Gauss-Legendre panels:
-a geometrically refined head resolves the region where the phase
-derivative still varies, then half-period panels of the asymptotic
-oscillation are summed with iterated-mean acceleration of the alternating
-partial sums.  The raw envelope tail bound decays only algebraically (as
-slowly as 1/t for a single active eigenvalue), so the acceleration is what
-makes tight absolute tolerances reachable.
+semi-infinite oscillatory integrals, integrated with panels of one
+64-node Gauss-Legendre table built at import: a geometrically refined head
+resolves the region where the phase derivative still varies, then
+half-period panels of the asymptotic oscillation are summed with
+iterated-mean acceleration of the alternating partial sums.  The raw
+envelope tail bound decays only algebraically (as slowly as 1/t for a
+single active eigenvalue), so the acceleration is what makes tight
+absolute tolerances reachable.
 
 ``mgf``, ``pdf`` and ``cdf`` take a scalar (returning a float) or an array
-(returning an array of the same shape).
+(returning an array of the same shape).  ``pdf`` and ``cdf`` hold their
+absolute error to the keyword ``abs_tol``.
 """
 from __future__ import annotations
 
@@ -46,8 +48,6 @@ from .matcher import GammaSumModel
 from .specfun import ln_gamma, ln_kummer_1f1
 
 __all__ = [
-    "QuadratureControl",
-    "DEFAULT_QUADRATURE",
     "mgf",
     "pdf",
     "pdf_equal_corr",
@@ -55,27 +55,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureControl:
-    """Accuracy policy of the distribution layer.
-
-    ``abs_tol`` bounds the absolute error of the series and of the
-    oscillatory quadrature; the panel settings apply to the quadrature.
-    """
-
-    abs_tol: float = 1e-8
-    panel_nodes: int = 64
-    max_panels: int = 4096
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.panel_nodes < 2 or self.max_panels < 8:
-            raise DomainError("quadrature control parameters must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureControl()
-
 _ACCEL_DEPTH = 12
 _PANEL_BATCH = 32
+_MAX_PANELS = 4096
+# Gauss-Legendre nodes and weights on (0, 1), shared by every panel
+_GL_X, _GL_W = leggauss(64)
+_GL_X, _GL_W = (_GL_X + 1.0) * 0.5, _GL_W * 0.5
 
 # Spectra whose Chernoff-predicted series length exceeds this use the
 # oscillatory quadrature: past it one scalar call of the series would cost
@@ -199,32 +184,26 @@ def _series_pdf(mix: _Mixture, r: NDArray[np.float64]) -> NDArray[np.float64]:
 
 # -- oscillatory quadrature --------------------------------------------------
 
-def _leggauss_unit(nodes: int):
-    x, w = leggauss(nodes)
-    return (x + 1.0) * 0.5, w * 0.5
-
-
-def _osc_integral(kernel, env_log, rates: NDArray[np.float64], m_r: float,
-                  freq: float, ctrl: QuadratureControl) -> float:
+def _osc_integral(kernel, env_log, rates: NDArray[np.float64], freq: float,
+                  abs_tol: float) -> float:
     """Integrate kernel(t) over (0, inf) where kernel oscillates with
     asymptotic half-period pi/freq and decays like the envelope exp(env_log).
 
     Returns the integral estimate or raises AccuracyError with the partial
     value attached.
     """
-    xg, wg = _leggauss_unit(ctrl.panel_nodes)
     half_period = math.pi / freq
 
     def panels(edges_lo: NDArray[np.float64], edges_hi: NDArray[np.float64]) -> float:
         widths = edges_hi - edges_lo
-        t = edges_lo[:, None] + widths[:, None] * xg[None, :]
-        return float(np.sum(widths[:, None] * wg[None, :] * kernel(t)))
+        t = edges_lo[:, None] + widths[:, None] * _GL_X[None, :]
+        return float(np.sum(widths[:, None] * _GL_W[None, :] * kernel(t)))
 
     def tail_panels(k0: int, count: int, t0: float) -> NDArray[np.float64]:
         ks = np.arange(k0, k0 + count)
         lo = t0 + ks * half_period
-        t = lo[:, None] + half_period * xg[None, :]
-        return half_period * np.sum(wg[None, :] * kernel(t), axis=1)
+        t = lo[:, None] + half_period * _GL_X[None, :]
+        return half_period * np.sum(_GL_W[None, :] * kernel(t), axis=1)
 
     # Head: geometric subdivision over the region where the envelope varies
     # on a scale finer than a half-period.  When the oscillation is already
@@ -247,7 +226,7 @@ def _osc_integral(kernel, env_log, rates: NDArray[np.float64], m_r: float,
     est_prev = None
     stable = 0
     k0 = 0
-    while k0 < ctrl.max_panels:
+    while k0 < _MAX_PANELS:
         vals = tail_panels(k0, _PANEL_BATCH, t0)
         for v in vals:
             total += v
@@ -259,24 +238,24 @@ def _osc_integral(kernel, env_log, rates: NDArray[np.float64], m_r: float,
         while acc.size > 1:
             acc = 0.5 * (acc[1:] + acc[:-1])
         est = float(acc[0])
-        if est_prev is not None and abs(est - est_prev) < 0.25 * ctrl.abs_tol:
+        if est_prev is not None and abs(est - est_prev) < 0.25 * abs_tol:
             stable += 1
             if stable >= 2:
                 return est
         elif est_prev is not None:
             stable = 0
-        if tail_bound < ctrl.abs_tol and abs(vals[-1]) < ctrl.abs_tol:
+        if tail_bound < abs_tol and abs(vals[-1]) < abs_tol:
             return total
         est_prev = est
     raise AccuracyError(
-        f"oscillatory integral did not reach abs_tol={ctrl.abs_tol} within "
-        f"{ctrl.max_panels} panels",
+        f"oscillatory integral did not reach abs_tol={abs_tol} within "
+        f"{_MAX_PANELS} panels",
         partial=est_prev if est_prev is not None else total,
     )
 
 
 def _quadrature_pdf(rates: NDArray[np.float64], m_r: float, r: float,
-                    ctrl: QuadratureControl) -> float:
+                    abs_tol: float) -> float:
     r2 = r * r
 
     def kernel(t):
@@ -289,7 +268,7 @@ def _quadrature_pdf(rates: NDArray[np.float64], m_r: float, r: float,
         return -0.5 * m_r * float(np.sum(np.log1p((t * rates) ** 2)))
 
     try:
-        val = _osc_integral(kernel, env_log, rates, m_r, r2, ctrl)
+        val = _osc_integral(kernel, env_log, rates, r2, abs_tol)
     except AccuracyError as exc:
         raise AccuracyError(
             f"pdf(r={r}) did not converge: {exc}",
@@ -299,7 +278,7 @@ def _quadrature_pdf(rates: NDArray[np.float64], m_r: float, r: float,
 
 
 def _quadrature_cdf(rates: NDArray[np.float64], m_r: float, t: float,
-                    ctrl: QuadratureControl) -> float:
+                    abs_tol: float) -> float:
     def kernel(x):
         xw = x[..., None] * rates
         theta = m_r * np.sum(np.arctan(xw), axis=-1)
@@ -310,7 +289,7 @@ def _quadrature_cdf(rates: NDArray[np.float64], m_r: float, t: float,
         return -0.5 * m_r * float(np.sum(np.log1p((x * rates) ** 2))) - math.log(x)
 
     try:
-        val = _osc_integral(kernel, env_log, rates, m_r, t, ctrl)
+        val = _osc_integral(kernel, env_log, rates, t, abs_tol)
     except AccuracyError as exc:
         raise AccuracyError(
             f"cdf(t={t}) did not converge: {exc}",
@@ -329,9 +308,12 @@ def _positive(x: ArrayLike, what: str) -> NDArray[np.float64]:
 
 # -- public distribution functions -------------------------------------------
 
-def pdf(model: GammaSumModel, r: ArrayLike,
-        ctrl: QuadratureControl = DEFAULT_QUADRATURE) -> float | NDArray[np.float64]:
-    """Probability density of the proxy envelope at r > 0 (scalar or array)."""
+def pdf(model: GammaSumModel, r: ArrayLike, *,
+        abs_tol: float = 1e-8) -> float | NDArray[np.float64]:
+    """Probability density of the proxy envelope at r > 0 (scalar or array),
+    to absolute error ``abs_tol``."""
+    if not abs_tol > 0:
+        raise DomainError(f"abs_tol must be positive, got {abs_tol}")
     r_arr = _positive(r, "pdf requires r > 0")
     # Each mixture term's envelope density is at most 2/sqrt(pi*beta1) once
     # its shape is at least 1/2, so weights are held to abs_tol scaled by the
@@ -340,31 +322,34 @@ def pdf(model: GammaSumModel, r: ArrayLike,
     mix = None
     if np.sum(shapes) >= 0.5:
         peak = 2.0 / math.sqrt(math.pi * float(scales.min()))
-        mix = _mixture(shapes, scales, _SERIES_SHARE * ctrl.abs_tol / max(1.0, peak))
+        mix = _mixture(shapes, scales, _SERIES_SHARE * abs_tol / max(1.0, peak))
     if mix is not None:
         values = _series_pdf(mix, r_arr)
     else:
         rates = _active_rates(model)
         values = np.vectorize(
-            lambda v: _quadrature_pdf(rates, model.m_r, v, ctrl), otypes=[float])(r_arr)
+            lambda v: _quadrature_pdf(rates, model.m_r, v, abs_tol), otypes=[float])(r_arr)
     return _scalar_or_array(values, r_arr.ndim == 0)
 
 
-def cdf(model: GammaSumModel, t: ArrayLike,
-        ctrl: QuadratureControl = DEFAULT_QUADRATURE) -> float | NDArray[np.float64]:
-    """Probability that the squared proxy envelope lies below t > 0.
+def cdf(model: GammaSumModel, t: ArrayLike, *,
+        abs_tol: float = 1e-8) -> float | NDArray[np.float64]:
+    """Probability that the squared proxy envelope lies below t > 0, to
+    absolute error ``abs_tol``.
 
     The threshold is in power (SNR) units and may be a scalar or an array;
     the envelope-domain CDF at r is ``cdf(model, r*r)``.
     """
+    if not abs_tol > 0:
+        raise DomainError(f"abs_tol must be positive, got {abs_tol}")
     t_arr = _positive(t, "cdf requires a positive threshold")
-    mix = _mixture(*_distinct_gammas(model), _SERIES_SHARE * ctrl.abs_tol)
+    mix = _mixture(*_distinct_gammas(model), _SERIES_SHARE * abs_tol)
     if mix is not None:
         values = np.clip(_series_cdf(mix, t_arr), 0.0, 1.0)
     else:
         rates = _active_rates(model)
         values = np.vectorize(
-            lambda v: _quadrature_cdf(rates, model.m_r, v, ctrl), otypes=[float])(t_arr)
+            lambda v: _quadrature_cdf(rates, model.m_r, v, abs_tol), otypes=[float])(t_arr)
     return _scalar_or_array(values, t_arr.ndim == 0)
 
 
@@ -383,7 +368,7 @@ def pdf_equal_corr(model: GammaSumModel, rho: float, r: float) -> float:
     m = model.m_r
     om = model.omega_r
     sr = math.sqrt(rho)
-    lam_small = 1.0 - sr
+    lam_small = (1.0 - rho) / (1.0 + sr)  # 1 - sqrt(rho) without cancellation
     lam_big = 1.0 + (L - 1) * sr
     arg = m * L * sr * r * r / (lam_small * lam_big * om)
     log_val = (

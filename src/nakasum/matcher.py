@@ -103,8 +103,10 @@ def _proxy_spectrum(spec: EnsembleSpec,
     if spec.is_maximal():
         return EigenSpectrum((float(L),) + (0.0,) * (L - 1))
     if isinstance(spec.correlation, EqualCorrelation):
-        sr = math.sqrt(spec.correlation.rho)
-        return EigenSpectrum((1.0 + (L - 1) * sr,) + (1.0 - sr,) * (L - 1))
+        rho = spec.correlation.rho
+        sr = math.sqrt(rho)
+        # 1 - sqrt(rho) without its cancellation as rho -> 1
+        return EigenSpectrum((1.0 + (L - 1) * sr,) + ((1.0 - rho) / (1.0 + sr),) * (L - 1))
     # One matrix defines both the joint moments and the proxy spectrum;
     # the fit is an identity for exponential correlation.
     return eigenvalues_sym(fitted)

@@ -5,9 +5,11 @@ The second moment is available in closed form for any pairwise power
 correlation.  The fourth moment additionally needs joint moments of three
 and four envelopes:
 
-* equal correlation uses coefficients W(...) built on the Lauricella F_A
-  function, with the W(2, 1, 1) case reduced to four Gauss-hypergeometric
-  terms;
+* equal correlation uses coefficients W(...): the Laplace integral of
+  the Lauricella F_A function summed by the exp-sinh rule of ``specfun``,
+  with the W(2, 1, 1) case reduced to four Gauss-hypergeometric terms;
+  1 - sqrt(rho) is always formed as (1 - rho)/(1 + sqrt(rho)), which keeps
+  its relative precision as rho -> 1;
 * Markov-structured correlation (exponential, or an arbitrary matrix after
   its Markov-product fit) uses single-series expansions driven by the
   tridiagonal inverses of 3x3 and 4x4 principal submatrices.
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -45,8 +48,8 @@ from .linalg import CorrelationMatrix, greens_fit, principal_submatrix_inverses
 from .specfun import (
     DEFAULT_SERIES,
     SeriesControl,
+    _kummer_laplace,
     gauss_2f1,
-    lauricella_fa,
     ln_gamma,
 )
 
@@ -221,7 +224,7 @@ def j_identity(m: float, a: float, p: float, q: float) -> float:
     return (1.0 + a) ** (p / 2.0) * ((1.0 + 2.0 * a) / (1.0 + a)) ** (q / 2.0) * f
 
 
-def w211_reduced(m_z: int, rho: float, n_vars: int = 3) -> float:
+def w211_reduced(m_z: int, rho: float) -> float:
     """W(2,1,1) reduced to four Gauss-hypergeometric terms.
 
     Contiguous relations on the Kummer factors of the Laplace integral
@@ -229,12 +232,10 @@ def w211_reduced(m_z: int, rho: float, n_vars: int = 3) -> float:
     the rescaled argument sqrt(rho)/(1 - sqrt(rho)); the apparent
     dependence on the variable count cancels identically.
     """
-    _validate_w_args(m_z, rho, n_vars)
-    if n_vars != 3:
-        raise DomainError("W(2,1,1) is a three-variable coefficient")
+    _validate_w_args(m_z, rho)
     m = float(m_z)
     sr = math.sqrt(rho)
-    ap = sr / (1.0 - sr)
+    ap = sr * (1.0 + sr) / (1.0 - rho)
     g = _gamma_ratio(m + 0.5, m)
     bracket = (
         j_identity(m, ap, 1, 1)
@@ -245,7 +246,7 @@ def w211_reduced(m_z: int, rho: float, n_vars: int = 3) -> float:
     return m * g * g * bracket
 
 
-def _validate_w_args(m_z: int, rho: float, n_vars: int) -> None:
+def _validate_w_args(m_z: int, rho: float) -> None:
     if not (isinstance(m_z, (int, np.integer)) and m_z >= 1):
         raise DomainError(f"fading parameter must be a positive integer, got {m_z}")
     if rho == 1.0:
@@ -253,48 +254,42 @@ def _validate_w_args(m_z: int, rho: float, n_vars: int) -> None:
             "maximal correlation must be handled analytically upstream")
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    if n_vars < 2:
-        raise DomainError(f"need at least two variables, got {n_vars}")
 
 
 def _w_via_fa(orders: tuple[int, ...], m_z: int, rho: float,
               ctrl: SeriesControl = DEFAULT_SERIES) -> float:
-    """W coefficient through the Lauricella F_A route."""
+    """W coefficient through the Laplace integral of the Lauricella F_A.
+
+    (1/Gamma(m)) int_0^inf u^(m-1) e^-u prod_i 1F1(-k_i/2; m; -alpha u) du,
+    alpha = sqrt(rho)/(1 - sqrt(rho)), is F_A's integral with F_A's
+    prefactor and (1 - sum(x))^-m cancelled analytically, so no
+    1 - sum(x) is formed.
+    """
     m = float(m_z)
-    n = len(orders)
     sr = math.sqrt(rho)
-    x = sr / (1.0 + (n - 1) * sr)
-    pref = math.exp(math.fsum(ln_gamma(m + k / 2.0) - ln_gamma(m) for k in orders))
-    pref *= ((1.0 - sr) / (1.0 + (n - 1) * sr)) ** m
-    fa = lauricella_fa(
-        m,
-        tuple(m + k / 2.0 for k in orders),
-        (m,) * n,
-        (x,) * n,
-        ctrl,
-    )
-    return pref * fa
+    alpha = sr * (1.0 + sr) / (1.0 - rho)
+    pref = math.exp(math.fsum(ln_gamma(m + k / 2.0) - ln_gamma(m) for k in orders)
+                    - ln_gamma(m))
+    factors = Counter((-k / 2.0, m, alpha) for k in orders)
+    return pref * _kummer_laplace(m, factors, ctrl.rel_tol)
 
 
 def w_coefficient(orders: tuple[int, ...], m_z: int, rho: float,
-                  n_vars: int | None = None,
                   ctrl: SeriesControl = DEFAULT_SERIES) -> float:
     """Joint-moment coefficient W(k_1, ..., k_N) for equal correlation.
 
     The (2, 1, 1) case dispatches to its hypergeometric reduction; all
-    other orders evaluate the Lauricella F_A function directly.
+    other orders evaluate the Laplace integral of the Lauricella F_A
+    function.
     """
     orders = tuple(int(k) for k in orders)
-    if n_vars is None:
-        n_vars = len(orders)
-    if n_vars != len(orders):
-        raise DomainError(
-            f"n_vars={n_vars} does not match {len(orders)} orders")
+    if len(orders) < 2:
+        raise DomainError(f"need at least two orders, got {len(orders)}")
     if any(k < 1 for k in orders):
         raise DomainError("orders must be positive integers")
-    _validate_w_args(m_z, rho, n_vars)
+    _validate_w_args(m_z, rho)
     if sorted(orders) == [1, 1, 2]:
-        return w211_reduced(m_z, rho, 3)
+        return w211_reduced(m_z, rho)
     return _w_via_fa(orders, m_z, rho, ctrl)
 
 
@@ -557,8 +552,7 @@ def _fourth_moment_joint_equal(spec: EnsembleSpec) -> float:
     rho = spec.correlation.rho
     powers = spec.powers
     L = spec.branch_count
-    sr = math.sqrt(rho)
-    scale = ((1.0 - sr) / m) ** 2
+    scale = ((1.0 - rho) / (1.0 + math.sqrt(rho)) / m) ** 2
     total = 0.0
     if L >= 3:
         e_triple = scale * w_coefficient((2, 1, 1), m, rho)

@@ -8,8 +8,10 @@ governed by a :class:`SeriesControl`: it is accepted once the current
 term stays below ``rel_tol`` times the partial sum for three consecutive
 terms, which guards against premature truncation of oscillating-sign
 series (negative half-integer parameters produce such series).  F_A is
-its Laplace integral, computed with an exp-sinh trapezoid rule whose step
-halves until two sums agree to ``rel_tol``.
+its Laplace integral.  Semi-infinite integrals here and downstream (F_A,
+the equal-correlation W coefficients, the BPSK error rate) share one
+exp-sinh trapezoid rule whose step halves until two sums agree to a
+relative tolerance.
 """
 from __future__ import annotations
 
@@ -173,13 +175,65 @@ def ln_kummer_1f1(a: float, c: float, x: float) -> float:
     return x + (a - c) * math.log(x) + math.lgamma(c) - math.lgamma(a) + math.log(total)
 
 
-# Exp-sinh rule for F_A: u = exp(pi/2 sinh v) maps v in R onto u > 0, the
-# transformed integrand decays double-exponentially at both ends, and the
-# nodes are log-spaced near u = 0, where the factors vary on the scale
-# (1-s)/max(x).  v runs from where the weight u^a falls to e^-40 up to
-# u = 700, past which e^-u underflows.  The step starts at 1/2 and halves
-# at most _FA_LEVELS times.
-_FA_LEVELS = 10
+# Exp-sinh rule: u = exp(pi/2 sinh v) maps v in R onto u > 0, and an
+# integrand that decays at both ends of the log scale decays
+# double-exponentially in v, so the trapezoid sum converges fast and its
+# nodes are log-spaced near u = 0.  The step starts at 1/2 and halves at most
+# _EXP_SINH_LEVELS times.
+_EXP_SINH_LEVELS = 10
+
+
+def _exp_sinh(integrand, ln_lo: float, ln_hi: float, rel_tol: float) -> float:
+    """int_0^inf f(u) du by the exp-sinh trapezoid rule.
+
+    ``integrand`` maps an array of ln u to u * f(u), the integrand in
+    d(ln u); taking ln u spares the caller powers of an underflowed u.  The
+    nodes span ln u in [ln_lo, ln_hi], outside which the caller's integrand
+    must be negligible.  The step halves until two successive sums agree to
+    ``rel_tol`` (relative to at least 1e-300, below which doubles lose
+    their precision); past _EXP_SINH_LEVELS halvings TruncationError
+    carries the finest sum.
+    """
+    v_lo = math.asinh(2.0 / math.pi * ln_lo)
+    v_hi = math.asinh(2.0 / math.pi * ln_hi)
+
+    def node_sum(h: float, odd_only: bool) -> float:
+        # h times the integrand summed over the nodes j*h in [v_lo, v_hi],
+        # or over those with odd j: the nodes the step h adds to step 2h
+        j = np.arange(math.ceil(v_lo / h), math.floor(v_hi / h) + 1)
+        if odd_only:
+            j = j[j % 2 == 1]
+        v = h * j
+        return h * float(np.sum(integrand(0.5 * math.pi * np.sinh(v))
+                                * (0.5 * math.pi * np.cosh(v))))
+
+    h = 0.5
+    total = node_sum(h, False)
+    for _ in range(_EXP_SINH_LEVELS):
+        h /= 2.0
+        finer = 0.5 * total + node_sum(h, True)
+        if abs(finer - total) <= rel_tol * max(abs(finer), 1e-300):
+            return finer
+        total = finer
+    raise TruncationError(
+        f"exp-sinh rule did not converge in {_EXP_SINH_LEVELS} step halvings",
+        partial=total,
+    )
+
+
+def _kummer_laplace(a: float, factors: Counter, rel_tol: float) -> float:
+    """int_0^inf u^(a-1) e^-u prod 1F1(p; c; -scale u)^count du over the
+    ``factors`` mapping (p, c, scale) -> count, by the exp-sinh rule from
+    where the weight u^a falls to e^-40 up to u = 700, past which e^-u
+    underflows; each distinct factor is evaluated once."""
+    def integrand(ln_u):
+        u = np.exp(ln_u)
+        g = np.exp(a * ln_u - u)
+        for (p, c, scale), count in factors.items():
+            g *= hyp1f1(p, c, -scale * u) ** count
+        return g
+
+    return _exp_sinh(integrand, -40.0 / a, math.log(700.0), rel_tol)
 
 
 def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
@@ -190,8 +244,8 @@ def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
     ``(1/Gamma(a)) int_0^inf t^(a-1) e^-t prod_i 1F1(b_i; c_i; x_i t) dt``
     after Kummer-transforming each factor, which turns the weight into
     ``e^-(1-s)t`` with s = sum(x) and leaves slowly varying factors.  With
-    u = (1-s)t, the integral is computed with an exp-sinh trapezoid rule
-    whose step halves until two successive sums agree to ``ctrl.rel_tol``.
+    u = (1-s)t, the integral is summed by the exp-sinh rule to
+    ``ctrl.rel_tol``.
     """
     n = len(b)
     if len(c) != n or len(x) != n:
@@ -208,34 +262,8 @@ def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
         return 1.0
 
     front = (1.0 - s) ** (-a) / math.gamma(a)
-    # identical factors are evaluated once and raised to their multiplicity
     factors = Counter((ci - bi, ci, xi / (1.0 - s)) for bi, ci, xi in zip(b, c, x))
-    v_lo = -math.asinh(2.0 / math.pi * 40.0 / a)
-    v_hi = math.asinh(2.0 / math.pi * math.log(700.0))
-
-    def node_sum(h: float, odd_only: bool) -> float:
-        # h times the integrand summed over the nodes j*h in [v_lo, v_hi],
-        # or over those with odd j: the nodes the step h adds to step 2h
-        j = np.arange(math.ceil(v_lo / h), math.floor(v_hi / h) + 1)
-        if odd_only:
-            j = j[j % 2 == 1]
-        v = h * j
-        ln_u = 0.5 * math.pi * np.sinh(v)
-        u = np.exp(ln_u)
-        g = np.exp(a * ln_u - u) * (0.5 * math.pi * np.cosh(v))
-        for (p, ci, sc), count in factors.items():
-            g *= hyp1f1(p, ci, -sc * u) ** count
-        return h * float(g.sum())
-
-    h = 0.5
-    total = node_sum(h, False)
-    for _ in range(_FA_LEVELS):
-        h /= 2.0
-        finer = 0.5 * total + node_sum(h, True)
-        if abs(finer - total) <= ctrl.rel_tol * abs(finer):
-            return front * finer
-        total = finer
-    raise TruncationError(
-        f"F_A exp-sinh rule did not converge in {_FA_LEVELS} step halvings",
-        partial=front * total,
-    )
+    try:
+        return front * _kummer_laplace(a, factors, ctrl.rel_tol)
+    except TruncationError as exc:
+        raise TruncationError(f"F_A: {exc}", partial=front * exc.partial) from exc

@@ -13,7 +13,7 @@ import scipy.stats
 from scipy.integrate import quad
 
 from nakasum.egc import ReceiverSpec, ber_bpsk, ber_curve, egc_model, power_profile
-from nakasum.gammasum import QuadratureControl, cdf, mgf, pdf, pdf_equal_corr
+from nakasum.gammasum import cdf, mgf, pdf, pdf_equal_corr
 from nakasum.gof import gof_campaign
 from nakasum.linalg import CorrelationMatrix
 from nakasum.matcher import match_parameters
@@ -115,7 +115,6 @@ def test_criterion_02_exponential_correlation_table():
 
 def test_criterion_03_maximal_correlation_exactness():
     rng = np.random.default_rng(303)
-    ctrl = QuadratureControl(abs_tol=1e-10)
     worst_pdf = 0.0
     for _ in range(20):
         L = int(rng.integers(2, 7))
@@ -130,7 +129,7 @@ def test_criterion_03_maximal_correlation_exactness():
         omega_tot = L * model.omega_r
         scale = math.sqrt(omega_tot)
         for r in np.linspace(0.15 * scale, 2.2 * scale, 20):
-            err = abs(pdf(model, float(r), ctrl)
+            err = abs(pdf(model, float(r), abs_tol=1e-10)
                       - nakagami_pdf(model.m_r, omega_tot, float(r)))
             worst_pdf = max(worst_pdf, err)
             assert err <= 1e-8
@@ -139,14 +138,13 @@ def test_criterion_03_maximal_correlation_exactness():
 
 
 def test_criterion_04_pdf_route_equivalence():
-    ctrl = QuadratureControl(abs_tol=1e-9)
     worst = 0.0
     for rho in (0.2, 0.7):
         for m_z in (1, 3):
             for L in (2, 5):
                 model = match_parameters(balanced(EqualCorrelation(rho), m_z, L))
                 for r in np.linspace(0.1, 5.0, 25):
-                    err = abs(pdf(model, float(r), ctrl)
+                    err = abs(pdf(model, float(r), abs_tol=1e-9)
                               - pdf_equal_corr(model, rho, float(r)))
                     worst = max(worst, err)
                     assert err <= 1e-6, \
@@ -408,7 +406,7 @@ def test_criterion_09_egc_monte_carlo_agreement():
 
 def test_criterion_10_distribution_sanity():
     rng = np.random.default_rng(1010)
-    ctrl = QuadratureControl(abs_tol=1e-11)
+    tol = 1e-11
     worst_norm = 0.0
     worst_deriv = 0.0
     for _ in range(10):
@@ -419,18 +417,18 @@ def test_criterion_10_distribution_sanity():
         powers = tuple(rng.uniform(0.3, 2.5, L))
         model = match_parameters(EnsembleSpec(fading_m=m_z, powers=powers,
                                               correlation=corr))
-        total, _ = quad(lambda r: pdf(model, r, ctrl), 0.0, np.inf, limit=250)
+        total, _ = quad(lambda r: pdf(model, r, abs_tol=tol), 0.0, np.inf, limit=250)
         worst_norm = max(worst_norm, abs(total - 1.0))
         assert abs(total - 1.0) <= 1e-6
 
         grid = np.linspace(0.05 * model.mean_square, 3.0 * model.mean_square, 12)
-        vals = [cdf(model, float(t), ctrl) for t in grid]
+        vals = [cdf(model, float(t), abs_tol=tol) for t in grid]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
         t0 = float(rng.uniform(0.5, 1.5) * model.mean_square)
         h = 1e-4 * t0
-        deriv = (cdf(model, t0 + h, ctrl) - cdf(model, t0 - h, ctrl)) / (2 * h)
-        density = pdf(model, math.sqrt(t0), ctrl) / (2.0 * math.sqrt(t0))
+        deriv = (cdf(model, t0 + h, abs_tol=tol) - cdf(model, t0 - h, abs_tol=tol)) / (2 * h)
+        density = pdf(model, math.sqrt(t0), abs_tol=tol) / (2.0 * math.sqrt(t0))
         worst_deriv = max(worst_deriv, abs(deriv - density))
         assert abs(deriv - density) <= 1e-5
     print(f"\n[criterion 10] PASS distribution sanity: 10 models, max "

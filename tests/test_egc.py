@@ -1,11 +1,17 @@
 """Receiver-performance tests: closed forms, orderings, quadrature
 equivalence, and the power profile."""
 import math
+import sys
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc
+
+from nakasum import specfun
 
 from nakasum.egc import (
     PerfCurve,
@@ -18,8 +24,8 @@ from nakasum.egc import (
     outage_curve,
     power_profile,
 )
-from nakasum.errors import DomainError, ValidationError
-from nakasum.gammasum import mgf
+from nakasum.errors import AccuracyError, DomainError, ValidationError
+from nakasum.gammasum import cdf, mgf, pdf
 from nakasum.matcher import match_parameters
 from nakasum.moments import EnsembleSpec, EqualCorrelation, ExponentialCorrelation
 
@@ -114,6 +120,85 @@ class TestBerBpsk:
             total += (hi - lo) * 0.5 * float(wg @ vals)
         ref = total / math.pi
         assert ber_bpsk(model) == pytest.approx(ref, rel=1e-9)
+
+
+def ber_bpsk_mp(model):
+    """(1/pi) int_0^(pi/2) M(-1/sin^2 theta) d theta in 30-digit mpmath."""
+    with mp.workdps(30):
+        m_r = mp.mpf(model.m_r)
+        rates = [mp.mpf(model.omega_r) * mp.mpf(lam) / m_r
+                 for lam in model.spectrum.values if lam > 0]
+
+        def integrand(theta):
+            s = 1 / mp.sin(theta) ** 2
+            return mp.fprod((1 + s * rate) ** -m_r for rate in rates)
+
+        return mp.quad(integrand, mp.linspace(0, mp.pi / 2, 9)) / mp.pi
+
+
+def at_branch_snr(base, snr_db):
+    # the model of a unit-power ensemble at per-branch average SNR snr_db
+    return base.scaled(base.omega_r * 10.0 ** (snr_db / 10.0) / base.branch_count)
+
+
+class TestBerBpskExpSinh:
+    # exponential rho=0.97 fits at m_z = 1 only (the joint-moment series
+    # overflows at m_z >= 2)
+    @pytest.mark.parametrize("corr, L, m_z", [
+        (EqualCorrelation(0.0), 1, 1),
+        (EqualCorrelation(0.0), 1, 10),
+        (EqualCorrelation(0.5), 4, 1),
+        (EqualCorrelation(0.5), 4, 10),
+        (ExponentialCorrelation(0.97), 4, 1),
+        (EqualCorrelation(0.9999), 16, 1),
+        (EqualCorrelation(0.9999), 16, 10),
+    ])
+    def test_against_mpmath(self, corr, L, m_z):
+        base = match_parameters(EnsembleSpec(fading_m=m_z, powers=(1.0,) * L,
+                                             correlation=corr))
+        for snr_db in (-20.0, 0.0, 20.0, 50.0):
+            model = at_branch_snr(base, snr_db)
+            want = float(ber_bpsk_mp(model))
+            assert ber_bpsk(model) == pytest.approx(want, rel=1e-12)
+
+    def test_level_cap_raises_with_partial(self, monkeypatch):
+        model = egc_model(balanced_rx(ExponentialCorrelation(0.5), 2, 3))
+        want = ber_bpsk(model)
+        monkeypatch.setattr(specfun, "_EXP_SINH_LEVELS", 1)
+        with pytest.raises(AccuracyError) as err:
+            ber_bpsk(model)
+        assert err.value.partial == pytest.approx(want, rel=1e-2)
+
+    def test_underflowed_mgf_gives_zero(self):
+        base = match_parameters(EnsembleSpec(fading_m=10, powers=(1.0,) * 16,
+                                             correlation=EqualCorrelation(0.0)))
+        model = at_branch_snr(base, 50.0)
+        assert mgf(model, -1.0) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ber_bpsk(model) == 0.0
+
+    def test_no_call_builds_a_node_table(self, monkeypatch):
+        # Gauss-Legendre tables are built at import; no call may build one
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Gauss-Legendre table built at call time")
+
+        original = legendre.leggauss
+        monkeypatch.setattr(legendre, "leggauss", forbidden)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nakasum"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, forbidden)
+        # the first ensemble takes the Moschopoulos series, the second the
+        # oscillatory quadrature
+        for corr in (EqualCorrelation(0.5), ExponentialCorrelation(0.97)):
+            rx = balanced_rx(corr, 1, 4)
+            assert all(v > 0 for v in ber_curve(rx, [0.0, 10.0]).values())
+            model = egc_model(rx)
+            ts = np.array([0.5, 1.0, 2.0]) * model.mean_square
+            assert np.all(np.diff(cdf(model, ts)) > 0)
+            assert np.all(pdf(model, np.sqrt(ts)) > 0)
 
 
 class TestBerBfsk:

@@ -10,7 +10,7 @@ from scipy.special import gammainc
 
 from nakasum import gammasum
 from nakasum.errors import DomainError
-from nakasum.gammasum import QuadratureControl, cdf, mgf, pdf, pdf_equal_corr
+from nakasum.gammasum import cdf, mgf, pdf, pdf_equal_corr
 from nakasum.matcher import match_parameters
 from nakasum.moments import EnsembleSpec, EqualCorrelation, ExponentialCorrelation
 
@@ -126,7 +126,7 @@ class TestPdfEqualCorr:
         model = balanced_model(EqualCorrelation(rho), m_z, L)
         for r in rs:
             assert pdf_equal_corr(model, rho, r) == pytest.approx(
-                pdf(model, r), abs=gammasum.DEFAULT_QUADRATURE.abs_tol)
+                pdf(model, r), abs=1e-8)
 
     def test_large_argument_no_overflow(self):
         rho = 0.81
@@ -151,11 +151,11 @@ class TestCdf:
 
     def test_derivative_matches_density(self):
         model = balanced_model(ExponentialCorrelation(0.4), 2, 3)
-        ctrl = QuadratureControl(abs_tol=1e-11)
         for t0 in (1.5, 3.0, 6.0):
             h = 1e-4 * t0
-            deriv = (cdf(model, t0 + h, ctrl) - cdf(model, t0 - h, ctrl)) / (2 * h)
-            density = pdf(model, math.sqrt(t0), ctrl) / (2.0 * math.sqrt(t0))
+            deriv = (cdf(model, t0 + h, abs_tol=1e-11)
+                     - cdf(model, t0 - h, abs_tol=1e-11)) / (2 * h)
+            density = pdf(model, math.sqrt(t0), abs_tol=1e-11) / (2.0 * math.sqrt(t0))
             assert deriv == pytest.approx(density, abs=1e-5, rel=1e-4)
 
     def test_monotone(self):
@@ -181,9 +181,9 @@ class TestCdf:
         assert 0.3 < v < 0.8
 
 
-def takes_series(model, ctrl):
+def takes_series(model, abs_tol=1e-8):
     shapes, scales = gammasum._distinct_gammas(model)
-    return gammasum._mixture(shapes, scales, gammasum._SERIES_SHARE * ctrl.abs_tol) is not None
+    return gammasum._mixture(shapes, scales, gammasum._SERIES_SHARE * abs_tol) is not None
 
 
 class TestSeriesRoute:
@@ -191,17 +191,17 @@ class TestSeriesRoute:
     forms and itself, and the route choice near maximal correlation."""
 
     def test_matches_quadrature(self):
-        ctrl = QuadratureControl(abs_tol=1e-12)
+        tol = 1e-12
         for model in random_models(6, seed=11):
-            assert takes_series(model, ctrl)
+            assert takes_series(model, tol)
             rates = gammasum._active_rates(model)
             ts = np.linspace(0.1, 3.0, 5) * model.mean_square
-            quad_cdf = [gammasum._quadrature_cdf(rates, model.m_r, float(t), ctrl)
+            quad_cdf = [gammasum._quadrature_cdf(rates, model.m_r, float(t), tol)
                         for t in ts]
-            quad_pdf = [gammasum._quadrature_pdf(rates, model.m_r, float(r), ctrl)
+            quad_pdf = [gammasum._quadrature_pdf(rates, model.m_r, float(r), tol)
                         for r in np.sqrt(ts)]
-            assert np.max(np.abs(cdf(model, ts, ctrl) - quad_cdf)) <= 1e-11
-            assert np.max(np.abs(pdf(model, np.sqrt(ts), ctrl) - quad_pdf)) <= 1e-11
+            assert np.max(np.abs(cdf(model, ts, abs_tol=tol) - quad_cdf)) <= 1e-11
+            assert np.max(np.abs(pdf(model, np.sqrt(ts), abs_tol=tol) - quad_pdf)) <= 1e-11
 
     @pytest.mark.parametrize("powers, rho", [((1.7,), 0.0), ((1.0, 0.5, 2.0), 1.0)])
     def test_single_active_eigenvalue_is_incomplete_gamma(self, powers, rho):
@@ -241,11 +241,14 @@ class TestSeriesRoute:
         pole = model.m_r / (model.omega_r * model.spectrum.values[0])
         with pytest.raises(DomainError):
             mgf(model, np.array([-1.0, 1.5 * pole]))
+        for fn in (cdf, pdf):
+            with pytest.raises(DomainError):
+                fn(model, 1.0, abs_tol=0.0)
 
     @pytest.mark.parametrize("corr", [ExponentialCorrelation(0.97), EqualCorrelation(0.999)])
     def test_near_maximal_takes_quadrature(self, corr):
         model = balanced_model(corr, 1, 4)
-        assert not takes_series(model, gammasum.DEFAULT_QUADRATURE)
+        assert not takes_series(model)
         rs = np.linspace(0.2, 1.8, 4) * math.sqrt(model.mean_square)
         start = time.perf_counter()
         values = pdf(model, rs)

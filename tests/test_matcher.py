@@ -151,6 +151,12 @@ class TestNearMaximalCorrelation:
                 assert prev < model.m_r < m_z
                 prev = model.m_r
 
+    def test_equal_shape_gap_at_one_minus_1e6(self):
+        # the same moments assembled in 40-digit mpmath give
+        # m_z - m_r = 4.68749857e-7
+        model = match_parameters(balanced(EqualCorrelation(1.0 - 1e-6), 10, 16))
+        assert 10 - model.m_r == pytest.approx(4.68749857e-7, abs=1e-9)
+
     def test_markov_path_raises_cleanly_when_series_overflows(self):
         from nakasum.errors import TruncationError
         with pytest.raises(TruncationError):

@@ -172,8 +172,8 @@ class TestWCoefficients:
 
     def test_w211_against_mpmath_near_maximal(self):
         # the four-term reduction summed in 50-digit mpmath from the exact
-        # sqrt(rho); what remains is the float rounding of sqrt(rho),
-        # amplified by 1/(1 - sqrt(rho))
+        # sqrt(rho) of the float rho, against the float reduction and the
+        # integral route
         def j_mp(m, a, p, q):
             x = -a * a / (1 + 2 * a)
             return ((1 + a) ** (mp.mpf(p) / 2) * ((1 + 2 * a) / (1 + a)) ** (mp.mpf(q) / 2)
@@ -182,7 +182,7 @@ class TestWCoefficients:
         with mp.workdps(50):
             for m_z in (1, 2, 5, 10):
                 m = mp.mpf(m_z)
-                for rho in (0.25, 0.9, 0.99, 0.999, 0.9999):
+                for rho in (0.25, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6, 1.0 - 1e-8):
                     sr = mp.sqrt(mp.mpf(rho))
                     ap = sr / (1 - sr)
                     bracket = j_mp(m, ap, 1, 1) + ap * (
@@ -190,7 +190,24 @@ class TestWCoefficients:
                         - (m + 0.5) / m ** 2 * j_mp(m + 1, ap, 1, -1)
                         + 1 / (4 * m ** 2) * j_mp(m + 1, ap, -1, -1))
                     want = float(m * (mp.gamma(m + 0.5) / mp.gamma(m)) ** 2 * bracket)
-                    assert w211_reduced(m_z, rho) == pytest.approx(want, rel=5e-13)
+                    assert w211_reduced(m_z, rho) == pytest.approx(want, rel=1e-13)
+                    assert _w_via_fa((2, 1, 1), m_z, rho) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("m_z", [1, 2, 5, 10])
+    def test_w1111_against_mpmath_integral(self, m_z):
+        # W's Laplace integral in 30-digit mpmath, split at the boundary
+        # layer u ~ 1/alpha
+        with mp.workdps(30):
+            m = mp.mpf(m_z)
+            pref = (mp.gamma(m + 0.5) / mp.gamma(m)) ** 4 / mp.gamma(m)
+            for rho in (0.5, 0.9999, 1.0 - 1e-6, 1.0 - 1e-8):
+                sr = mp.sqrt(mp.mpf(rho))
+                alpha = sr / (1 - sr)
+                integral = mp.quad(
+                    lambda u: u ** (m - 1) * mp.exp(-u) * mp.hyp1f1(-0.5, m, -alpha * u) ** 4,
+                    [0, 1 / alpha, 1, mp.inf])
+                want = float(pref * integral)
+                assert w_coefficient((1, 1, 1, 1), m_z, rho) == pytest.approx(want, rel=1e-13)
 
     def test_w211_monotone_in_rho(self):
         vals = [w211_reduced(3, rho) for rho in np.arange(0.0, 0.95, 0.1)]
@@ -203,7 +220,7 @@ class TestWCoefficients:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            w_coefficient((2, 1, 1), 1, 0.5, n_vars=4)
+            w_coefficient((2,), 1, 0.5)
         with pytest.raises(DomainError):
             w_coefficient((2, 1, 1), 0, 0.5)
 

@@ -283,7 +283,7 @@ class TestLauricellaFA:
     def test_truncation_carries_partial(self, monkeypatch):
         args = (2.0, (2.5, 1.5), (2.0, 2.0), (0.2, 0.4))
         want = lauricella_fa(*args)
-        monkeypatch.setattr(specfun, "_FA_LEVELS", 1)
+        monkeypatch.setattr(specfun, "_EXP_SINH_LEVELS", 1)
         with pytest.raises(TruncationError) as err:
             lauricella_fa(*args)
         assert err.value.partial == pytest.approx(want, rel=1e-3)
@@ -291,6 +291,31 @@ class TestLauricellaFA:
     def test_pure(self):
         args = (2.0, (2.5, 1.5), (2.0, 2.0), (0.2, 0.4))
         assert lauricella_fa(*args) == lauricella_fa(*args)
+
+
+class TestExpSinh:
+    """The exp-sinh rule on integrals with closed forms; the integrand is
+    u * f(u) as a function of ln u."""
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0])
+    def test_gamma_integral(self, a):
+        val = specfun._exp_sinh(lambda t: np.exp(a * t - np.exp(t)),
+                                -40.0 / a, math.log(700.0), 1e-12)
+        assert val == pytest.approx(math.gamma(a), rel=1e-13)
+
+    def test_algebraic_tail(self):
+        val = specfun._exp_sinh(lambda t: np.exp(t) / (1.0 + np.exp(2.0 * t)),
+                                -745.0, 300.0, 1e-12)
+        assert val == pytest.approx(math.pi / 2.0, rel=1e-13)
+
+    def test_level_cap_carries_partial(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_EXP_SINH_LEVELS", 1)
+        with pytest.raises(TruncationError) as err:
+            specfun._exp_sinh(lambda t: np.exp(2.0 * t - np.exp(t)),
+                              -20.0, math.log(700.0), 1e-12)
+        # the sum at step 1/4, already close to Gamma(2) = 1
+        assert err.value.partial == pytest.approx(1.0, rel=1e-3)
+        assert err.value.partial != 1.0
 
 
 class TestSeriesControl:
