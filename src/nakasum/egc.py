@@ -111,12 +111,11 @@ def egc_model(rx: ReceiverSpec) -> GammaSumModel:
     return model.scaled(model.omega_r / (model.branch_count * rx.noise_psd))
 
 
-def outage(model: GammaSumModel, threshold: float, *, abs_tol: float = 1e-8) -> float:
-    """Probability that the combiner output SNR drops below the threshold,
-    to absolute error ``abs_tol``."""
+def outage(model: GammaSumModel, threshold: float) -> float:
+    """Probability that the combiner output SNR drops below the threshold."""
     if not threshold > 0:
         raise DomainError(f"outage threshold must be positive, got {threshold}")
-    return cdf(model, threshold, abs_tol=abs_tol)
+    return cdf(model, threshold)
 
 
 def ber_bpsk(model: GammaSumModel) -> float:
@@ -185,13 +184,11 @@ def ber_curve(rx: ReceiverSpec, snr_db_grid) -> PerfCurve:
     )
 
 
-def outage_curve(rx: ReceiverSpec, snr_db_grid, threshold: float, *,
-                 abs_tol: float = 1e-8) -> PerfCurve:
+def outage_curve(rx: ReceiverSpec, snr_db_grid, threshold: float) -> PerfCurve:
     """Analytic outage probability versus per-branch average SNR (dB)."""
     points = []
     for snr_db, model in _swept_models(rx, snr_db_grid):
-        value = outage(model, threshold, abs_tol=abs_tol)
-        points.append(PerfPoint(snr_db=snr_db, value=value))
+        points.append(PerfPoint(snr_db=snr_db, value=outage(model, threshold)))
     return PerfCurve(
         points=tuple(points),
         kind="outage",

@@ -159,12 +159,14 @@ def chi_square_test(samples: NDArray[np.float64],
 # times its mean.
 _BRACKET_DOUBLINGS = 16
 
+# Absolute error of the exact CDF values on the interpolation grid.
+_GRID_ABS_TOL = 1e-10
+
 
 def model_envelope_cdf(model: GammaSumModel, tail_prob: float = 1e-10,
-                       grid_points: int = 1201, *,
-                       abs_tol: float = 1e-10) -> Callable:
-    """Fast envelope-domain CDF: values to absolute error ``abs_tol`` on a
-    grid, monotone interpolation between them.
+                       grid_points: int = 1201) -> Callable:
+    """Fast envelope-domain CDF: values to absolute error 1e-10 on a grid,
+    monotone interpolation between them.
 
     The grid reaches the (1 - tail_prob) quantile; beyond it the CDF is
     clamped to 1.  Interpolation error is far below the K-S statistic
@@ -175,14 +177,14 @@ def model_envelope_cdf(model: GammaSumModel, tail_prob: float = 1e-10,
     # first power-of-two multiple of the mean square past the (1 - tail_prob)
     # quantile
     t_try = model.mean_square * 2.0 ** np.arange(_BRACKET_DOUBLINGS)
-    past = np.flatnonzero(cdf(model, t_try, abs_tol=abs_tol) >= 1.0 - tail_prob)
+    past = np.flatnonzero(cdf(model, t_try, abs_tol=_GRID_ABS_TOL) >= 1.0 - tail_prob)
     if past.size == 0:
         raise ValidationError(
             f"model CDF stays below 1 - {tail_prob} up to {t_try[-1]:.3e}")
     r_hi = math.sqrt(t_try[past[0]])
     r_grid = np.linspace(0.0, r_hi, grid_points)
     f_grid = np.zeros(grid_points)
-    f_grid[1:] = cdf(model, r_grid[1:] ** 2, abs_tol=abs_tol)
+    f_grid[1:] = cdf(model, r_grid[1:] ** 2, abs_tol=_GRID_ABS_TOL)
     f_grid = np.maximum.accumulate(np.clip(f_grid, 0.0, 1.0))
     interp = PchipInterpolator(r_grid, f_grid, extrapolate=False)
 
