@@ -43,6 +43,8 @@ MODULATIONS = ("bpsk", "bfsk")
 
 CURVE_CSV_HEADER = ("snr_db", "value", "kind", "meta")
 
+_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class ReceiverSpec:
@@ -125,8 +127,11 @@ def ber_bpsk(model: GammaSumModel) -> float:
     The integrand falls monotonically from M(-1), so the tail past u = e^300
     is below 2e-130 of the integral.  The exp-sinh rule sums ln u in
     [-745, 300] and halves its step until two sums agree to 1e-12 relative,
-    well inside the 1e-10 contract (agreement to 1e-10 alone can leave the
-    finer sum 2e-12 off); otherwise AccuracyError carries the finest sum.
+    well inside the 1e-10 relative contract (agreement to 1e-10 alone can
+    leave the finer sum 2e-12 off); otherwise AccuracyError carries the
+    finest sum.  The contract covers the normal float range: a result below
+    the smallest normal float (about 2.2e-308) keeps only a few digits and
+    is returned as 0.0.
     """
     def integrand(ln_u):
         u = np.exp(ln_u)
@@ -134,10 +139,11 @@ def ber_bpsk(model: GammaSumModel) -> float:
         return u * mgf(model, -w) / w
 
     try:
-        return _exp_sinh(integrand, -745.0, 300.0, 1e-12) / math.pi
+        value = _exp_sinh(integrand, -745.0, 300.0, 1e-12) / math.pi
     except TruncationError as exc:
         raise AccuracyError(f"BPSK quadrature did not stabilize: {exc}",
                             partial=exc.partial / math.pi) from exc
+    return value if value >= _TINY else 0.0
 
 
 def ber_bfsk_noncoherent(model: GammaSumModel) -> float:

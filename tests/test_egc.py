@@ -178,6 +178,27 @@ class TestBerBpskExpSinh:
             warnings.simplefilter("error")
             assert ber_bpsk(model) == 0.0
 
+    def test_subnormal_result_flushed_to_zero(self):
+        # the 30 dB sum is about 1.26e-318, a subnormal with ~4 digits left;
+        # 25 dB (about 5.4e-241) is still normal and meets the contract
+        base = match_parameters(EnsembleSpec(fading_m=10, powers=(1.0,) * 16,
+                                             correlation=EqualCorrelation(0.0)))
+        assert ber_bpsk(at_branch_snr(base, 30.0)) == 0.0
+        model = at_branch_snr(base, 25.0)
+        with mp.workdps(30):
+            m_r = mp.mpf(model.m_r)
+            rates = [mp.mpf(model.omega_r) * mp.mpf(lam) / m_r
+                     for lam in model.spectrum.values]
+
+            def integrand(u):  # u = cot(theta); the peak is at u = 0
+                w = 1 + u * u
+                return mp.fprod((1 + rate * w) ** -m_r for rate in rates) / w
+
+            cuts = [mp.mpf(k) / 20 for k in range(21)] + [2, 4, 8, mp.inf]
+            want = float(mp.quad(integrand, cuts) / mp.pi)
+        assert want > np.finfo(float).tiny
+        assert ber_bpsk(model) == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_no_call_builds_a_node_table(self, monkeypatch):
         # Gauss-Legendre tables are built at import; no call may build one
         def forbidden(*args, **kwargs):

@@ -1,6 +1,8 @@
 """Sampler tests: determinism, marginals, correlation fidelity, batch
-round-trips, and the semi-analytic error simulation."""
+round-trips, the semi-analytic error simulation, and the worker pool."""
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,11 @@ from nakasum.moments import (
     ExponentialCorrelation,
     second_moment_Z,
 )
+from nakasum import simkit
+from nakasum.linalg import cholesky_psd
 from nakasum.simkit import (
+    SampleBatch,
+    derive_seed,
     load_batch,
     sample_correlated_nakagami,
     sample_sum,
@@ -132,6 +138,23 @@ class TestBatchIO:
         with pytest.raises(ValidationError):
             load_batch(str(path))
 
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"CNKSUM01" + b"\x00" * 10)
+        with pytest.raises(ValidationError):
+            load_batch(str(path))
+
+    def test_seed_outside_header_range(self, tmp_path):
+        spec = unit_spec(EqualCorrelation(0.3), 1, 2)
+        data = np.ones((3, 2))
+        path = tmp_path / "batch.bin"
+        for seed in (2 ** 64 + 3, -1):
+            with pytest.raises(ValidationError):
+                save_batch(SampleBatch(data=data, seed=seed, spec=spec), str(path))
+        assert not path.exists()
+        save_batch(SampleBatch(data=data, seed=2 ** 64 - 1, spec=spec), str(path))
+        assert load_batch(str(path))[1] == 2 ** 64 - 1
+
 
 class TestEgcSimulation:
     def test_low_snr_limit(self):
@@ -180,3 +203,178 @@ class TestEgcSimulation:
                           noise_psd=1.0)
         with pytest.raises(ValidationError):
             simulate_egc_ber(rx, [8.0], n_bits=100, seed=1)
+
+
+CHECK_SPEC = unit_spec(EqualCorrelation(0.3), 1, 2)
+ENTRY_POINTS = {
+    "sample": lambda n, seed: sample_correlated_nakagami(CHECK_SPEC, n, seed),
+    "sum": lambda n, seed: sample_sum(CHECK_SPEC, n, seed),
+    "moments": lambda n, seed: estimate_sum_moments(CHECK_SPEC, n, seed),
+    "ber": lambda n, seed: simulate_egc_ber(
+        ReceiverSpec(ensemble=CHECK_SPEC, noise_psd=1.0), [0.0], n, seed),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("n, seed", [
+        (0, 1), (-5, 1), (20_000, -1), (20_000.0, 1), (2.5, 1), ("20000", 1),
+        (True, 1), (20_000, 1.5),
+    ])
+    def test_typed_error_at_once(self, entry, n, seed):
+        with pytest.raises(ValidationError):
+            ENTRY_POINTS[entry](n, seed)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_numpy_integers_accepted(self, entry):
+        ENTRY_POINTS[entry](np.int64(20_000), np.uint32(5))
+
+
+# -- the serial einsum block loop of the sampler before its worker pool and
+# streamed layers, kept as the oracle the pooled sampler must match bit for
+# bit -----------------------------------------------------------------------
+
+def oracle_blocks(spec, n, seed):
+    L = spec.branch_count
+    m_z = spec.fading_m
+    chol_t = cholesky_psd(spec.sqrt_corr_matrix()).T
+    scale = np.asarray(spec.powers) / (2.0 * m_z)
+    produced = 0
+    block = 0
+    while produced < n:
+        rows = min(simkit._BLOCK_ROWS, n - produced)
+        rng = simkit._block_generator(seed, block)
+        g = rng.standard_normal((2 * m_z, rows, L)) @ chol_t
+        power = np.einsum("krl,krl->rl", g, g)
+        yield np.sqrt(power * scale)
+        produced += rows
+        block += 1
+
+
+def oracle_moments(spec, n, seed):
+    s2 = s4 = s8 = 0.0
+    for block in oracle_blocks(spec, n, seed):
+        z2 = block.sum(axis=1) ** 2
+        z4 = z2 * z2
+        s2 += float(z2.sum())
+        s4 += float(z4.sum())
+        s8 += float((z4 * z4).sum())
+    m2, m4 = s2 / n, s4 / n
+    return {"n": n, "m2": m2, "m4": m4,
+            "se2": math.sqrt(max(0.0, s4 / n - m2 * m2) / n),
+            "se4": math.sqrt(max(0.0, s8 / n - m4 * m4) / n)}
+
+
+def oracle_ber(rx, grid, n_bits, seed, conditional):
+    spec = rx.ensemble
+    L = spec.branch_count
+    out = []
+    for idx, snr_db in enumerate(grid):
+        n0 = spec.powers[0] / 10.0 ** (float(snr_db) / 10.0)
+        child = derive_seed(seed, 0xE9C, idx)
+        total = total_sq = 0.0
+        done = 0
+        for block in oracle_blocks(spec, n_bits, child):
+            gammas = block.sum(axis=1) ** 2 / (L * n0)
+            bep = simkit._conditional_bep(gammas, rx.modulation)
+            if not conditional:
+                rng = simkit._block_generator(derive_seed(seed, 0xB17, idx),
+                                              done // simkit._BLOCK_ROWS)
+                bep = (rng.random(gammas.size) < bep).astype(float)
+            total += float(bep.sum())
+            total_sq += float((bep * bep).sum())
+            done += gammas.size
+        mean = total / n_bits
+        var = max(0.0, total_sq / n_bits - mean * mean)
+        out.append((float(snr_db), mean, math.sqrt(var / n_bits)))
+    return out
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Start from no pool; the returned function sets the worker count.
+    The pool the test builds is shut down afterwards."""
+    monkeypatch.setattr(simkit, "_pool", None)
+
+    def set_workers(k):
+        monkeypatch.setattr(simkit, "_worker_count", lambda: k)
+
+    yield set_workers
+    if simkit._pool is not None:
+        simkit._pool[1].shutdown()
+
+
+BLOCK = 1 << 16
+ORACLE_SPECS = [
+    EnsembleSpec(fading_m=2, powers=(1.0, 0.5, 0.25), correlation=EqualCorrelation(0.3)),
+    EnsembleSpec(fading_m=3, powers=(2.0,), correlation=EqualCorrelation(0.0)),
+]
+
+
+class TestPooledSamplerMatchesSerialOracle:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["L3", "L1"])
+    @pytest.mark.parametrize("n", [1, 1000, 2 * BLOCK + 17])
+    def test_samples_sums_and_moments(self, fresh_pool, workers, spec, n):
+        fresh_pool(workers)
+        # at seed 23 the one-value block (n = 1, L = 1) depends on the order
+        # in which its six squared layers are summed
+        want = np.concatenate(list(oracle_blocks(spec, n, 23)))
+        got = sample_correlated_nakagami(spec, n, 23).data
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(sample_sum(spec, n, 23), want.sum(axis=1))
+        assert estimate_sum_moments(spec, n, 23) == oracle_moments(spec, n, 23)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("conditional", [True, False])
+    def test_egc_simulation(self, fresh_pool, workers, conditional):
+        fresh_pool(workers)
+        rx = ReceiverSpec(ensemble=ORACLE_SPECS[0], noise_psd=1.0)
+        grid = [0.0, 6.0, 12.0]
+        curve = simulate_egc_ber(rx, grid, n_bits=BLOCK + 5000, seed=47,
+                                 conditional=conditional)
+        got = [(p.snr_db, p.value, p.stderr) for p in curve.points]
+        assert got == oracle_ber(rx, grid, BLOCK + 5000, 47, conditional)
+
+
+class TestWorkerPool:
+    SPEC = unit_spec(EqualCorrelation(0.3), 1, 2)
+
+    def test_single_block_runs_inline(self, fresh_pool):
+        sample_sum(self.SPEC, 1000, 3)
+        simulate_egc_ber(ReceiverSpec(ensemble=self.SPEC, noise_psd=1.0), [8.0],
+                         n_bits=10_000, seed=0)
+        assert simkit._pool is None
+
+    def test_new_process_builds_a_new_pool(self, fresh_pool, monkeypatch):
+        fresh_pool(2)
+        sample_sum(self.SPEC, BLOCK + 1, 3)
+        pid, first = simkit._pool
+        assert pid == os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: pid + 1)
+        try:
+            sample_sum(self.SPEC, BLOCK + 1, 3)
+            assert simkit._pool[0] == pid + 1
+            assert simkit._pool[1] is not first
+        finally:
+            first.shutdown()
+
+    def test_thread_count_bounded(self, fresh_pool):
+        fresh_pool(3)
+        before = threading.active_count()
+        for _ in range(20):
+            sample_sum(self.SPEC, 3 * BLOCK, 5)
+            assert threading.active_count() <= before + 3
+
+    def test_block_error_reaches_caller(self, fresh_pool, monkeypatch):
+        fresh_pool(2)
+        real = simkit._block_generator
+
+        def failing(seed, block):
+            if block == 1:
+                raise RuntimeError("block 1 failed")
+            return real(seed, block)
+
+        monkeypatch.setattr(simkit, "_block_generator", failing)
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            sample_sum(self.SPEC, 2 * BLOCK + 1, 7)
