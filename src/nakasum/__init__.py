@@ -46,7 +46,7 @@ from .simkit import (
     sample_sum,
     simulate_egc_ber,
 )
-from .specfun import SeriesControl, gauss_2f1, kummer_1f1, lauricella_fa, ln_gamma
+from .specfun import gauss_2f1, kummer_1f1, lauricella_fa, ln_gamma
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "PerfPoint",
     "ReceiverSpec",
     "SampleBatch",
-    "SeriesControl",
     "SingularMatrixError",
     "TruncationError",
     "ValidationError",

@@ -54,6 +54,16 @@ TABLE_MZ = (1, 2, 3)
 TABLE_L = (2, 3, 4)
 
 
+def _number(convert, token: str, where: str):
+    """``convert(token)``; a malformed token raises ValidationError naming
+    ``where``, the file or flag it came from."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise ValidationError(
+            f"{where}: {token!r} is not a valid {convert.__name__}") from None
+
+
 def read_corr_file(path: str) -> CorrelationMatrix:
     rows: list[list[float]] = []
     dim = None
@@ -63,9 +73,9 @@ def read_corr_file(path: str) -> CorrelationMatrix:
             if not line:
                 continue
             if dim is None:
-                dim = int(line)
+                dim = _number(int, line, path)
                 continue
-            rows.append([float(tok) for tok in line.split()])
+            rows.append([_number(float, tok, path) for tok in line.split()])
     if dim is None:
         raise ValidationError(f"{path}: no dimension line found")
     if len(rows) != dim or any(len(r) != dim for r in rows):
@@ -80,19 +90,20 @@ def write_corr_file(matrix: CorrelationMatrix, path: str) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:count' into an inclusive linear grid."""
+def _parse_grid(text: str, flag: str) -> np.ndarray:
+    """Parse the 'start:stop:count' value of ``flag`` into a linear grid."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValidationError(f"grid must be start:stop:count, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        raise ValidationError(f"{flag} must be start:stop:count, got {text!r}")
+    start, stop, count = (_number(convert, tok, flag)
+                          for convert, tok in zip((float, float, int), parts))
     if count < 1:
-        raise ValidationError("grid count must be at least 1")
+        raise ValidationError(f"{flag} count must be at least 1")
     return np.linspace(start, stop, count)
 
 
 def _parse_omega(text: str, L: int, mu: float | None) -> tuple[float, ...]:
-    vals = tuple(float(tok) for tok in text.split(","))
+    vals = tuple(_number(float, tok, "--omega") for tok in text.split(","))
     if mu is not None:
         if len(vals) != 1:
             raise ValidationError("--mu requires a scalar --omega (first-branch power)")
@@ -196,7 +207,7 @@ def cmd_tables(args) -> int:
 def cmd_pdf(args) -> int:
     spec = build_spec(args)
     model = match_parameters(spec)
-    grid = _parse_grid(args.r_grid)
+    grid = _parse_grid(args.r_grid, "--r-grid")
     rows = []
     meta = json.dumps({"branches": spec.branch_count,
                        "m_r": model.m_r, "omega_r": model.omega_r},
@@ -222,7 +233,7 @@ def cmd_outage(args) -> int:
         threshold = 10.0 ** (args.threshold_db / 10.0)
     else:
         threshold = args.threshold
-    curve = egc.outage_curve(rx, _parse_grid(args.snr_grid), threshold)
+    curve = egc.outage_curve(rx, _parse_grid(args.snr_grid, "--snr-grid"), threshold)
     _emit(_rows_to_text(curve.to_rows(), egc.CURVE_CSV_HEADER, args.format), args.out)
     return 0
 
@@ -230,7 +241,7 @@ def cmd_outage(args) -> int:
 def cmd_ber(args) -> int:
     spec = build_spec(args)
     rx = egc.ReceiverSpec(ensemble=spec, noise_psd=args.n0, modulation=args.mod)
-    curve = egc.ber_curve(rx, _parse_grid(args.snr_grid))
+    curve = egc.ber_curve(rx, _parse_grid(args.snr_grid, "--snr-grid"))
     _emit(_rows_to_text(curve.to_rows(), egc.CURVE_CSV_HEADER, args.format), args.out)
     return 0
 
@@ -267,7 +278,7 @@ def cmd_validate(args) -> int:
         _emit(report.to_json(), args.out)
         return 0
     rx = egc.ReceiverSpec(ensemble=spec, noise_psd=args.n0, modulation=args.mod)
-    grid = _parse_grid(args.snr_grid)
+    grid = _parse_grid(args.snr_grid, "--snr-grid")
     analytic = egc.ber_curve(rx, grid)
     simulated = simkit.simulate_egc_ber(rx, grid, n_bits=args.n_bits, seed=args.seed)
     rows = []

@@ -56,7 +56,7 @@ class GofReport:
     n_trials: int
     alpha_mode: str = "stat-mean"
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps({
             "schema": "gof-report/1",
             "chi2_stat": self.chi2_stat,
@@ -66,7 +66,7 @@ class GofReport:
             "n_samples": self.n_samples,
             "n_trials": self.n_trials,
             "alpha_mode": self.alpha_mode,
-        }, indent=indent)
+        }, indent=2)
 
 
 def kolmogorov_sf(x: float) -> float:
@@ -159,31 +159,33 @@ def chi_square_test(samples: NDArray[np.float64],
 # times its mean.
 _BRACKET_DOUBLINGS = 16
 
-# Absolute error of the exact CDF values on the interpolation grid.
+# Absolute error of the exact CDF values on the interpolation grid, the
+# tail mass past its upper end, and its number of points.
 _GRID_ABS_TOL = 1e-10
+_TAIL_PROB = 1e-10
+_GRID_POINTS = 1201
 
 
-def model_envelope_cdf(model: GammaSumModel, tail_prob: float = 1e-10,
-                       grid_points: int = 1201) -> Callable:
+def model_envelope_cdf(model: GammaSumModel) -> Callable:
     """Fast envelope-domain CDF: values to absolute error 1e-10 on a grid,
     monotone interpolation between them.
 
-    The grid reaches the (1 - tail_prob) quantile; beyond it the CDF is
+    The grid reaches the (1 - 1e-10) quantile; beyond it the CDF is
     clamped to 1.  Interpolation error is far below the K-S statistic
     resolution at the campaign sample sizes.
     """
     from scipy.interpolate import PchipInterpolator
 
-    # first power-of-two multiple of the mean square past the (1 - tail_prob)
-    # quantile
+    # first power-of-two multiple of the mean square past the
+    # (1 - _TAIL_PROB) quantile
     t_try = model.mean_square * 2.0 ** np.arange(_BRACKET_DOUBLINGS)
-    past = np.flatnonzero(cdf(model, t_try, abs_tol=_GRID_ABS_TOL) >= 1.0 - tail_prob)
+    past = np.flatnonzero(cdf(model, t_try, abs_tol=_GRID_ABS_TOL) >= 1.0 - _TAIL_PROB)
     if past.size == 0:
         raise ValidationError(
-            f"model CDF stays below 1 - {tail_prob} up to {t_try[-1]:.3e}")
+            f"model CDF stays below 1 - {_TAIL_PROB} up to {t_try[-1]:.3e}")
     r_hi = math.sqrt(t_try[past[0]])
-    r_grid = np.linspace(0.0, r_hi, grid_points)
-    f_grid = np.zeros(grid_points)
+    r_grid = np.linspace(0.0, r_hi, _GRID_POINTS)
+    f_grid = np.zeros(_GRID_POINTS)
     f_grid[1:] = cdf(model, r_grid[1:] ** 2, abs_tol=_GRID_ABS_TOL)
     f_grid = np.maximum.accumulate(np.clip(f_grid, 0.0, 1.0))
     interp = PchipInterpolator(r_grid, f_grid, extrapolate=False)

@@ -96,12 +96,12 @@ class CorrelationMatrix:
                 m[i, j] = m[j, i] = acc
         return cls(m)
 
-    def is_markov_product(self, tol: float = 1e-12) -> bool:
+    def is_markov_product(self) -> bool:
         m = self.entries
         for i in range(self.dim):
             for j in range(i + 2, self.dim):
                 prod = np.prod(np.diag(m, 1)[i:j])
-                if abs(m[i, j] - prod) > tol:
+                if abs(m[i, j] - prod) > 1e-12:
                     return False
         return True
 

@@ -70,7 +70,7 @@ class GammaSumModel:
             flags=self.flags,
         )
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         doc = {
             "schema": "gamma-sum-model/1",
             "branch_count": self.branch_count,
@@ -81,7 +81,7 @@ class GammaSumModel:
                                "m4": self.source_moments.m4},
             "flags": list(self.flags),
         }
-        return json.dumps(doc, indent=indent)
+        return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "GammaSumModel":

@@ -25,8 +25,9 @@ Gauss contiguous relation in the first parameter (DLMF 15.5.11); for
 stable.  k advances in blocks: the recursion steps through k, while the
 terms, the running sums, the stop rule (the first k > 3 whose term is at
 most the relative tolerance times the lane's partial sum) and the
-overflow check are array operations over the block.  The public
-per-subset routines are the same evaluation with one lane.
+overflow check are array operations over the block.  Every lane stops
+at a relative 1e-12 and raises TruncationError past 10 000 terms.  The
+public per-subset routines are the same evaluation with one lane.
 
 Joint-moment routines take unit-power envelopes; the fourth-moment
 assembly supplies the power prefactors explicitly.
@@ -45,13 +46,7 @@ from scipy.special import hyp2f1
 
 from .errors import BoundaryError, DomainError, TruncationError, ValidationError
 from .linalg import CorrelationMatrix, greens_fit, principal_submatrix_inverses
-from .specfun import (
-    DEFAULT_SERIES,
-    SeriesControl,
-    _kummer_laplace,
-    gauss_2f1,
-    ln_gamma,
-)
+from .specfun import _kummer_laplace, gauss_2f1, ln_gamma
 
 __all__ = [
     "EqualCorrelation",
@@ -70,9 +65,11 @@ __all__ = [
     "joint_moment_quad",
 ]
 
-# Joint-moment series budget; the geometric ratio approaches 1 only as the
-# correlation approaches its maximum, which is bypassed analytically.
-JOINT_SERIES = SeriesControl(rel_tol=1e-12, max_terms=10_000)
+# Joint-moment series stop rule and term budget, read at call time; the
+# geometric ratio approaches 1 only as the correlation approaches its
+# maximum, which is bypassed analytically.
+_JOINT_REL_TOL = 1e-12
+_JOINT_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -205,10 +202,13 @@ def second_moment_Z(spec: EnsembleSpec) -> float:
     if spec.is_maximal():
         return math.fsum(math.sqrt(p) for p in powers) ** 2
     coeff = 2.0 * _gamma_ratio(m + 0.5, m) ** 2 / m
+    pairs = list(itertools.combinations(range(spec.branch_count), 2))
+    rho = [spec.rho(i, j) for i, j in pairs]
+    # one series per distinct rho; the pair terms keep their order
+    f21 = {r: gauss_2f1(-0.5, -0.5, m, r) for r in set(rho)}
     cross = 0.0
-    for i, j in itertools.combinations(range(spec.branch_count), 2):
-        cross += math.sqrt(powers[i] * powers[j]) * \
-            gauss_2f1(-0.5, -0.5, m, spec.rho(i, j))
+    for (i, j), r in zip(pairs, rho):
+        cross += math.sqrt(powers[i] * powers[j]) * f21[r]
     return math.fsum(powers) + coeff * cross
 
 
@@ -256,8 +256,7 @@ def _validate_w_args(m_z: int, rho: float) -> None:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
 
 
-def _w_via_fa(orders: tuple[int, ...], m_z: int, rho: float,
-              ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def _w_via_fa(orders: tuple[int, ...], m_z: int, rho: float) -> float:
     """W coefficient through the Laplace integral of the Lauricella F_A.
 
     (1/Gamma(m)) int_0^inf u^(m-1) e^-u prod_i 1F1(-k_i/2; m; -alpha u) du,
@@ -271,11 +270,10 @@ def _w_via_fa(orders: tuple[int, ...], m_z: int, rho: float,
     pref = math.exp(math.fsum(ln_gamma(m + k / 2.0) - ln_gamma(m) for k in orders)
                     - ln_gamma(m))
     factors = Counter((-k / 2.0, m, alpha) for k in orders)
-    return pref * _kummer_laplace(m, factors, ctrl.rel_tol)
+    return pref * _kummer_laplace(m, factors)
 
 
-def w_coefficient(orders: tuple[int, ...], m_z: int, rho: float,
-                  ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def w_coefficient(orders: tuple[int, ...], m_z: int, rho: float) -> float:
     """Joint-moment coefficient W(k_1, ..., k_N) for equal correlation.
 
     The (2, 1, 1) case dispatches to its hypergeometric reduction; all
@@ -290,7 +288,7 @@ def w_coefficient(orders: tuple[int, ...], m_z: int, rho: float,
     _validate_w_args(m_z, rho)
     if sorted(orders) == [1, 1, 2]:
         return w211_reduced(m_z, rho)
-    return _w_via_fa(orders, m_z, rho, ctrl)
+    return _w_via_fa(orders, m_z, rho)
 
 
 def _require_tridiagonal(mats: NDArray[np.float64], name: str) -> None:
@@ -349,17 +347,17 @@ def _joint_lgam(m: float, k0: int, rows: int) -> NDArray[np.float64]:
     return np.stack([g1 + gh - g0 - gk, gh + gh - g0 - gk, 2.0 * gh - gk - g0], axis=1)
 
 
-def _first_block_rows(ratio: NDArray[np.float64], rel_tol: float) -> int:
+def _first_block_rows(ratio: NDArray[np.float64]) -> int:
     """Terms to the stop rule predicted from the lanes' largest asymptotic
     term ratio q / prod(1 - x_j).  The term falls like k ratio^k, so n
-    solves n ratio^n = rel_tol to first order; the margin covers the
+    solves n ratio^n = _JOINT_REL_TOL to first order; the margin covers the
     stop indices of the benchmark's fits, and a lane that needs more
     terms goes on in the next block."""
     r = float(ratio.max())
     if not 0.0 < r < 1.0:
         return 8
-    n = max(math.log(rel_tol) / math.log(r), 1.0)
-    return max(int(1.1 * (math.log(rel_tol) - math.log(n)) / math.log(r)) + 4, 8)
+    n = max(math.log(_JOINT_REL_TOL) / math.log(r), 1.0)
+    return max(int(1.1 * (math.log(_JOINT_REL_TOL) - math.log(n)) / math.log(r)) + 4, 8)
 
 
 def _factor_block(cur: NDArray[np.float64], nxt: NDArray[np.float64], a0: NDArray[np.float64],
@@ -384,14 +382,15 @@ def _factor_block(cur: NDArray[np.float64], nxt: NDArray[np.float64], a0: NDArra
     return f
 
 
-def _joint_series(lanes: _Lanes, m: float, ctrl: SeriesControl) -> NDArray[np.float64]:
+def _joint_series(lanes: _Lanes, m: float) -> NDArray[np.float64]:
     """pref * sum_k exp(k log q + lgam_g(k)) prod_j 2F1(a0 + k, b; m; x_j)
     for every lane at once, g being the lane's log-gamma group.
 
     Each lane stops at its first k > 3 whose term is at most
-    ``ctrl.rel_tol`` times its partial sum; a non-finite term at or before
-    a lane's stop raises.  k advances in blocks of at most ``_BLOCK_CELLS``
-    (k x lane) cells.  Within a block only the contiguous recurrence of
+    ``_JOINT_REL_TOL`` times its partial sum; a non-finite term at or before
+    a lane's stop raises, and so does a lane still live after
+    ``_JOINT_MAX_TERMS`` terms.  k advances in blocks of at most
+    ``_BLOCK_CELLS`` (k x lane) cells.  Within a block only the contiguous recurrence of
     the 2F1 factors steps through k; the terms, the running sums (added in
     order of k), the stop rule and the overflow check are array operations
     over the block.
@@ -403,10 +402,10 @@ def _joint_series(lanes: _Lanes, m: float, ctrl: SeriesControl) -> NDArray[np.fl
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_q = np.log(q)
         cur, nxt = hyp2f1(a0, b, c, x), hyp2f1(a0 + 1.0, b, c, x)
-        rows = _first_block_rows(q / np.prod(1.0 - x, axis=0), ctrl.rel_tol)
+        rows = _first_block_rows(q / np.prod(1.0 - x, axis=0))
         k0 = 0
-        while k0 < ctrl.max_terms:
-            rows = min(rows, max(_BLOCK_CELLS // live.size, 1), ctrl.max_terms - k0)
+        while k0 < _JOINT_MAX_TERMS:
+            rows = min(rows, max(_BLOCK_CELLS // live.size, 1), _JOINT_MAX_TERMS - k0)
             f = _factor_block(cur, nxt, a0, b, c, x, k0, rows)
             k = np.arange(k0, k0 + rows, dtype=float)[:, None]
             term = k * log_q
@@ -418,7 +417,7 @@ def _joint_series(lanes: _Lanes, m: float, ctrl: SeriesControl) -> NDArray[np.fl
                 term *= factor
             # row i: the partial sum before term k0 + i
             part = np.cumsum(np.concatenate([total[live][None], term]), axis=0)
-            stop = (term <= ctrl.rel_tol * part[1:]) & (k > 3)
+            stop = (term <= _JOINT_REL_TOL * part[1:]) & (k > 3)
             stop_at = np.where(stop.any(axis=0), stop.argmax(axis=0), rows)
             bad = ~np.isfinite(term)
             bad_at = np.where(bad.any(axis=0), bad.argmax(axis=0), rows)
@@ -448,7 +447,7 @@ def _joint_series(lanes: _Lanes, m: float, ctrl: SeriesControl) -> NDArray[np.fl
         return pref * total
     lane = live[np.argmax(summing)]
     raise TruncationError(
-        f"joint-moment series did not converge in {ctrl.max_terms} terms",
+        f"joint-moment series did not converge in {_JOINT_MAX_TERMS} terms",
         partial=float(pref[lane] * total[lane]),
     )
 
@@ -501,7 +500,7 @@ def _concat_lanes(lanes: list[_Lanes]) -> _Lanes:
 
 
 def joint_moment_triple(n1: int, n2: int, n3: int, delta: NDArray[np.float64],
-                        m_z: int, ctrl: SeriesControl = JOINT_SERIES) -> float:
+                        m_z: int) -> float:
     """Unit-power joint moment E[Z_a^n1 Z_b^n2 Z_c^n3] for three branches
     whose 3x3 sqrt-correlation submatrix has the tridiagonal inverse
     ``delta``.
@@ -515,17 +514,16 @@ def joint_moment_triple(n1: int, n2: int, n3: int, delta: NDArray[np.float64],
     if delta.shape != (3, 3):
         raise ValidationError(f"delta must be 3x3, got {delta.shape}")
     lanes = _triple_lanes(((n1, n2, n3),), delta[None], m_z)
-    return float(_joint_series(lanes, float(m_z), ctrl)[0])
+    return float(_joint_series(lanes, float(m_z))[0])
 
 
-def joint_moment_quad(psi: NDArray[np.float64], m_z: int,
-                      ctrl: SeriesControl = JOINT_SERIES) -> float:
+def joint_moment_quad(psi: NDArray[np.float64], m_z: int) -> float:
     """Unit-power joint moment E[Z_a Z_b Z_c Z_d] for four branches whose
     4x4 sqrt-correlation submatrix has the tridiagonal inverse ``psi``."""
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (4, 4):
         raise ValidationError(f"psi must be 4x4, got {psi.shape}")
-    return float(_joint_series(_quad_lanes(psi[None], m_z), float(m_z), ctrl)[0])
+    return float(_joint_series(_quad_lanes(psi[None], m_z), float(m_z))[0])
 
 
 def _fourth_moment_pair_terms(spec: EnsembleSpec) -> float:
@@ -582,7 +580,7 @@ def _fourth_moment_joint_markov(spec: EnsembleSpec,
         quads = np.array(list(itertools.combinations(range(L), 4)))
         lanes.append(_quad_lanes(principal_submatrix_inverses(fitted, quads), m))
     # one series call: the three triple patterns over all subsets, then the quads
-    series = _joint_series(_concat_lanes(lanes), float(m), JOINT_SERIES)
+    series = _joint_series(_concat_lanes(lanes), float(m))
     t211, t121, t112, tquad = np.split(series, [len(triples), 2 * len(triples),
                                                 3 * len(triples)])
     pa, pb, pc = p[triples].T

@@ -4,20 +4,20 @@ functions, and the Lauricella F_A function of several variables.
 All functions are pure and take and return plain floats.  Kummer's 1F1 is
 ``scipy.special.hyp1f1``; its logarithm continues past the float range
 with the large-argument expansion.  The Gauss 2F1 is a scalar series
-governed by a :class:`SeriesControl`: it is accepted once the current
-term stays below ``rel_tol`` times the partial sum for three consecutive
-terms, which guards against premature truncation of oscillating-sign
-series (negative half-integer parameters produce such series).  F_A is
-its Laplace integral.  Semi-infinite integrals here and downstream (F_A,
-the equal-correlation W coefficients, the BPSK error rate) share one
-exp-sinh trapezoid rule whose step halves until two sums agree to a
-relative tolerance.
+with one fixed policy: it is accepted once the current term stays below
+1e-12 times the partial sum for three consecutive terms, which guards
+against premature truncation of oscillating-sign series (negative
+half-integer parameters produce such series), and it raises
+TruncationError past 100 000 terms.  F_A is its Laplace integral.
+Semi-infinite integrals here and downstream (F_A, the equal-correlation W
+coefficients, the BPSK error rate) share one exp-sinh trapezoid rule whose
+step halves until two sums agree to a relative tolerance; the Laplace
+integrals of 1F1 products stop at 1e-12.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammasgn, hyp1f1
@@ -25,8 +25,6 @@ from scipy.special import gammasgn, hyp1f1
 from .errors import DivergenceError, DomainError, TruncationError
 
 __all__ = [
-    "SeriesControl",
-    "DEFAULT_SERIES",
     "ln_gamma",
     "gauss_2f1",
     "kummer_1f1",
@@ -43,22 +41,10 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy: the relative tolerance and term budget of a
-    series, and the relative tolerance at which F_A's step halving stops."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise DomainError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-
-
-DEFAULT_SERIES = SeriesControl()
+# Relative tolerance of the 2F1 series and of the 1F1 Laplace integrals,
+# and the 2F1 term budget; read at call time.
+_REL_TOL = 1e-12
+_F21_MAX_TERMS = 100_000
 
 
 def ln_gamma(x: float) -> float:
@@ -76,16 +62,16 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == round(x)
 
 
-def _f21_series(a: float, b: float, c: float, x: float, ctrl: SeriesControl) -> float:
+def _f21_series(a: float, b: float, c: float, x: float) -> float:
     # the term ratio tends to x, so the truncated tail is about
     # term * x / (1 - x); fold that into the stopping threshold, floored
     # at the rounding level beyond which summing extracts nothing
     tail_factor = (1.0 - x) / x if 0.0 < x < 1.0 else 1.0
-    threshold = max(ctrl.rel_tol * tail_factor, 4e-16)
+    threshold = max(_REL_TOL * tail_factor, 4e-16)
     term = 1.0
     total = 1.0
     small = 0
-    for k in range(ctrl.max_terms):
+    for k in range(_F21_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
         total += term
         if abs(term) <= threshold * abs(total):
@@ -95,13 +81,12 @@ def _f21_series(a: float, b: float, c: float, x: float, ctrl: SeriesControl) -> 
         else:
             small = 0
     raise TruncationError(
-        f"2F1({a},{b};{c};{x}) did not converge in {ctrl.max_terms} terms",
+        f"2F1({a},{b};{c};{x}) did not converge in {_F21_MAX_TERMS} terms",
         partial=total,
     )
 
 
-def gauss_2f1(a: float, b: float, c: float, x: float,
-              ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; x).
 
     Supports -inf < x < 1 (negative arguments are mapped into the unit
@@ -125,8 +110,8 @@ def gauss_2f1(a: float, b: float, c: float, x: float,
         # Pfaff transform onto the convergent interval (0, 1); pivot on the
         # smaller parameter so the result is identical under an (a, b) swap.
         lo, hi = (a, b) if a <= b else (b, a)
-        return (1.0 - x) ** (-lo) * _f21_series(lo, c - hi, c, x / (x - 1.0), ctrl)
-    return _f21_series(a, b, c, x, ctrl)
+        return (1.0 - x) ** (-lo) * _f21_series(lo, c - hi, c, x / (x - 1.0))
+    return _f21_series(a, b, c, x)
 
 
 def _lgamma_abs(x: float) -> float:
@@ -221,11 +206,12 @@ def _exp_sinh(integrand, ln_lo: float, ln_hi: float, rel_tol: float) -> float:
     )
 
 
-def _kummer_laplace(a: float, factors: Counter, rel_tol: float) -> float:
+def _kummer_laplace(a: float, factors: Counter) -> float:
     """int_0^inf u^(a-1) e^-u prod 1F1(p; c; -scale u)^count du over the
     ``factors`` mapping (p, c, scale) -> count, by the exp-sinh rule from
     where the weight u^a falls to e^-40 up to u = 700, past which e^-u
-    underflows; each distinct factor is evaluated once."""
+    underflows, to a relative 1e-12; each distinct factor is evaluated
+    once."""
     def integrand(ln_u):
         u = np.exp(ln_u)
         g = np.exp(a * ln_u - u)
@@ -233,19 +219,19 @@ def _kummer_laplace(a: float, factors: Counter, rel_tol: float) -> float:
             g *= hyp1f1(p, c, -scale * u) ** count
         return g
 
-    return _exp_sinh(integrand, -40.0 / a, math.log(700.0), rel_tol)
+    return _exp_sinh(integrand, -40.0 / a, math.log(700.0), _REL_TOL)
 
 
 def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
-                  x: tuple[float, ...], ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+                  x: tuple[float, ...]) -> float:
     """Lauricella F_A hypergeometric function of N variables.
 
     Evaluated through its Laplace-type integral
     ``(1/Gamma(a)) int_0^inf t^(a-1) e^-t prod_i 1F1(b_i; c_i; x_i t) dt``
     after Kummer-transforming each factor, which turns the weight into
     ``e^-(1-s)t`` with s = sum(x) and leaves slowly varying factors.  With
-    u = (1-s)t, the integral is summed by the exp-sinh rule to
-    ``ctrl.rel_tol``.
+    u = (1-s)t, the integral is summed by the exp-sinh rule to a relative
+    1e-12.
     """
     n = len(b)
     if len(c) != n or len(x) != n:
@@ -264,6 +250,6 @@ def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
     front = (1.0 - s) ** (-a) / math.gamma(a)
     factors = Counter((ci - bi, ci, xi / (1.0 - s)) for bi, ci, xi in zip(b, c, x))
     try:
-        return front * _kummer_laplace(a, factors, ctrl.rel_tol)
+        return front * _kummer_laplace(a, factors)
     except TruncationError as exc:
         raise TruncationError(f"F_A: {exc}", partial=front * exc.partial) from exc

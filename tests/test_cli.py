@@ -214,3 +214,34 @@ class TestCorrFile:
         assert code == 0
         doc = json.loads(out)
         assert doc["branch_count"] == 3
+
+
+class TestMalformedInput:
+    # each malformed number exits 2 with an error naming its file or flag
+    @pytest.mark.parametrize("text", ["2\n1 0.5\n0.5 x\n", "2.0\n1 0.5\n0.5 1\n"],
+                             ids=["entry", "dimension"])
+    def test_corr_file(self, capsys, tmp_path, text):
+        path = tmp_path / "corr.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "match", "--model", "arbitrary",
+                           "--corr-file", str(path), "--mz", "1")
+        assert code == 2
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_r_grid(self, capsys):
+        code, _, err = run(capsys, "pdf", "--model", "equal", "--rho", "0.2",
+                           "--mz", "1", "--L", "2", "--r-grid", "1:2:x")
+        assert code == 2
+        assert "--r-grid" in err
+
+    def test_snr_grid(self, capsys):
+        code, _, err = run(capsys, "ber", "--model", "equal", "--rho", "0.2",
+                           "--mz", "1", "--L", "2", "--snr-grid", "1:2:x")
+        assert code == 2
+        assert "--snr-grid" in err
+
+    def test_omega(self, capsys):
+        code, _, err = run(capsys, "match", "--model", "equal", "--rho", "0.2",
+                           "--mz", "1", "--L", "2", "--omega", "1,a")
+        assert code == 2
+        assert "--omega" in err

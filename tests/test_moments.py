@@ -21,7 +21,6 @@ from nakasum.linalg import (
     principal_submatrix_inverses,
 )
 from nakasum.moments import (
-    JOINT_SERIES,
     ArbitraryCorrelation,
     EnsembleSpec,
     EqualCorrelation,
@@ -42,7 +41,7 @@ from nakasum.moments import (
     w_coefficient,
 )
 from nakasum.simkit import estimate_sum_moments, sample_correlated_nakagami
-from nakasum.specfun import SeriesControl, gauss_2f1
+from nakasum.specfun import gauss_2f1
 
 
 def gamma(x):
@@ -388,16 +387,17 @@ class TestJointMomentOracles:
             warnings.simplefilter("error", RuntimeWarning)
             assert math.isfinite(fourth_moment_Z(spec))
 
-    def test_independent_subset_needs_only_its_first_term(self):
+    def test_independent_subset_needs_only_its_first_term(self, monkeypatch):
         # q = 0 ends the series at k = 0, even on a budget below the
         # stop rule's first chance at k = 4
-        short = SeriesControl(max_terms=3)
-        assert joint_moment_triple(2, 1, 1, np.eye(3), 2, short) == \
-            joint_moment_triple(2, 1, 1, np.eye(3), 2)
-        assert joint_moment_quad(np.eye(4), 2, short) == joint_moment_quad(np.eye(4), 2)
+        triple = joint_moment_triple(2, 1, 1, np.eye(3), 2)
+        quad4 = joint_moment_quad(np.eye(4), 2)
+        monkeypatch.setattr(moments, "_JOINT_MAX_TERMS", 3)
+        assert joint_moment_triple(2, 1, 1, np.eye(3), 2) == triple
+        assert joint_moment_quad(np.eye(4), 2) == quad4
         delta = principal_submatrix_inverse(CorrelationMatrix.exponential(0.3, 3), (0, 1, 2))
         with pytest.raises(TruncationError):
-            joint_moment_triple(2, 1, 1, delta, 2, short)
+            joint_moment_triple(2, 1, 1, delta, 2)
 
     def test_near_maximal_still_raises(self):
         with pytest.raises(TruncationError):
@@ -423,8 +423,9 @@ def per_k_lgam(pattern, m):
                       - math.lgamma(m + k) - math.lgamma(k + 1.0))
 
 
-def per_k_series(lanes, pattern, m, ctrl=JOINT_SERIES):
-    """(values, stop k per lane) of same-pattern lanes, summed per k."""
+def per_k_series(lanes, pattern, m, max_terms=10_000):
+    """(values, stop k per lane) of same-pattern lanes, summed per k, to a
+    relative 1e-12 within ``max_terms`` terms."""
     lgam = per_k_lgam(pattern, m)
     pref, q, a0, b, x = lanes.pref, lanes.q, lanes.a0[0], lanes.b[0], lanes.x
     c = m
@@ -435,7 +436,7 @@ def per_k_series(lanes, pattern, m, ctrl=JOINT_SERIES):
         log_q = np.log(q)
         cur, nxt = scipy.special.hyp2f1(a0, b, c, x), scipy.special.hyp2f1(a0 + 1.0, b, c, x)
         omx = 1.0 - x
-        for k in range(ctrl.max_terms):
+        for k in range(max_terms):
             lt = k * log_q + lgam(k) if k > 0 else np.full(live.size, lgam(0))
             term = np.exp(lt)
             for f in cur:
@@ -446,7 +447,7 @@ def per_k_series(lanes, pattern, m, ctrl=JOINT_SERIES):
                 raise TruncationError("overflow", partial=float(pref[lane] * total[lane]))
             total[live] += term
             if k > 3:
-                keep = ~(term <= ctrl.rel_tol * total[live])
+                keep = ~(term <= 1e-12 * total[live])
                 if not keep.all():
                     stops[live[~keep]] = k
                     live, log_q = live[keep], log_q[keep]
@@ -520,12 +521,12 @@ class TestBlockedSeries:
         first_row = last_row = False
         for rows in range(2, 13):
             monkeypatch.setattr(moments, "_BLOCK_CELLS", rows * lanes.q.size)
-            assert np.array_equal(moments._joint_series(lanes, 1.0, JOINT_SERIES), want)
+            assert np.array_equal(moments._joint_series(lanes, 1.0), want)
             first_row |= bool((stops % rows == 0).any())
             last_row |= bool((stops % rows == rows - 1).any())
         assert first_row and last_row
 
-    def test_stop_index_matches_per_k_oracle(self):
+    def test_stop_index_matches_per_k_oracle(self, monkeypatch):
         # each lane converges on a budget that just reaches the oracle's
         # stop index and raises on one term less (rho = 1e-5 stops at the
         # first chance, k = 4)
@@ -536,10 +537,11 @@ class TestBlockedSeries:
         assert stops[0] == 4
         for i, stop in enumerate(stops):
             lane = moments._Lanes(*(field[..., i:i + 1] for field in lanes))
-            got = moments._joint_series(lane, 1.0, SeriesControl(max_terms=stop + 1))
-            assert got[0] == want[i]
+            monkeypatch.setattr(moments, "_JOINT_MAX_TERMS", stop + 1)
+            assert moments._joint_series(lane, 1.0)[0] == want[i]
+            monkeypatch.setattr(moments, "_JOINT_MAX_TERMS", stop)
             with pytest.raises(TruncationError):
-                moments._joint_series(lane, 1.0, SeriesControl(max_terms=stop))
+                moments._joint_series(lane, 1.0)
 
     def test_lane_stopping_before_another_overflows(self):
         # lane 0 stops at k ~ 5; past k ~ 150 its factors overflow, inside
@@ -552,20 +554,21 @@ class TestBlockedSeries:
         assert stops[0] < 10 < 200 < stops[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = moments._joint_series(lanes, 1.0, JOINT_SERIES)
+            got = moments._joint_series(lanes, 1.0)
         assert np.array_equal(got, want)
 
-    def test_truncation_partial_matches_per_k_oracle(self):
+    def test_truncation_partial_matches_per_k_oracle(self, monkeypatch):
         mat = CorrelationMatrix.exponential(0.98, 6)
         triples = np.array(list(itertools.combinations(range(6), 3)))
         lanes = _triple_lanes(((2, 1, 1),), principal_submatrix_inverses(mat, triples), 1)
-        short = SeriesControl(rel_tol=1e-12, max_terms=40)
-        for ctrl, cause, message in ((JOINT_SERIES, "overflow", "overflowed"),
-                                     (short, "budget", "did not converge")):
+        for max_terms, cause, message in ((10_000, "overflow", "overflowed"),
+                                          (40, "budget", "did not converge")):
             with pytest.raises(TruncationError, match=cause) as want:
-                per_k_series(lanes, (2, 1, 1), 1.0, ctrl)
-            with pytest.raises(TruncationError, match=message) as got:
-                moments._joint_series(lanes, 1.0, ctrl)
+                per_k_series(lanes, (2, 1, 1), 1.0, max_terms)
+            with monkeypatch.context() as patch:
+                patch.setattr(moments, "_JOINT_MAX_TERMS", max_terms)
+                with pytest.raises(TruncationError, match=message) as got:
+                    moments._joint_series(lanes, 1.0)
             assert got.value.partial == pytest.approx(want.value.partial, rel=1e-13)
         with pytest.raises(TruncationError) as got:
             joint_moment_triple(2, 1, 1, principal_submatrix_inverse(mat, (0, 1, 2)), 1)
@@ -588,6 +591,40 @@ class TestBlockedSeries:
                             got = scipy.special.hyp2f1(a, b, float(m), x)
                             worst = max(worst, float(abs(got - ref) / ref))
         assert worst < 1e-13
+
+
+def per_pair_second_moment(spec):
+    """E[Z^2] with one 2F1 series per branch pair, summed in pair order."""
+    m = spec.fading_m
+    p = spec.powers
+    coeff = 2.0 * math.exp(math.lgamma(m + 0.5) - math.lgamma(m)) ** 2 / m
+    cross = 0.0
+    for i, j in itertools.combinations(range(len(p)), 2):
+        cross += math.sqrt(p[i] * p[j]) * gauss_2f1(-0.5, -0.5, m, spec.rho(i, j))
+    return math.fsum(p) + coeff * cross
+
+
+@pytest.mark.parametrize("spec, series", [
+    (EnsembleSpec(fading_m=1, powers=(1.0,) * 16, correlation=EqualCorrelation(0.9)), 1),
+    (EnsembleSpec(fading_m=3, powers=tuple(math.exp(-0.2 * k) for k in range(16)),
+                  correlation=EqualCorrelation(0.35)), 1),
+    (EnsembleSpec(fading_m=2, powers=tuple(math.exp(-0.3 * k) for k in range(8)),
+                  correlation=ExponentialCorrelation(0.7)), 7),
+    (EnsembleSpec(fading_m=1, powers=(1.0,) * 16, correlation=ExponentialCorrelation(0.5)),
+     15),
+    (latent_factor_spec(1, 5, 1), 10),
+], ids=["equal-L16", "equal-L16-unequal-powers", "exp-L8", "exp-L16", "arbitrary-L5"])
+def test_second_moment_one_series_per_distinct_rho(monkeypatch, spec, series):
+    # a cached 2F1 value leaves E[Z^2] bit for bit the per-pair sum
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gauss_2f1(*args)
+
+    monkeypatch.setattr(moments, "gauss_2f1", counted)
+    assert second_moment_Z(spec) == per_pair_second_moment(spec)
+    assert len(calls) == series
 
 
 def test_pair_term_closed_form_matches_gauss_2f1():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nakasum import specfun
 from nakasum.errors import DivergenceError, DomainError, TruncationError
 from nakasum.specfun import (
-    SeriesControl,
     gauss_2f1,
     kummer_1f1,
     lauricella_fa,
@@ -64,9 +63,10 @@ class TestGauss2F1:
         with pytest.raises(DomainError):
             gauss_2f1(0.5, 0.5, -3.0, 0.3)
 
-    def test_truncation_carries_partial(self):
+    def test_truncation_carries_partial(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_F21_MAX_TERMS", 10)
         with pytest.raises(TruncationError) as err:
-            gauss_2f1(2.0, 3.0, 1.5, 0.999, SeriesControl(max_terms=10))
+            gauss_2f1(2.0, 3.0, 1.5, 0.999)
         assert math.isfinite(err.value.partial)
 
     @pytest.mark.parametrize("a,b,c,x", [
@@ -316,11 +316,3 @@ class TestExpSinh:
         # the sum at step 1/4, already close to Gamma(2) = 1
         assert err.value.partial == pytest.approx(1.0, rel=1e-3)
         assert err.value.partial != 1.0
-
-
-class TestSeriesControl:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)
