@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -97,6 +98,8 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         raise ValidationError(f"{flag} must be start:stop:count, got {text!r}")
     start, stop, count = (_number(convert, tok, flag)
                           for convert, tok in zip((float, float, int), parts))
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"{flag} bounds must be finite, got {text!r}")
     if count < 1:
         raise ValidationError(f"{flag} count must be at least 1")
     return np.linspace(start, stop, count)

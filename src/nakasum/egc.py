@@ -163,11 +163,15 @@ def power_profile(omega1: float, mu: float, L: int) -> tuple[float, ...]:
 
 
 def _swept_models(rx: ReceiverSpec, snr_db_grid) -> list[tuple[float, GammaSumModel]]:
+    grid = list(snr_db_grid)
+    for snr_db in grid:
+        if not math.isfinite(snr_db):
+            raise DomainError(f"SNR grid points must be finite, got {snr_db}")
     base = match_parameters(rx.ensemble)
     omega1 = rx.ensemble.powers[0]
     L = rx.ensemble.branch_count
     out = []
-    for snr_db in snr_db_grid:
+    for snr_db in grid:
         gamma1 = 10.0 ** (snr_db / 10.0)
         out.append((float(snr_db), base.scaled(base.omega_r * gamma1 / (L * omega1))))
     return out

@@ -99,6 +99,8 @@ def mgf(model: GammaSumModel, s: ArrayLike) -> float | NDArray[np.float64]:
     if np.ndim(s) == 0 and s == 0.0:
         return 1.0
     s_arr = np.asarray(s, dtype=float)
+    if np.isnan(s_arr).any():
+        raise DomainError("mgf requires s to be a number, got nan")
     rates = _active_rates(model)
     beyond = s_arr * float(rates.max()) >= 1.0
     if np.any(beyond):

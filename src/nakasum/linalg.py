@@ -89,21 +89,9 @@ class CorrelationMatrix:
         t = np.asarray(links, dtype=float)
         dim = t.size + 1
         m = np.eye(dim)
-        for i in range(dim):
-            acc = 1.0
-            for j in range(i + 1, dim):
-                acc *= t[j - 1]
-                m[i, j] = m[j, i] = acc
+        for i in range(dim - 1):
+            m[i, i + 1:] = m[i + 1:, i] = np.cumprod(t[i:])
         return cls(m)
-
-    def is_markov_product(self) -> bool:
-        m = self.entries
-        for i in range(self.dim):
-            for j in range(i + 2, self.dim):
-                prod = np.prod(np.diag(m, 1)[i:j])
-                if abs(m[i, j] - prod) > 1e-12:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -205,41 +193,45 @@ def greens_fit(m: CorrelationMatrix) -> CorrelationMatrix:
     n = m.dim
     if n <= 2:
         return m
-    target = m.entries
-    t = np.diag(target, 1).copy()
+    # scalar Python: at the sizes fitted most often (L = 5-6) numpy's
+    # per-call overhead outweighs the O(L^2) arithmetic of a link update
+    target = m.entries.tolist()
+    t = [target[k][k + 1] for k in range(n - 1)]
     clamped = False
 
-    def objective(links: NDArray[np.float64]) -> float:
+    def objective() -> float:
         total = 0.0
         for i in range(n):
             acc = 1.0
             for j in range(i + 1, n):
-                acc *= links[j - 1]
-                total += (acc - target[i, j]) ** 2
+                acc *= t[j - 1]
+                total += (acc - target[i][j]) ** 2
         return total
 
-    prev_obj = objective(t)
+    prev_obj = objective()
     for _ in range(100):
         for k in range(n - 1):
-            # pairs (i, j) spanning link k: i <= k < j; misfit is quadratic in t_k
+            # A pair i <= k < j spanning link k is fitted by left[k - i] * t_k *
+            # right[j - k - 1], the running products left = prod t[i..k-1] and
+            # right = prod t[k+1..j-1].  The misfit is quadratic in t_k, with
+            # minimum at sum left*c*right / (sum left^2 * sum right^2); both
+            # sums hold the empty product 1, so the denominator is at least 1.
+            left = [1.0]
+            for i in range(k - 1, -1, -1):
+                left.append(left[-1] * t[i])
+            right = [1.0]
+            for j in range(k + 1, n - 1):
+                right.append(right[-1] * t[j])
             num = 0.0
-            den = 0.0
-            for i in range(k + 1):
-                for j in range(k + 1, n):
-                    other = 1.0
-                    for l in range(i, j):
-                        if l != k:
-                            other *= t[l]
-                    num += other * target[i, j]
-                    den += other * other
-            if den <= 0.0:
-                continue
-            tk = num / den
+            for a, la in enumerate(left):
+                row = target[k - a]
+                num += la * sum(rb * row[k + 1 + b] for b, rb in enumerate(right))
+            tk = num / (sum(la * la for la in left) * sum(rb * rb for rb in right))
             if tk < 0.0 or tk > 1.0:
                 clamped = True
                 tk = min(1.0, max(0.0, tk))
             t[k] = tk
-        obj = objective(t)
+        obj = objective()
         if prev_obj - obj <= 1e-10 * max(prev_obj, 1e-300):
             break
         prev_obj = obj

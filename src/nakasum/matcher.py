@@ -45,8 +45,8 @@ class GammaSumModel:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if self.omega_r <= 0 or self.m_r <= 0:
-            raise ConsistencyError("fitted parameters must be positive")
+        if not (0 < self.omega_r < math.inf and 0 < self.m_r < math.inf):
+            raise ConsistencyError("fitted parameters must be finite and positive")
         if len(self.spectrum) != self.branch_count:
             raise ConsistencyError("spectrum length must equal branch count")
 

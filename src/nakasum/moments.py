@@ -141,8 +141,8 @@ class EnsembleSpec:
         powers = tuple(float(p) for p in self.powers)
         if len(powers) < 1:
             raise ValidationError("at least one branch is required")
-        if any(p <= 0 for p in powers):
-            raise ValidationError("branch powers must be positive")
+        if not all(0 < p < math.inf for p in powers):
+            raise ValidationError("branch powers must be finite and positive")
         object.__setattr__(self, "fading_m", int(self.fading_m))
         object.__setattr__(self, "powers", powers)
         if isinstance(self.correlation, ArbitraryCorrelation):
@@ -548,25 +548,24 @@ def _fourth_moment_pair_terms(spec: EnsembleSpec) -> float:
 def _fourth_moment_joint_equal(spec: EnsembleSpec) -> float:
     m = spec.fading_m
     rho = spec.correlation.rho
-    powers = spec.powers
-    L = spec.branch_count
+    p_max = max(spec.powers)
+    # With s_i = sqrt(p_i / p_max) and e_r the r-th elementary symmetric sum
+    # of s, a triple's weight pa sqrt(pb pc) + sqrt(pa) pb sqrt(pc) +
+    # sqrt(pa pb) pc is p_max^2 s_a s_b s_c (s_a + s_b + s_c); over all triples
+    # these sum to e1 e3 - 4 e4, since e1 e3 also counts every quadruple once
+    # per member.  The quadruple weights sqrt(pa pb pc pd) sum to p_max^2 e4.
+    # Dividing by p_max keeps the weights exact when every power is scaled by
+    # a power of two.
+    e = [1.0, 0.0, 0.0, 0.0, 0.0]
+    for p in spec.powers:
+        s = math.sqrt(p / p_max)
+        for r in (4, 3, 2, 1):
+            e[r] += s * e[r - 1]
     scale = ((1.0 - rho) / (1.0 + math.sqrt(rho)) / m) ** 2
-    total = 0.0
-    if L >= 3:
-        e_triple = scale * w_coefficient((2, 1, 1), m, rho)
-        weight = 0.0
-        for a, b, c in itertools.combinations(range(L), 3):
-            pa, pb, pc = powers[a], powers[b], powers[c]
-            weight += (pa * math.sqrt(pb * pc) + math.sqrt(pa) * pb * math.sqrt(pc)
-                       + math.sqrt(pa * pb) * pc)
-        total += 12.0 * e_triple * weight
-    if L >= 4:
-        e_quad = scale * w_coefficient((1, 1, 1, 1), m, rho)
-        weight = math.fsum(
-            math.sqrt(powers[a] * powers[b] * powers[c] * powers[d])
-            for a, b, c, d in itertools.combinations(range(L), 4))
-        total += 24.0 * e_quad * weight
-    return total
+    total = 12.0 * scale * w_coefficient((2, 1, 1), m, rho) * (e[1] * e[3] - 4.0 * e[4])
+    if spec.branch_count >= 4:
+        total += 24.0 * scale * w_coefficient((1, 1, 1, 1), m, rho) * e[4]
+    return p_max * p_max * total
 
 
 def _fourth_moment_joint_markov(spec: EnsembleSpec,

@@ -11,11 +11,11 @@ Draws come in blocks of 65 536 rows.  Each block has its own counter-based
 Philox stream keyed by (seed, block) and builds its 2m Gaussian layers one
 at a time: one (rows, L) draw, the Cholesky product, squared and added
 into the block's power array, so a block holds two layers at most.
-Multi-block calls run their blocks on a process-wide thread pool (one
-worker per available CPU, at most four) and combine the per-block rows or
+Multi-block calls run their blocks on a thread pool that the call starts
+and joins before it returns (one worker per available CPU, at most four,
+never more than the call has blocks), and combine the per-block rows or
 partial sums in block order, so every output is bit-identical whatever the
-number of workers.  Single-block calls run inline and never start the
-pool.
+number of workers.  Single-block calls run inline and start no thread.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import math
 import numbers
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -79,10 +78,6 @@ def _check_draws(n, seed, minimum: int = 1) -> None:
 
 # -- worker pool ------------------------------------------------------------
 
-_pool_lock = threading.Lock()
-_pool: tuple[int, ThreadPoolExecutor] | None = None   # (owner pid, executor)
-
-
 def _worker_count() -> int:
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -91,27 +86,18 @@ def _worker_count() -> int:
     return max(1, min(cpus, _MAX_WORKERS))
 
 
-def _executor() -> ThreadPoolExecutor:
-    """The process's pool, built on first use and again in a forked child,
-    whose copy of the parent's workers is dead."""
-    global _pool
-    with _pool_lock:
-        pid = os.getpid()
-        if _pool is None or _pool[0] != pid:
-            _pool = (pid, ThreadPoolExecutor(_worker_count(),
-                                             thread_name_prefix="nakasum-simkit"))
-        return _pool[1]
-
-
 def _map_blocks(task, jobs: list) -> list:
-    """task(job) for every job, results in job order; one job runs inline.
+    """task(job) for every job, results in job order; one job runs inline,
+    more run on a thread pool that lives for this call only.
 
-    Tasks run on the pool's workers, so they call only private helpers:
-    they submit nothing to the pool and touch no public (traceable) name.
+    Tasks run on the pool's workers, so they call only private helpers and
+    touch no public (traceable) name.
     """
     if len(jobs) == 1:
         return [task(jobs[0])]
-    return list(_executor().map(task, jobs))
+    with ThreadPoolExecutor(min(_worker_count(), len(jobs)),
+                            thread_name_prefix="nakasum-simkit") as pool:
+        return list(pool.map(task, jobs))
 
 
 # -- blocks -----------------------------------------------------------------

@@ -240,6 +240,19 @@ class TestMalformedInput:
         assert code == 2
         assert "--snr-grid" in err
 
+    @pytest.mark.parametrize("grid", ["nan:10:3", "0:inf:3"])
+    def test_snr_grid_not_finite(self, capsys, grid):
+        code, _, err = run(capsys, "ber", "--model", "equal", "--rho", "0.2",
+                           "--mz", "1", "--L", "2", "--snr-grid", grid)
+        assert code == 2
+        assert "--snr-grid" in err
+
+    def test_mgf_nan(self, capsys):
+        code, out, err = run(capsys, "mgf", "--model", "equal", "--rho", "0.2",
+                             "--mz", "1", "--L", "2", "--s", "nan")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_omega(self, capsys):
         code, _, err = run(capsys, "match", "--model", "equal", "--rho", "0.2",
                            "--mz", "1", "--L", "2", "--omega", "1,a")

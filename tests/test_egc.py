@@ -304,6 +304,16 @@ class TestCurves:
                          grid).values()
         assert all(f > b for f, b in zip(bfsk, bpsk))
 
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("curve", ["bpsk", "bfsk", "outage"])
+    def test_non_finite_snr_rejected(self, curve, snr_db):
+        rx = balanced_rx(EqualCorrelation(0.2), 1, 2, mod="bfsk" if curve == "bfsk" else "bpsk")
+        with pytest.raises(DomainError, match="finite"):
+            if curve == "outage":
+                outage_curve(rx, [5.0, snr_db], threshold=1.0)
+            else:
+                ber_curve(rx, [5.0, snr_db])
+
     def test_curve_metadata_marks_approximation(self):
         curve = ber_curve(balanced_rx(EqualCorrelation(0.2), 1, 2), [5.0])
         assert curve.meta["method"] == "equivalent-mrc-approximation"

@@ -50,6 +50,12 @@ class TestMgf:
         with pytest.raises(DomainError):
             mgf(model, pole * 1.5)
 
+    @pytest.mark.parametrize("s", [math.nan, [-1.0, math.nan]], ids=["scalar", "array"])
+    def test_nan_rejected(self, s):
+        model = balanced_model(EqualCorrelation(0.3), 2, 3)
+        with pytest.raises(DomainError, match="nan"):
+            mgf(model, s)
+
     def test_first_derivative_is_mean_square(self):
         model = balanced_model(ExponentialCorrelation(0.5), 1, 4)
         h = 1e-5

@@ -1,12 +1,13 @@
 """Matrix kernel tests; eigenvalue and determinant oracles come from numpy."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakasum.errors import SingularMatrixError, ValidationError
+from nakasum.errors import FitClampWarning, SingularMatrixError, ValidationError
 from nakasum.linalg import (
     CorrelationMatrix,
     cholesky_psd,
@@ -25,6 +26,69 @@ def random_psd_corr(rng, dim):
     a = CorrelationMatrix.from_markov_links(t1).entries
     b = CorrelationMatrix.from_markov_links(t2).entries
     return CorrelationMatrix(a * b)
+
+
+def latent_factor_corr(rng, dim, diag):
+    """Non-negative PSD matrix from three non-negative latent factors (the
+    benchmark's arbitrary-correlation recipe); small ``diag`` correlates
+    strongly."""
+    a = np.abs(rng.standard_normal((dim, 3)))
+    c = a @ a.T + diag * np.eye(dim)
+    d = np.sqrt(np.diag(c))
+    return CorrelationMatrix(c / np.outer(d, d))
+
+
+def markov_links_loop(links):
+    """c_ij = prod(links[i:j]) accumulated one link at a time."""
+    dim = len(links) + 1
+    m = np.eye(dim)
+    for i in range(dim):
+        acc = 1.0
+        for j in range(i + 1, dim):
+            acc *= links[j - 1]
+            m[i, j] = m[j, i] = acc
+    return m
+
+
+def greens_fit_oracle(target):
+    """Coordinate descent of greens_fit with every chain product recomputed
+    from its links (O(L^4) per sweep); returns (fitted entries, clamped)."""
+    n = target.shape[0]
+    t = np.diag(target, 1).copy()
+    clamped = False
+
+    def objective(links):
+        total = 0.0
+        for i in range(n):
+            acc = 1.0
+            for j in range(i + 1, n):
+                acc *= links[j - 1]
+                total += (acc - target[i, j]) ** 2
+        return total
+
+    prev_obj = objective(t)
+    for _ in range(100):
+        for k in range(n - 1):
+            num = 0.0
+            den = 0.0
+            for i in range(k + 1):
+                for j in range(k + 1, n):
+                    other = 1.0
+                    for l in range(i, j):
+                        if l != k:
+                            other *= t[l]
+                    num += other * target[i, j]
+                    den += other * other
+            tk = num / den
+            if tk < 0.0 or tk > 1.0:
+                clamped = True
+                tk = min(1.0, max(0.0, tk))
+            t[k] = tk
+        obj = objective(t)
+        if prev_obj - obj <= 1e-10 * max(prev_obj, 1e-300):
+            break
+        prev_obj = obj
+    return markov_links_loop(t), clamped
 
 
 class TestCorrelationMatrix:
@@ -47,9 +111,13 @@ class TestCorrelationMatrix:
         assert ex.entries[0, 2] == pytest.approx(0.25)
         assert CorrelationMatrix.identity(4).entries[0, 1] == 0.0
 
-    def test_markov_detection(self):
-        assert CorrelationMatrix.exponential(0.3, 4).is_markov_product()
-        assert not CorrelationMatrix.equal(0.3, 4).is_markov_product()
+    def test_markov_links_match_loop(self):
+        rng = np.random.default_rng(11)
+        for dim in range(1, 17):
+            for links in (rng.uniform(0.0, 1.0, dim - 1), rng.uniform(0.9, 1.0, dim - 1),
+                          np.zeros(dim - 1), np.ones(dim - 1)):
+                got = CorrelationMatrix.from_markov_links(links).entries
+                assert np.array_equal(got, markov_links_loop(links))
 
 
 class TestEigenvalues:
@@ -166,6 +234,22 @@ class TestGreensFit:
         assert fit_obj <= best[0] + 1e-6
         assert fit.entries[0, 1] == pytest.approx(best[1], abs=5e-3)
         assert fit.entries[1, 2] == pytest.approx(best[2], abs=5e-3)
+
+    def test_matches_chain_product_oracle(self):
+        clamps = []
+        for dim in range(3, 17):
+            rng = np.random.default_rng((dim, 8))
+            for m in (random_psd_corr(rng, dim), latent_factor_corr(rng, dim, 0.05),
+                      latent_factor_corr(rng, dim, 0.5), latent_factor_corr(rng, dim, 2.0)):
+                want, clamped = greens_fit_oracle(m.entries)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    fit = greens_fit(m)
+                np.testing.assert_allclose(fit.entries, want, rtol=0, atol=1e-13)
+                assert [w.category for w in caught] == [FitClampWarning] * clamped
+                clamps.append(clamped)
+        # both outcomes are exercised
+        assert 0 < sum(clamps) < len(clamps)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), dim=st.integers(3, 7))

@@ -163,6 +163,16 @@ class TestNearMaximalCorrelation:
             match_parameters(balanced(ExponentialCorrelation(0.995), 1, 3))
 
 
+class TestModelChecks:
+    # an infinite power made cdf(model, 1.0) run for minutes
+    @pytest.mark.parametrize("omega_r", [math.nan, math.inf])
+    def test_scaled_rejects_non_finite(self, omega_r):
+        from nakasum.errors import ConsistencyError
+        model = match_parameters(balanced(EqualCorrelation(0.2), 1, 2))
+        with pytest.raises(ConsistencyError, match="finite"):
+            model.scaled(omega_r)
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         model = match_parameters(balanced(ExponentialCorrelation(0.4), 2, 3))

@@ -60,6 +60,11 @@ class TestEnsembleSpec:
             EnsembleSpec(fading_m=1, powers=(1.0, 1.0),
                          correlation=ArbitraryCorrelation(CorrelationMatrix.identity(3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_power_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            EnsembleSpec(fading_m=1, powers=(1.0, bad), correlation=EqualCorrelation(0.3))
+
     def test_rho_resolution(self):
         spec = EnsembleSpec(fading_m=1, powers=(1.0,) * 3,
                             correlation=ExponentialCorrelation(0.4))
@@ -643,6 +648,35 @@ def test_pair_term_closed_form_matches_gauss_2f1():
                 f3 = float(mp.hyp2f1(-1.5, -0.5, m, r))
                 want = c2 * 0.7 * (1.0 + r / m) + c3 * (0.7 ** 0.5 + 0.7 ** 1.5) * f3
                 assert _fourth_moment_pair_terms(spec) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def equal_joint_by_subsets(spec):
+    """Three- and four-branch E[Z^4] terms at equal correlation, weighted
+    subset by subset over all C(L,3) triples and C(L,4) quadruples."""
+    m = spec.fading_m
+    rho = spec.correlation.rho
+    p = spec.powers
+    scale = ((1.0 - rho) / (1.0 + math.sqrt(rho)) / m) ** 2
+    triple = math.fsum(p[a] * math.sqrt(p[b] * p[c]) + math.sqrt(p[a]) * p[b] * math.sqrt(p[c])
+                       + math.sqrt(p[a] * p[b]) * p[c]
+                       for a, b, c in itertools.combinations(range(len(p)), 3))
+    quad = math.fsum(math.sqrt(p[a] * p[b] * p[c] * p[d])
+                     for a, b, c, d in itertools.combinations(range(len(p)), 4))
+    total = 12.0 * scale * w_coefficient((2, 1, 1), m, rho) * triple
+    if len(p) >= 4:
+        total += 24.0 * scale * w_coefficient((1, 1, 1, 1), m, rho) * quad
+    return total
+
+
+@pytest.mark.parametrize("L", range(3, 17))
+def test_equal_joint_weights_match_subset_enumeration(L):
+    rng = np.random.default_rng((L, 4))
+    for powers in ((1.0,) * L, tuple(math.exp(-0.4 * k) for k in range(L)),
+                   tuple(rng.uniform(0.01, 5.0, L))):
+        for rho, m_z in ((0.3, 1), (0.9, 3)):
+            spec = EnsembleSpec(fading_m=m_z, powers=powers, correlation=EqualCorrelation(rho))
+            assert moments._fourth_moment_joint_equal(spec) == pytest.approx(
+                equal_joint_by_subsets(spec), rel=1e-13, abs=0)
 
 
 class TestFourthMoment:
