@@ -163,7 +163,7 @@ def power_profile(omega1: float, mu: float, L: int) -> tuple[float, ...]:
 
 
 def _swept_models(rx: ReceiverSpec, snr_db_grid) -> list[tuple[float, GammaSumModel]]:
-    grid = list(snr_db_grid)
+    grid = [float(snr_db) for snr_db in snr_db_grid]
     for snr_db in grid:
         if not math.isfinite(snr_db):
             raise DomainError(f"SNR grid points must be finite, got {snr_db}")
@@ -172,8 +172,14 @@ def _swept_models(rx: ReceiverSpec, snr_db_grid) -> list[tuple[float, GammaSumMo
     L = rx.ensemble.branch_count
     out = []
     for snr_db in grid:
-        gamma1 = 10.0 ** (snr_db / 10.0)
-        out.append((float(snr_db), base.scaled(base.omega_r * gamma1 / (L * omega1))))
+        try:
+            omega = base.omega_r * 10.0 ** (snr_db / 10.0) / (L * omega1)
+        except OverflowError:
+            omega = math.inf
+        if not 0.0 < omega < math.inf:
+            raise DomainError(
+                f"SNR grid point {snr_db} dB puts the proxy power out of range ({omega})")
+        out.append((snr_db, base.scaled(omega)))
     return out
 
 

@@ -2,11 +2,13 @@
 
 A correlation matrix holds the square roots of the pairwise power
 correlation coefficients (unit diagonal, entries in [0, 1], positive
-semidefinite).  The module provides eigenvalues (LAPACK), stacked inverses
-of principal submatrices, a semidefinite Cholesky factorization used by
-the sampler, and a Markov-product ("Green's matrix") approximation of an
-arbitrary correlation matrix, under which every principal-submatrix
-inverse is tridiagonal.
+semidefinite).  The module provides eigenvalues (LAPACK), a semidefinite
+Cholesky factorization used by the sampler, and a Markov-product ("Green's
+matrix") approximation of an arbitrary correlation matrix, under which
+every principal-submatrix inverse is tridiagonal with entries explicit in
+the links between the subset's neighbours.  The joint-moment series read
+those links through ``subset_links``; the stacked LAPACK inverses of
+principal submatrices serve the public per-subset API only.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ __all__ = [
     "eigenvalues_sym",
     "principal_submatrix_inverse",
     "principal_submatrix_inverses",
+    "subset_links",
     "greens_fit",
     "cholesky_psd",
 ]
@@ -45,6 +48,8 @@ class CorrelationMatrix:
             raise ValidationError(f"correlation matrix must be square, got {m.shape}")
         if m.shape[0] < 1:
             raise ValidationError("correlation matrix must be at least 1x1")
+        if not np.isfinite(m).all():
+            raise ValidationError("correlation matrix entries must be finite")
         if not np.all(np.abs(m - m.T) <= _SYM_TOL):
             raise ValidationError("correlation matrix must be symmetric")
         if not np.allclose(np.diag(m), 1.0, rtol=0, atol=_SYM_TOL):
@@ -85,13 +90,25 @@ class CorrelationMatrix:
 
     @classmethod
     def from_markov_links(cls, links: NDArray[np.float64]) -> "CorrelationMatrix":
-        """Build the Markov-product matrix c_ij = prod(links[i:j])."""
+        """Build the Markov-product matrix c_ij = prod(links[i:j]).
+
+        Only the links are validated: with every link in [0, 1] the product
+        is the correlation of a Gauss-Markov chain, so it is symmetric,
+        PSD and within [0, 1] by construction.
+        """
         t = np.asarray(links, dtype=float)
+        if t.ndim != 1:
+            raise ValidationError(f"Markov links must be a vector, got shape {t.shape}")
+        if not np.all((t >= 0.0) & (t <= 1.0)):
+            raise ValidationError("Markov links must be finite and lie in [0, 1]")
         dim = t.size + 1
         m = np.eye(dim)
         for i in range(dim - 1):
             m[i, i + 1:] = m[i + 1:, i] = np.cumprod(t[i:])
-        return cls(m)
+        m.flags.writeable = False
+        built = object.__new__(cls)
+        object.__setattr__(built, "entries", m)
+        return built
 
 
 @dataclass(frozen=True)
@@ -179,6 +196,24 @@ def principal_submatrix_inverses(m: CorrelationMatrix,
     inv += inv.transpose(0, 2, 1)
     inv *= 0.5
     return inv
+
+
+def subset_links(m: CorrelationMatrix, subsets: NDArray[np.intp]) -> NDArray[np.float64]:
+    """Entries between consecutive members of the (validated, increasing)
+    index sets that are the rows of ``subsets``, shape (S, k) -> (S, k - 1).
+
+    For a Markov-product matrix these links determine each principal
+    submatrix and its tridiagonal inverse.  Raises
+    :class:`SingularMatrixError` naming the first index set with a unit
+    link, whose submatrix has two equal rows.
+    """
+    links = m.entries[subsets[:, :-1], subsets[:, 1:]]
+    unit = links == 1.0
+    if unit.any():
+        first = int(np.argmax(unit.any(axis=1)))
+        raise SingularMatrixError(
+            f"principal submatrix {tuple(subsets[first].tolist())} is singular")
+    return links
 
 
 def greens_fit(m: CorrelationMatrix) -> CorrelationMatrix:

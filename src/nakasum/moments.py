@@ -11,8 +11,12 @@ and four envelopes:
   1 - sqrt(rho) is always formed as (1 - rho)/(1 + sqrt(rho)), which keeps
   its relative precision as rho -> 1;
 * Markov-structured correlation (exponential, or an arbitrary matrix after
-  its Markov-product fit) uses single-series expansions driven by the
-  tridiagonal inverses of 3x3 and 4x4 principal submatrices.
+  its Markov-product fit) uses single-series expansions whose parameters
+  are those of the tridiagonal inverses of 3x3 and 4x4 principal
+  submatrices.  These inverses are explicit in the links between subset
+  neighbours, r = c_ab, through u = r^2 and w = 1 - r^2, so every lane is
+  built in closed form from the fitted link products; no submatrix is
+  inverted.
 
 A fit sums its Markov series in one call whose lanes are all C(L,3)
 triples (once per exponent pattern) and all C(L,4) quadruples.  Term k of
@@ -27,7 +31,8 @@ terms, the running sums, the stop rule (the first k > 3 whose term is at
 most the relative tolerance times the lane's partial sum) and the
 overflow check are array operations over the block.  Every lane stops
 at a relative 1e-12 and raises TruncationError past 10 000 terms.  The
-public per-subset routines are the same evaluation with one lane.
+public per-subset routines take a tridiagonal inverse, read its links and
+run the same evaluation with one lane.
 
 Joint-moment routines take unit-power envelopes; the fourth-moment
 assembly supplies the power prefactors explicitly.
@@ -45,7 +50,7 @@ from numpy.typing import NDArray
 from scipy.special import hyp2f1
 
 from .errors import BoundaryError, DomainError, TruncationError, ValidationError
-from .linalg import CorrelationMatrix, greens_fit, principal_submatrix_inverses
+from .linalg import CorrelationMatrix, greens_fit, subset_links
 from .specfun import _kummer_laplace, gauss_2f1, ln_gamma
 
 __all__ = [
@@ -291,16 +296,15 @@ def w_coefficient(orders: tuple[int, ...], m_z: int, rho: float) -> float:
     return _w_via_fa(orders, m_z, rho)
 
 
-def _require_tridiagonal(mats: NDArray[np.float64], name: str) -> None:
-    rows, cols = np.triu_indices(mats.shape[-1], 2)
-    band = mats[:, rows, cols]
-    scale = np.maximum(mats.max(axis=(1, 2)), -mats.min(axis=(1, 2)))
-    bad = np.abs(band) > 1e-8 * scale[:, None]
+def _require_tridiagonal(mat: NDArray[np.float64], name: str) -> None:
+    rows, cols = np.triu_indices(len(mat), 2)
+    band = mat[rows, cols]
+    bad = np.abs(band) > 1e-8 * np.abs(mat).max()
     if bad.any():
-        s, e = np.argwhere(bad)[0]
+        e = np.argmax(bad)
         raise ValidationError(
             f"{name} must be tridiagonal (entry ({rows[e]},{cols[e]}) is "
-            f"{band[s, e]:.3e}); only Markov-structured correlation "
+            f"{band[e]:.3e}); only Markov-structured correlation "
             "admits this expansion")
 
 
@@ -452,24 +456,38 @@ def _joint_series(lanes: _Lanes, m: float) -> NDArray[np.float64]:
     )
 
 
+def _link_powers(links: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """u = r^2 and w = 1 - r^2 of the neighbour links r, one row per link;
+    w is formed as (1 - r)(1 + r), which keeps its relative precision as
+    r -> 1."""
+    r = links.T
+    return r * r, (1.0 - r) * (1.0 + r)
+
+
 def _triple_lanes(patterns: tuple[tuple[int, int, int], ...],
-                  deltas: NDArray[np.float64], m_z: int) -> _Lanes:
-    """Lanes of joint_moment_triple for a stack of 3x3 tridiagonal inverses,
-    pattern by pattern.  The absent second factor has x = 0, where 2F1 is 1
-    and its recurrence keeps it at exactly 1."""
-    _require_tridiagonal(deltas, "delta")
+                  links: NDArray[np.float64], m_z: int) -> _Lanes:
+    """Lanes of joint_moment_triple for subsets a < b < c whose rows of
+    ``links`` are (r1, r2) = (c_ab, c_bc), pattern by pattern.
+
+    The subset's Markov-product submatrix has the tridiagonal inverse
+    d11 = 1/w1, d22 = s/(w1 w2), d33 = 1/w2, d12 = -r1/w1, d23 = -r2/w2 with
+    s = 1 - u1 u2 = w1 + u1 w2 and determinant 1/(w1 w2), so the series
+    ratio is q = d12^2/(d11 d22) = u1 w2/s, the factor argument is
+    x = d23^2/(d22 d33) = u2 w1/s and the asymptotic term ratio q/(1 - x)
+    is u1.  The absent second factor has x = 0, where 2F1 is 1 and its
+    recurrence keeps it at exactly 1."""
     m = float(m_z)
-    d11, d22, d33 = deltas[:, 0, 0], deltas[:, 1, 1], deltas[:, 2, 2]
-    d12, d23 = deltas[:, 0, 1], deltas[:, 1, 2]
-    det = np.linalg.det(deltas)
-    q = d12 * d12 / (d11 * d22)
-    x = d23 * d23 / (d22 * d33)
-    _require_ratio_below_one(q / np.maximum(1.0 - x, 1e-300))
-    size = len(deltas)
+    (u1, u2), (w1, w2) = _link_powers(links)
+    s = w1 + u1 * w2
+    _require_ratio_below_one(u1)
+    q = u1 * w2 / s
+    x = u2 * w1 / s
+    size = len(links)
     lanes = []
     for n1, n2, n3 in patterns:
-        pref = det ** m / (
-            d11 ** (m + n1 / 2.0) * d22 ** (m + n2 / 2.0) * d33 ** (m + n3 / 2.0))
+        # det^m / (d11^(m + n1/2) d22^(m + n2/2) d33^(m + n3/2))
+        pref = (w1 ** (m + (n1 + n2) / 2.0) * w2 ** (m + (n2 + n3) / 2.0)
+                / s ** (m + n2 / 2.0))
         pref *= math.exp(ln_gamma(m + n3 / 2.0) - 2.0 * ln_gamma(m))
         pref /= m ** ((n1 + n2 + n3) / 2.0)
         lanes.append(_Lanes(pref, q, np.full(size, m + n2 / 2.0), np.full(size, m + n3 / 2.0),
@@ -478,25 +496,53 @@ def _triple_lanes(patterns: tuple[tuple[int, int, int], ...],
     return _concat_lanes(lanes)
 
 
-def _quad_lanes(psis: NDArray[np.float64], m_z: int) -> _Lanes:
-    """Lanes of joint_moment_quad for a stack of 4x4 tridiagonal inverses."""
-    _require_tridiagonal(psis, "psi")
+def _quad_lanes(links: NDArray[np.float64], m_z: int) -> _Lanes:
+    """Lanes of joint_moment_quad for subsets a < b < c < d whose rows of
+    ``links`` are (r1, r2, r3) = (c_ab, c_bc, c_cd).
+
+    The tridiagonal inverse has diagonal 1/w1, s1/(w1 w2), s2/(w2 w3), 1/w3
+    with s1 = 1 - u1 u2 and s2 = 1 - u2 u3, off-diagonal -r_j/w_j and
+    determinant 1/(w1 w2 w3); hence q = u2 w1 w3/(s1 s2), x1 = u1 w2/s1,
+    x2 = u3 w2/s2 and the asymptotic term ratio q/((1 - x1)(1 - x2)) is
+    u2."""
     m = float(m_z)
-    p11, p22, p33, p44 = (psis[:, i, i] for i in range(4))
-    p12, p23, p34 = psis[:, 0, 1], psis[:, 1, 2], psis[:, 2, 3]
-    pref = np.linalg.det(psis) ** m / (p11 * p22 * p33 * p44) ** (m + 0.5)
+    (u1, u2, u3), (w1, w2, w3) = _link_powers(links)
+    s1 = w1 + u1 * w2
+    s2 = w3 + u3 * w2
+    _require_ratio_below_one(u2)
+    # det^m / (psi11 psi22 psi33 psi44)^(m + 1/2)
+    pref = (w1 * w2 * w3) ** (m + 1.0) / (s1 * s2) ** (m + 0.5)
     pref *= math.exp(2.0 * ln_gamma(m + 0.5) - 3.0 * ln_gamma(m)) / m ** 2
-    q = p23 * p23 / (p22 * p33)
-    x1 = p12 * p12 / (p11 * p22)
-    x2 = p34 * p34 / (p33 * p44)
-    _require_ratio_below_one(q / np.maximum((1.0 - x1) * (1.0 - x2), 1e-300))
-    size = len(psis)
+    q = u2 * w1 * w3 / (s1 * s2)
+    size = len(links)
     return _Lanes(pref, q, np.full(size, m + 0.5), np.full(size, m + 0.5),
-                  np.stack([x1, x2]), np.full(size, _QUAD_GROUP))
+                  np.stack([u1 * w2 / s1, u3 * w2 / s2]), np.full(size, _QUAD_GROUP))
 
 
 def _concat_lanes(lanes: list[_Lanes]) -> _Lanes:
     return _Lanes(*(np.concatenate(field, axis=-1) for field in zip(*lanes)))
+
+
+def _links_from_inverse(inv: NDArray[np.float64], name: str) -> NDArray[np.float64]:
+    """Neighbour links of the Markov-product matrix whose tridiagonal
+    inverse is ``inv`` (3x3 or 4x4), as one row of links.
+
+    r1 = -inv_12/inv_11 and the last link is -inv_(n-1)n/inv_nn.  The middle
+    link of a 4x4 is read from the trailing 3x3 block's inverse, the Schur
+    complement of inv_11, whose leading entry is inv_22 - inv_12^2/inv_11.
+    """
+    _require_tridiagonal(inv, name)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        links = [-inv[0, 1] / inv[0, 0]]
+        if len(inv) == 4:
+            links.append(-inv[1, 2] / (inv[1, 1] - inv[0, 1] ** 2 / inv[0, 0]))
+        links.append(-inv[-2, -1] / inv[-1, -1])
+    links = np.array([links])
+    if not np.all(np.abs(links) < 1.0):
+        raise ValidationError(
+            f"{name} is not the inverse of a nonsingular correlation matrix "
+            f"(links {links[0].tolist()})")
+    return links
 
 
 def joint_moment_triple(n1: int, n2: int, n3: int, delta: NDArray[np.float64],
@@ -507,13 +553,15 @@ def joint_moment_triple(n1: int, n2: int, n3: int, delta: NDArray[np.float64],
 
     Single series over k with one Gauss-hypergeometric factor per term;
     the term ratio is geometric with ratio delta_12^2/(delta_11 delta_22).
+    The series is built from the links read off ``delta``, the same
+    builder that serves every subset of a fit.
     """
     if (n1, n2, n3) not in _TRIPLE_PATTERNS:
         raise DomainError(f"unsupported exponent triple ({n1}, {n2}, {n3})")
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (3, 3):
         raise ValidationError(f"delta must be 3x3, got {delta.shape}")
-    lanes = _triple_lanes(((n1, n2, n3),), delta[None], m_z)
+    lanes = _triple_lanes(((n1, n2, n3),), _links_from_inverse(delta, "delta"), m_z)
     return float(_joint_series(lanes, float(m_z))[0])
 
 
@@ -523,7 +571,8 @@ def joint_moment_quad(psi: NDArray[np.float64], m_z: int) -> float:
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (4, 4):
         raise ValidationError(f"psi must be 4x4, got {psi.shape}")
-    return float(_joint_series(_quad_lanes(psi[None], m_z), float(m_z))[0])
+    lanes = _quad_lanes(_links_from_inverse(psi, "psi"), m_z)
+    return float(_joint_series(lanes, float(m_z))[0])
 
 
 def _fourth_moment_pair_terms(spec: EnsembleSpec) -> float:
@@ -574,10 +623,10 @@ def _fourth_moment_joint_markov(spec: EnsembleSpec,
     p = np.asarray(spec.powers)
     L = spec.branch_count
     triples = np.array(list(itertools.combinations(range(L), 3)))
-    lanes = [_triple_lanes(_TRIPLE_PATTERNS, principal_submatrix_inverses(fitted, triples), m)]
+    lanes = [_triple_lanes(_TRIPLE_PATTERNS, subset_links(fitted, triples), m)]
     if L >= 4:
         quads = np.array(list(itertools.combinations(range(L), 4)))
-        lanes.append(_quad_lanes(principal_submatrix_inverses(fitted, quads), m))
+        lanes.append(_quad_lanes(subset_links(fitted, quads), m))
     # one series call: the three triple patterns over all subsets, then the quads
     series = _joint_series(_concat_lanes(lanes), float(m))
     t211, t121, t112, tquad = np.split(series, [len(triples), 2 * len(triples),

@@ -228,6 +228,14 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error: ") and str(path) in err
 
+    def test_corr_file_nan(self, capsys, tmp_path):
+        path = tmp_path / "corr.txt"
+        path.write_text("2\n1 nan\nnan 1\n")
+        code, _, err = run(capsys, "match", "--model", "arbitrary",
+                           "--corr-file", str(path), "--mz", "1")
+        assert code == 2
+        assert "entries must be finite" in err
+
     def test_r_grid(self, capsys):
         code, _, err = run(capsys, "pdf", "--model", "equal", "--rho", "0.2",
                            "--mz", "1", "--L", "2", "--r-grid", "1:2:x")
@@ -246,6 +254,14 @@ class TestMalformedInput:
                            "--mz", "1", "--L", "2", "--snr-grid", grid)
         assert code == 2
         assert "--snr-grid" in err
+
+    @pytest.mark.parametrize("command", [["ber"], ["outage", "--threshold", "1"]],
+                             ids=["ber", "outage"])
+    def test_snr_grid_overflow(self, capsys, command):
+        code, _, err = run(capsys, *command, "--model", "equal", "--rho", "0.2",
+                           "--mz", "1", "--L", "2", "--snr-grid", "3100:3100:1")
+        assert code == 2
+        assert "SNR grid point 3100.0 dB" in err
 
     def test_mgf_nan(self, capsys):
         code, out, err = run(capsys, "mgf", "--model", "equal", "--rho", "0.2",

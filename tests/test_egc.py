@@ -314,6 +314,21 @@ class TestCurves:
             else:
                 ber_curve(rx, [5.0, snr_db])
 
+    @pytest.mark.parametrize("grid", [[5.0, 3100.0], np.array([5.0, 3100.0]), [-4000.0]],
+                             ids=["list", "numpy", "underflow"])
+    @pytest.mark.parametrize("curve", ["bpsk", "outage"])
+    def test_out_of_range_snr_names_the_point(self, curve, grid):
+        # 10^(snr/10) overflowed: a raw OverflowError for a list, a
+        # RuntimeWarning then a fit error for numpy; -4000 dB gave power 0
+        rx = balanced_rx(EqualCorrelation(0.2), 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"SNR grid point {float(grid[-1])} dB"):
+                if curve == "outage":
+                    outage_curve(rx, grid, threshold=1.0)
+                else:
+                    ber_curve(rx, grid)
+
     def test_curve_metadata_marks_approximation(self):
         curve = ber_curve(balanced_rx(EqualCorrelation(0.2), 1, 2), [5.0])
         assert curve.meta["method"] == "equivalent-mrc-approximation"

@@ -119,6 +119,28 @@ class TestCorrelationMatrix:
                 got = CorrelationMatrix.from_markov_links(links).entries
                 assert np.array_equal(got, markov_links_loop(links))
 
+    def test_markov_links_equal_validated_constructor(self):
+        rng = np.random.default_rng(12)
+        for dim in range(1, 17):
+            for links in (rng.uniform(0.0, 1.0, dim - 1), np.zeros(dim - 1), np.ones(dim - 1)):
+                got = CorrelationMatrix.from_markov_links(links).entries
+                assert np.array_equal(got, CorrelationMatrix(markov_links_loop(links)).entries)
+                assert not got.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.0 + 1e-12])
+    def test_markov_links_validated(self, bad):
+        with pytest.raises(ValidationError, match="links"):
+            CorrelationMatrix.from_markov_links(np.array([0.5, bad, 0.3]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries(self, bad):
+        # NaN failed the symmetry test first, and inf warned in m - m.T
+        m = np.array([[1.0, bad, 0.2], [bad, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="entries must be finite"):
+                CorrelationMatrix(m)
+
 
 class TestEigenvalues:
     def test_identity(self):

@@ -12,13 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nakasum.errors import BoundaryError, DomainError, TruncationError, ValidationError
-from nakasum import moments
+from nakasum.errors import (
+    BoundaryError,
+    DomainError,
+    FitClampWarning,
+    SingularMatrixError,
+    TruncationError,
+    ValidationError,
+)
+from nakasum import linalg, moments
 from nakasum.linalg import (
     CorrelationMatrix,
     greens_fit,
     principal_submatrix_inverse,
     principal_submatrix_inverses,
+    subset_links,
 )
 from nakasum.moments import (
     ArbitraryCorrelation,
@@ -292,6 +300,14 @@ class TestJointMomentSeries:
         with pytest.raises(ValidationError):
             joint_moment_triple(2, 1, 1, dense, 1)
 
+    def test_rejects_inverse_with_unit_link(self):
+        # a tridiagonal matrix whose links read 1 inverts no correlation matrix
+        delta = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -0.5], [0.0, -0.5, 1.0]])
+        with pytest.raises(ValidationError, match="not the inverse"):
+            joint_moment_triple(2, 1, 1, delta, 1)
+        with pytest.raises(ValidationError, match="not the inverse"):
+            joint_moment_quad(np.eye(4) - np.diag([0.5, 1.0, 0.5], 1) - np.diag([0.5, 1.0, 0.5], -1), 1)
+
     def test_rejects_bad_exponents(self):
         with pytest.raises(DomainError):
             joint_moment_triple(3, 1, 1, np.eye(3), 1)
@@ -474,8 +490,8 @@ def per_k_fourth_moment(spec):
     L = len(p)
     fitted = greens_fit(spec.sqrt_corr_matrix())
     triples = np.array(list(itertools.combinations(range(L), 3)))
-    deltas = principal_submatrix_inverses(fitted, triples)
-    t211, t121, t112 = (per_k_series(_triple_lanes((n,), deltas, m), n, float(m))[0]
+    links = subset_links(fitted, triples)
+    t211, t121, t112 = (per_k_series(_triple_lanes((n,), links, m), n, float(m))[0]
                         for n in ((2, 1, 1), (1, 2, 1), (1, 1, 2)))
     pa, pb, pc = p[triples].T
     total = (m + 1.0) / m * math.fsum(p * p) + _fourth_moment_pair_terms(spec)
@@ -483,8 +499,7 @@ def per_k_fourth_moment(spec):
                           + np.sqrt(pa * pb) * pc * t112)
     if L >= 4:
         quads = np.array(list(itertools.combinations(range(L), 4)))
-        tq = per_k_series(_quad_lanes(principal_submatrix_inverses(fitted, quads), m),
-                          "quad", float(m))[0]
+        tq = per_k_series(_quad_lanes(subset_links(fitted, quads), m), "quad", float(m))[0]
         joint += 24.0 * np.sum(np.sqrt(np.prod(p[quads], axis=1)) * tq)
     return total + float(joint)
 
@@ -521,7 +536,7 @@ class TestBlockedSeries:
         spec = latent_factor_spec(3, 6, 1)
         fitted = greens_fit(spec.sqrt_corr_matrix())
         quads = np.array(list(itertools.combinations(range(6), 4)))
-        lanes = _quad_lanes(principal_submatrix_inverses(fitted, quads), 1)
+        lanes = _quad_lanes(subset_links(fitted, quads), 1)
         want, stops = per_k_series(lanes, "quad", 1.0)
         first_row = last_row = False
         for rows in range(2, 13):
@@ -535,9 +550,9 @@ class TestBlockedSeries:
         # each lane converges on a budget that just reaches the oracle's
         # stop index and raises on one term less (rho = 1e-5 stops at the
         # first chance, k = 4)
-        deltas = np.stack([principal_submatrix_inverse(CorrelationMatrix.exponential(rho, 3),
-                                                       (0, 1, 2)) for rho in (1e-5, 0.3, 0.6)])
-        lanes = _triple_lanes(((2, 1, 1),), deltas, 1)
+        links = np.concatenate([subset_links(CorrelationMatrix.exponential(rho, 3),
+                                             np.array([[0, 1, 2]])) for rho in (1e-5, 0.3, 0.6)])
+        lanes = _triple_lanes(((2, 1, 1),), links, 1)
         want, stops = per_k_series(lanes, (2, 1, 1), 1.0)
         assert stops[0] == 4
         for i, stop in enumerate(stops):
@@ -565,7 +580,7 @@ class TestBlockedSeries:
     def test_truncation_partial_matches_per_k_oracle(self, monkeypatch):
         mat = CorrelationMatrix.exponential(0.98, 6)
         triples = np.array(list(itertools.combinations(range(6), 3)))
-        lanes = _triple_lanes(((2, 1, 1),), principal_submatrix_inverses(mat, triples), 1)
+        lanes = _triple_lanes(((2, 1, 1),), subset_links(mat, triples), 1)
         for max_terms, cause, message in ((10_000, "overflow", "overflowed"),
                                           (40, "budget", "did not converge")):
             with pytest.raises(TruncationError, match=cause) as want:
@@ -575,11 +590,12 @@ class TestBlockedSeries:
                 with pytest.raises(TruncationError, match=message) as got:
                     moments._joint_series(lanes, 1.0)
             assert got.value.partial == pytest.approx(want.value.partial, rel=1e-13)
+        delta = principal_submatrix_inverse(mat, (0, 1, 2))
         with pytest.raises(TruncationError) as got:
-            joint_moment_triple(2, 1, 1, principal_submatrix_inverse(mat, (0, 1, 2)), 1)
+            joint_moment_triple(2, 1, 1, delta, 1)
         with pytest.raises(TruncationError) as want:
-            per_k_series(_triple_lanes(((2, 1, 1),), principal_submatrix_inverses(
-                mat, np.array([[0, 1, 2]])), 1), (2, 1, 1), 1.0)
+            per_k_series(_triple_lanes(((2, 1, 1),), moments._links_from_inverse(delta, "delta"),
+                                       1), (2, 1, 1), 1.0)
         assert got.value.partial == pytest.approx(want.value.partial, rel=1e-13)
 
     def test_hyp2f1_starting_values_against_mpmath(self):
@@ -587,8 +603,8 @@ class TestBlockedSeries:
         worst = 0.0
         with mp.workdps(40):
             for m in range(1, 11):
-                lanes = _concat_lanes([_triple_lanes(moments._TRIPLE_PATTERNS, np.eye(3)[None], m),
-                                       _quad_lanes(np.eye(4)[None], m)])
+                lanes = _concat_lanes([_triple_lanes(moments._TRIPLE_PATTERNS, np.zeros((1, 2)), m),
+                                       _quad_lanes(np.zeros((1, 3)), m)])
                 for a0, b in set(zip(lanes.a0, lanes.b)):
                     for a in (a0, a0 + 1.0):
                         for x in xs:
@@ -596,6 +612,213 @@ class TestBlockedSeries:
                             got = scipy.special.hyp2f1(a, b, float(m), x)
                             worst = max(worst, float(abs(got - ref) / ref))
         assert worst < 1e-13
+
+
+# -- the lanes from link products against the inverse-based construction ----
+#
+# `inverse_triple_lanes`/`inverse_quad_lanes` build the lanes the way the fit
+# did before its lanes came from link products: from stacked tridiagonal
+# inverses of the principal submatrices and their determinants.  A float
+# matrix rounds each product c_ij, and its inverse amplifies that rounding
+# by about 1/w, w = 1 - r^2 of the strongest link; LAPACK adds as much
+# again.  Near-unit links are therefore checked against the inverse of the
+# exact Markov product, formed in mpmath.
+
+def inverse_triple_lanes(patterns, deltas, m_z, dets=None):
+    m = float(m_z)
+    det = np.linalg.det(deltas) if dets is None else dets
+    d11, d22, d33 = deltas[:, 0, 0], deltas[:, 1, 1], deltas[:, 2, 2]
+    d12, d23 = deltas[:, 0, 1], deltas[:, 1, 2]
+    q = d12 * d12 / (d11 * d22)
+    x = d23 * d23 / (d22 * d33)
+    size = len(deltas)
+    lanes = []
+    for n1, n2, n3 in patterns:
+        pref = det ** m / (
+            d11 ** (m + n1 / 2.0) * d22 ** (m + n2 / 2.0) * d33 ** (m + n3 / 2.0))
+        pref *= math.exp(math.lgamma(m + n3 / 2.0) - 2.0 * math.lgamma(m))
+        pref /= m ** ((n1 + n2 + n3) / 2.0)
+        lanes.append(moments._Lanes(pref, q, np.full(size, m + n2 / 2.0),
+                                    np.full(size, m + n3 / 2.0), np.stack([x, np.zeros(size)]),
+                                    np.full(size, moments._TRIPLE_GROUP[n1, n2, n3])))
+    return _concat_lanes(lanes)
+
+
+def inverse_quad_lanes(psis, m_z, dets=None):
+    m = float(m_z)
+    det = np.linalg.det(psis) if dets is None else dets
+    p11, p22, p33, p44 = (psis[:, i, i] for i in range(4))
+    p12, p23, p34 = psis[:, 0, 1], psis[:, 1, 2], psis[:, 2, 3]
+    pref = det ** m / (p11 * p22 * p33 * p44) ** (m + 0.5)
+    pref *= math.exp(2.0 * math.lgamma(m + 0.5) - 3.0 * math.lgamma(m)) / m ** 2
+    size = len(psis)
+    return moments._Lanes(pref, p23 * p23 / (p22 * p33), np.full(size, m + 0.5),
+                          np.full(size, m + 0.5),
+                          np.stack([p12 * p12 / (p11 * p22), p34 * p34 / (p33 * p44)]),
+                          np.full(size, moments._QUAD_GROUP))
+
+
+def mp_inverses(fitted, subsets):
+    """Inverses of the principal submatrices of the exact Markov product of
+    ``fitted``'s links, and their determinants, in mpmath at 40 digits,
+    rounded to floats."""
+    links = [mp.mpf(fitted.entries[k, k + 1]) for k in range(fitted.dim - 1)]
+    invs, dets = [], []
+    with mp.workdps(40):
+        for idx in subsets:
+            sub = mp.matrix([[mp.fprod(links[min(i, j):max(i, j)]) for j in idx] for i in idx])
+            inv = mp.inverse(sub)
+            invs.append([[float(inv[i, j]) for j in range(len(idx))] for i in range(len(idx))])
+            dets.append(float(1 / mp.det(sub)))
+    return np.array(invs), np.array(dets)
+
+
+def all_subsets(L):
+    return [np.array(list(itertools.combinations(range(L), size)))
+            for size in ((3, 4) if L >= 4 else (3,))]
+
+
+def closed_form_lanes(fitted, m_z):
+    """Lanes of every triple and quadruple of ``fitted``, as the fit builds
+    them."""
+    triples, *quads = [subset_links(fitted, s) for s in all_subsets(fitted.dim)]
+    lanes = [_triple_lanes(moments._TRIPLE_PATTERNS, triples, m_z)]
+    return _concat_lanes(lanes + [_quad_lanes(links, m_z) for links in quads])
+
+
+def inverse_lanes(fitted, inverses, m_z):
+    """The same lanes from ``inverses(fitted, subsets)``, the stacked
+    inverses and their determinants (None for numpy's)."""
+    (invs, dets), *quads = [inverses(fitted, s) for s in all_subsets(fitted.dim)]
+    lanes = [inverse_triple_lanes(moments._TRIPLE_PATTERNS, invs, m_z, dets)]
+    return _concat_lanes(lanes + [inverse_quad_lanes(i, m_z, d) for i, d in quads])
+
+
+def lapack_inverses(fitted, subsets):
+    return principal_submatrix_inverses(fitted, subsets), None
+
+
+def oracle_fourth_moment(spec, fitted, inverses):
+    """E[Z^4] assembled from the inverse-based lanes."""
+    m = spec.fading_m
+    p = np.asarray(spec.powers)
+    L = len(p)
+    series = moments._joint_series(inverse_lanes(fitted, inverses, m), float(m))
+    triples = np.array(list(itertools.combinations(range(L), 3)))
+    t211, t121, t112, tquad = np.split(series, [len(triples), 2 * len(triples),
+                                                3 * len(triples)])
+    pa, pb, pc = p[triples].T
+    total = 12.0 * np.sum(pa * np.sqrt(pb * pc) * t211 + np.sqrt(pa) * pb * np.sqrt(pc) * t121
+                          + np.sqrt(pa * pb) * pc * t112)
+    if L >= 4:
+        quads = np.array(list(itertools.combinations(range(L), 4)))
+        total += 24.0 * np.sum(np.sqrt(np.prod(p[quads], axis=1)) * tquad)
+    return (m + 1.0) / m * math.fsum(p * p) + _fourth_moment_pair_terms(spec) + float(total)
+
+
+def assert_lanes_close(got, want, rel):
+    for name, g, w in zip(moments._Lanes._fields, got, want):
+        np.testing.assert_allclose(g, w, rtol=rel, atol=0, err_msg=name)
+
+
+def outcome(call):
+    try:
+        return call()
+    except (SingularMatrixError, TruncationError) as exc:
+        return type(exc)
+
+
+def compare_fit(spec, fitted, inverses):
+    """Closed-form lanes and E[Z^4] against the inverse-based oracle; the
+    same error type where the oracle raises."""
+    want = outcome(lambda: inverse_lanes(fitted, inverses, spec.fading_m))
+    got = outcome(lambda: closed_form_lanes(fitted, spec.fading_m))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert_lanes_close(got, want, rel=1e-12)
+    want = outcome(lambda: oracle_fourth_moment(spec, fitted, inverses))
+    got = outcome(lambda: moments._fourth_moment_Z(spec, fitted))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    return want
+
+
+class TestLanesFromLinks:
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.9, 0.97])
+    @pytest.mark.parametrize("m_z", [1, 3])
+    def test_exponential(self, rho, m_z):
+        for L in range(3, 17):
+            spec = EnsembleSpec(fading_m=m_z, powers=tuple(math.exp(-0.3 * k) for k in range(L)),
+                                correlation=ExponentialCorrelation(rho))
+            got = compare_fit(spec, moments._markov_fit(spec), lapack_inverses)
+            # at rho = 0.97, m = 3 the triple series overflows in either
+            # construction (ROADMAP item 3)
+            assert got is TruncationError if (rho, m_z) == (0.97, 3) else isinstance(got, float)
+
+    @pytest.mark.parametrize("diag", [0.05, 0.5, 2.0])
+    def test_latent_factor(self, diag):
+        rng = np.random.default_rng(20261019)
+        outcomes = set()
+        for L in (5, 6, 7, 8):
+            for m_z in (1, 2, 3):
+                a = np.abs(rng.standard_normal((L, 3)))
+                c = a @ a.T + diag * np.eye(L)
+                d = np.sqrt(np.diag(c))
+                spec = EnsembleSpec(fading_m=m_z, powers=tuple(rng.uniform(0.5, 1.5, L)),
+                                    correlation=ArbitraryCorrelation(
+                                        CorrelationMatrix(c / np.outer(d, d))))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", FitClampWarning)
+                    fitted = moments._markov_fit(spec)
+                outcomes.add(type(compare_fit(spec, fitted, lapack_inverses)))
+        assert float in outcomes
+
+    def test_random_links_with_zero_and_near_unit(self):
+        rng = np.random.default_rng(7)
+        for trial in range(6):
+            L = 5 + trial % 2
+            links = rng.uniform(0.0, 0.95, L - 1)
+            links[trial % (L - 1)] = 0.0
+            spec = EnsembleSpec(fading_m=1 + trial % 3, powers=tuple(rng.uniform(0.5, 1.5, L)),
+                                correlation=ArbitraryCorrelation(
+                                    CorrelationMatrix.from_markov_links(links)))
+            assert isinstance(compare_fit(spec, spec.correlation.matrix, mp_inverses), float)
+            # the near-unit link sums to no value, in either construction
+            links[(trial + 2) % (L - 1)] = 1.0 - 1e-9
+            fitted = CorrelationMatrix.from_markov_links(links)
+            assert compare_fit(spec, fitted, mp_inverses) is TruncationError
+
+    def test_unit_link_raises_naming_subset_at_once(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("series summed past a singular subset")
+
+        monkeypatch.setattr(moments, "_joint_series", unreachable)
+        spec = EnsembleSpec(fading_m=2, powers=(1.0,) * 5,
+                            correlation=ExponentialCorrelation(0.5))
+        fitted = CorrelationMatrix.from_markov_links([0.6, 0.5, 1.0, 0.7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match=r"\(0, 2, 3\) is singular"):
+                moments._fourth_moment_Z(spec, fitted)
+
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec(fading_m=2, powers=tuple(math.exp(-0.3 * k) for k in range(8)),
+                     correlation=ExponentialCorrelation(0.7)),
+        latent_factor_spec(2, 6, 2),
+    ], ids=["exp-L8", "arbitrary-L6"])
+    def test_fit_takes_no_submatrix_inverse(self, monkeypatch, spec):
+        want = fourth_moment_Z(spec)
+
+        def unreachable(*args):
+            raise AssertionError("inverse-based lane construction reached")
+
+        monkeypatch.setattr(linalg, "principal_submatrix_inverses", unreachable)
+        monkeypatch.setattr(moments, "_require_tridiagonal", unreachable)
+        monkeypatch.setattr(np.linalg, "det", unreachable)
+        assert fourth_moment_Z(spec) == want
 
 
 def per_pair_second_moment(spec):
