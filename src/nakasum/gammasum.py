@@ -19,15 +19,16 @@ evaluated at once.
 
 The series converges like q_max^k with q_max = 1 - lambda_min/lambda_max,
 so near-maximal correlation needs too many terms.  When the Chernoff bound
-asks for more than ``_MAX_SERIES_TERMS`` the PDF and CDF fall back to the
-semi-infinite oscillatory integrals, integrated with panels of one
-64-node Gauss-Legendre table built at import: a geometrically refined head
-resolves the region where the phase derivative still varies, then
-half-period panels of the asymptotic oscillation are summed with
-iterated-mean acceleration of the alternating partial sums.  The raw
-envelope tail bound decays only algebraically (as slowly as 1/t for a
-single active eigenvalue), so the acceleration is what makes tight
-absolute tolerances reachable.
+asks for more than ``_MAX_SERIES_TERMS`` the PDF and CDF invert the closed
+form transform prod(1 + s*scale)^-shape (over s for the CDF) on the
+Bromwich hyperbola of Trefethen, Weideman & Schmelzer (BIT 46, 2006) with
+the 48-node trapezoid rule, 24 complex evaluations per threshold by
+conjugate symmetry, for the whole threshold array at once.  The 40-node
+sum estimates the error; where it exceeds ``abs_tol`` AccuracyError is
+raised at once.  Roundoff in the e^z weights puts the floor near 1e-11:
+on near-maximal spectra up to L = 16, m_z = 10 the error against mpmath is
+about 2e-12, so any ``abs_tol`` from about 1e-11 up returns a value and a
+tighter one raises.
 
 ``mgf``, ``pdf`` and ``cdf`` take a scalar (returning a float) or an array
 (returning an array of the same shape).  ``pdf`` and ``cdf`` hold their
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from numpy.typing import ArrayLike, NDArray
 from scipy.special import gammainc, gammaln
 
@@ -55,16 +55,8 @@ __all__ = [
 ]
 
 
-_ACCEL_DEPTH = 12
-_PANEL_BATCH = 32
-_MAX_PANELS = 4096
-# Gauss-Legendre nodes and weights on (0, 1), shared by every panel
-_GL_X, _GL_W = leggauss(64)
-_GL_X, _GL_W = (_GL_X + 1.0) * 0.5, _GL_W * 0.5
-
-# Spectra whose Chernoff-predicted series length exceeds this use the
-# oscillatory quadrature: past it one scalar call of the series would cost
-# more than the quadrature.
+# Spectra whose Chernoff-predicted series length exceeds this are inverted
+# on the Bromwich contour instead.
 _MAX_SERIES_TERMS = 4096
 # Share of abs_tol allowed to each of the two series errors (aliased tail
 # mass, dropped trailing weights).
@@ -73,6 +65,8 @@ _SERIES_SHARE = 0.05
 _CHERNOFF_GRID = np.arange(1, 64) / 64.0
 # Eigenvalues this close (relative to the largest) are merged.
 _MERGE_RTOL = 1e-12
+_TINY = np.finfo(float).smallest_subnormal
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 
 def _active_rates(model: GammaSumModel) -> NDArray[np.float64]:
@@ -179,130 +173,67 @@ def _series_cdf(mix: _Mixture, t: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def _series_pdf(mix: _Mixture, r: NDArray[np.float64]) -> NDArray[np.float64]:
     a = mix.shape + np.arange(mix.weights.size)
-    x = (r * r / mix.scale)[..., None]
+    # x stays a positive float, so every term is finite: r is capped where
+    # the density is 0 anyway, and an r*r that underflows to 0 is read as
+    # the smallest subnormal; every other x is left as it is
+    r_cap = np.minimum(r, math.sqrt(_HALF_MAX * min(1.0, mix.scale)))
+    x = np.maximum(r_cap * r_cap / mix.scale, _TINY)[..., None]
     dens = np.exp((a - 1.0) * np.log(x) - x - gammaln(a))
     return 2.0 * r / mix.scale * np.sum(dens * mix.weights, axis=-1)
 
 
-# -- oscillatory quadrature --------------------------------------------------
+# -- Bromwich contour ---------------------------------------------------------
 
-def _osc_integral(kernel, env_log, rates: NDArray[np.float64], freq: float,
-                  abs_tol: float) -> float:
-    """Integrate kernel(t) over (0, inf) where kernel oscillates with
-    asymptotic half-period pi/freq and decays like the envelope exp(env_log).
+def _hyperbola(nodes: int):
+    """Logs of the upper-half nodes z_k of the N-point midpoint rule on the
+    hyperbola z(theta) = 2.246 N (1 - sin(1.1721 - 0.3443 i theta)), theta in
+    (-pi, pi), and of their weights e^z_k (2/N) z'(theta_k)/i."""
+    w = 1.1721 - 0.3443j * np.pi * np.arange(1, nodes, 2) / nodes
+    z = 2.246 * nodes * (1.0 - np.sin(w))
+    return np.log(z), z + np.log(2.0 * 2.246 * 0.3443 * np.cos(w))
 
-    Returns the integral estimate or raises AccuracyError with the partial
-    value attached.
+
+# The 48-node sum (24 conjugate pairs) is returned; the 40-node sum after it
+# only estimates its error.
+_FINE = 24
+_LOG_Z, _LOG_W = (np.concatenate(p) for p in zip(_hyperbola(48), _hyperbola(40)))
+
+
+def _bromwich(shapes, scales, log_t: NDArray[np.float64], density: bool,
+              abs_tol: float) -> NDArray[np.float64]:
+    """Inverse Laplace transform at t = exp(log_t) of the Gamma-sum
+    transform prod(1 + s*scales)^-shapes: divided by s it gives the CDF,
+    and with ``density`` the envelope PDF 2r f(r^2) at r = sqrt(t).
+
+    With s = z/t the Bromwich integral (1/(2 pi i)) int e^(st) F(s) ds is
+    the midpoint sum (2/(N t)) Re sum_k e^z_k F(z_k/t) z'(theta_k)/i over
+    the upper-half nodes (Trefethen, Weideman & Schmelzer, BIT 46, 2006).
+    log(1 + s*scale) is taken as the softplus of log(s*scale), so no
+    threshold overflows.  Raises AccuracyError, with the 48-node sum as
+    ``partial``, where it and the 40-node sum differ by more than abs_tol.
     """
-    half_period = math.pi / freq
-
-    def panels(edges_lo: NDArray[np.float64], edges_hi: NDArray[np.float64]) -> float:
-        widths = edges_hi - edges_lo
-        t = edges_lo[:, None] + widths[:, None] * _GL_X[None, :]
-        return float(np.sum(widths[:, None] * _GL_W[None, :] * kernel(t)))
-
-    def tail_panels(k0: int, count: int, t0: float) -> NDArray[np.float64]:
-        ks = np.arange(k0, k0 + count)
-        lo = t0 + ks * half_period
-        t = lo[:, None] + half_period * _GL_X[None, :]
-        return half_period * np.sum(_GL_W[None, :] * kernel(t), axis=1)
-
-    # Head: geometric subdivision over the region where the envelope varies
-    # on a scale finer than a half-period.  When the oscillation is already
-    # the fine structure the half-period panels resolve everything.
-    t_env = 1.0 / float(rates.max())
-    if t_env >= half_period:
-        t0 = 0.0
-        total = 0.0
+    log_ss = _LOG_Z[:, None] + np.log(scales) - log_t[..., None, None]
+    big = log_ss.real > 0.0
+    log_factors = np.where(big, log_ss, 0.0) + np.log1p(np.exp(np.where(big, -log_ss, log_ss)))
+    log_terms = _LOG_W - np.sum(shapes * log_factors, axis=-1)
+    if density:
+        log_terms += math.log(2.0) - 0.5 * log_t[..., None]
     else:
-        t0 = half_period * max(1, math.ceil(16.0 * t_env / half_period))
-        edges = [0.0]
-        width = t_env / 8.0
-        while edges[-1] < t0:
-            edges.append(min(edges[-1] + min(width, half_period), t0))
-            width *= 2.0
-        edges = np.asarray(edges)
-        total = panels(edges[:-1], edges[1:])
-
-    partials: list[float] = []
-    est_prev = None
-    stable = 0
-    k0 = 0
-    while k0 < _MAX_PANELS:
-        vals = tail_panels(k0, _PANEL_BATCH, t0)
-        for v in vals:
-            total += v
-            partials.append(total)
-        k0 += _PANEL_BATCH
-        tail_bound = math.exp(env_log(t0 + k0 * half_period)) * half_period
-        depth = min(_ACCEL_DEPTH, len(partials))
-        acc = np.asarray(partials[-depth:])
-        while acc.size > 1:
-            acc = 0.5 * (acc[1:] + acc[:-1])
-        est = float(acc[0])
-        if est_prev is not None and abs(est - est_prev) < 0.25 * abs_tol:
-            stable += 1
-            if stable >= 2:
-                return est
-        elif est_prev is not None:
-            stable = 0
-        if tail_bound < abs_tol and abs(vals[-1]) < abs_tol:
-            return total
-        est_prev = est
-    raise AccuracyError(
-        f"oscillatory integral did not reach abs_tol={abs_tol} within "
-        f"{_MAX_PANELS} panels",
-        partial=est_prev if est_prev is not None else total,
-    )
-
-
-def _quadrature_pdf(rates: NDArray[np.float64], m_r: float, r: float,
-                    abs_tol: float) -> float:
-    r2 = r * r
-
-    def kernel(t):
-        tw = t[..., None] * rates
-        theta = m_r * np.sum(np.arctan(tw), axis=-1)
-        env = np.exp(-0.5 * m_r * np.sum(np.log1p(tw * tw), axis=-1))
-        return np.cos(theta - t * r2) * env
-
-    def env_log(t):
-        return -0.5 * m_r * float(np.sum(np.log1p((t * rates) ** 2)))
-
-    try:
-        val = _osc_integral(kernel, env_log, rates, r2, abs_tol)
-    except AccuracyError as exc:
+        log_terms -= _LOG_Z
+    terms = np.exp(log_terms).real
+    fine = np.sum(terms[..., :_FINE], axis=-1)
+    err = np.abs(fine - np.sum(terms[..., _FINE:], axis=-1))
+    if np.any(err > abs_tol):
         raise AccuracyError(
-            f"pdf(r={r}) did not converge: {exc}",
-            partial=2.0 * r / math.pi * exc.partial,
-        ) from exc
-    return 2.0 * r / math.pi * val
-
-
-def _quadrature_cdf(rates: NDArray[np.float64], m_r: float, t: float,
-                    abs_tol: float) -> float:
-    def kernel(x):
-        xw = x[..., None] * rates
-        theta = m_r * np.sum(np.arctan(xw), axis=-1)
-        env = np.exp(-0.5 * m_r * np.sum(np.log1p(xw * xw), axis=-1))
-        return np.sin(theta - x * t) * env / x
-
-    def env_log(x):
-        return -0.5 * m_r * float(np.sum(np.log1p((x * rates) ** 2))) - math.log(x)
-
-    try:
-        val = _osc_integral(kernel, env_log, rates, t, abs_tol)
-    except AccuracyError as exc:
-        raise AccuracyError(
-            f"cdf(t={t}) did not converge: {exc}",
-            partial=min(1.0, max(0.0, 0.5 - exc.partial / math.pi)),
-        ) from exc
-    return min(1.0, max(0.0, 0.5 - val / math.pi))
+            f"{'pdf' if density else 'cdf'} contour sums differ by "
+            f"{float(err.max()):.1e} > abs_tol={abs_tol}",
+            partial=_scalar_or_array(fine, fine.ndim == 0))
+    return fine
 
 
 def _positive(x: ArrayLike, what: str) -> NDArray[np.float64]:
     arr = np.asarray(x, dtype=float)
-    bad = ~(arr > 0)
+    bad = ~((arr > 0) & np.isfinite(arr))
     if np.any(bad):
         raise DomainError(f"{what}, got {arr[bad].flat[0]}")
     return arr
@@ -314,9 +245,9 @@ def pdf(model: GammaSumModel, r: ArrayLike, *,
         abs_tol: float = 1e-8) -> float | NDArray[np.float64]:
     """Probability density of the proxy envelope at r > 0 (scalar or array),
     to absolute error ``abs_tol``."""
-    if not abs_tol > 0:
-        raise DomainError(f"abs_tol must be positive, got {abs_tol}")
-    r_arr = _positive(r, "pdf requires r > 0")
+    if not 0 < abs_tol < math.inf:
+        raise DomainError(f"abs_tol must be positive and finite, got {abs_tol}")
+    r_arr = _positive(r, "pdf requires a finite r > 0")
     # Each mixture term's envelope density is at most 2/sqrt(pi*beta1) once
     # its shape is at least 1/2, so weights are held to abs_tol scaled by the
     # reciprocal (never looser than for the CDF).
@@ -328,9 +259,7 @@ def pdf(model: GammaSumModel, r: ArrayLike, *,
     if mix is not None:
         values = _series_pdf(mix, r_arr)
     else:
-        rates = _active_rates(model)
-        values = np.vectorize(
-            lambda v: _quadrature_pdf(rates, model.m_r, v, abs_tol), otypes=[float])(r_arr)
+        values = _bromwich(shapes, scales, 2.0 * np.log(r_arr), True, abs_tol)
     return _scalar_or_array(values, r_arr.ndim == 0)
 
 
@@ -342,16 +271,16 @@ def cdf(model: GammaSumModel, t: ArrayLike, *,
     The threshold is in power (SNR) units and may be a scalar or an array;
     the envelope-domain CDF at r is ``cdf(model, r*r)``.
     """
-    if not abs_tol > 0:
-        raise DomainError(f"abs_tol must be positive, got {abs_tol}")
-    t_arr = _positive(t, "cdf requires a positive threshold")
-    mix = _mixture(*_distinct_gammas(model), _SERIES_SHARE * abs_tol)
+    if not 0 < abs_tol < math.inf:
+        raise DomainError(f"abs_tol must be positive and finite, got {abs_tol}")
+    t_arr = _positive(t, "cdf requires a finite positive threshold")
+    shapes, scales = _distinct_gammas(model)
+    mix = _mixture(shapes, scales, _SERIES_SHARE * abs_tol)
     if mix is not None:
-        values = np.clip(_series_cdf(mix, t_arr), 0.0, 1.0)
+        values = _series_cdf(mix, t_arr)
     else:
-        rates = _active_rates(model)
-        values = np.vectorize(
-            lambda v: _quadrature_cdf(rates, model.m_r, v, abs_tol), otypes=[float])(t_arr)
+        values = _bromwich(shapes, scales, np.log(t_arr), False, abs_tol)
+    values = np.clip(values, 0.0, 1.0)
     return _scalar_or_array(values, t_arr.ndim == 0)
 
 

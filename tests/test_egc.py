@@ -219,7 +219,7 @@ class TestBerBpskExpSinh:
                     if value is original:
                         monkeypatch.setattr(module, attr, forbidden)
         # the first ensemble takes the Moschopoulos series, the second the
-        # oscillatory quadrature
+        # Bromwich contour sum
         for corr in (EqualCorrelation(0.5), ExponentialCorrelation(0.97)):
             rx = balanced_rx(corr, 1, 4)
             assert all(v > 0 for v in ber_curve(rx, [0.0, 10.0]).values())

@@ -3,13 +3,15 @@ forms, route equivalence, and normalization."""
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
 from nakasum import gammasum
-from nakasum.errors import DomainError
+from nakasum.egc import outage
+from nakasum.errors import AccuracyError, DomainError
 from nakasum.gammasum import cdf, mgf, pdf, pdf_equal_corr
 from nakasum.matcher import match_parameters
 from nakasum.moments import EnsembleSpec, EqualCorrelation, ExponentialCorrelation
@@ -192,22 +194,38 @@ def takes_series(model, abs_tol=1e-8):
     return gammasum._mixture(shapes, scales, gammasum._SERIES_SHARE * abs_tol) is not None
 
 
+def mp_inverse(model, t, density):
+    """mpmath's Talbot inversion at 40 digits of the Laplace transform of the
+    squared envelope's density, prod over eigenvalues (1 + s*rate)^-m_r: the
+    CDF at t, or with ``density`` the envelope density 2r f(r^2) at r^2 = t."""
+    with mp.workdps(40):
+        rates = [mp.mpf(model.omega_r * lam / model.m_r)
+                 for lam in model.spectrum.values if lam > 0.0]
+        m_r = mp.mpf(model.m_r)
+
+        def transform(s):
+            value = mp.fprod((1 + s * rate) ** -m_r for rate in rates)
+            return value if density else value / s
+
+        value = mp.invertlaplace(transform, mp.mpf(float(t)), method="talbot")
+        if density:
+            value *= 2 * mp.sqrt(mp.mpf(float(t)))
+        return float(value)
+
+
 class TestSeriesRoute:
-    """The Moschopoulos series against the oscillatory quadrature, closed
-    forms and itself, and the route choice near maximal correlation."""
+    """The Moschopoulos series against mpmath, closed forms and itself, and
+    the route choice near maximal correlation."""
 
     def test_matches_quadrature(self):
         tol = 1e-12
         for model in random_models(6, seed=11):
             assert takes_series(model, tol)
-            rates = gammasum._active_rates(model)
             ts = np.linspace(0.1, 3.0, 5) * model.mean_square
-            quad_cdf = [gammasum._quadrature_cdf(rates, model.m_r, float(t), tol)
-                        for t in ts]
-            quad_pdf = [gammasum._quadrature_pdf(rates, model.m_r, float(r), tol)
-                        for r in np.sqrt(ts)]
-            assert np.max(np.abs(cdf(model, ts, abs_tol=tol) - quad_cdf)) <= 1e-11
-            assert np.max(np.abs(pdf(model, np.sqrt(ts), abs_tol=tol) - quad_pdf)) <= 1e-11
+            want_cdf = [mp_inverse(model, t, False) for t in ts]
+            want_pdf = [mp_inverse(model, t, True) for t in ts]
+            assert np.max(np.abs(cdf(model, ts, abs_tol=tol) - want_cdf)) <= 1e-11
+            assert np.max(np.abs(pdf(model, np.sqrt(ts), abs_tol=tol) - want_pdf)) <= 1e-11
 
     @pytest.mark.parametrize("powers, rho", [((1.7,), 0.0), ((1.0, 0.5, 2.0), 1.0)])
     def test_single_active_eigenvalue_is_incomplete_gamma(self, powers, rho):
@@ -248,11 +266,39 @@ class TestSeriesRoute:
         with pytest.raises(DomainError):
             mgf(model, np.array([-1.0, 1.5 * pole]))
         for fn in (cdf, pdf):
+            for abs_tol in (0.0, math.inf, math.nan):
+                with pytest.raises(DomainError, match="abs_tol"):
+                    fn(model, 1.0, abs_tol=abs_tol)
+        near = balanced_model(ExponentialCorrelation(0.97), 1, 4)
+        assert takes_series(model) and not takes_series(near)
+        for m in (model, near):
+            for x in (math.inf, math.nan, [1.0, math.inf]):
+                for fn in (cdf, pdf):
+                    with pytest.raises(DomainError, match="finite"):
+                        fn(m, x)
             with pytest.raises(DomainError):
-                fn(model, 1.0, abs_tol=0.0)
+                outage(m, math.inf)
+
+    @pytest.mark.parametrize("corr", [EqualCorrelation(0.3), ExponentialCorrelation(0.97)],
+                             ids=["series", "contour"])
+    def test_tiny_and_huge_arguments(self, corr):
+        model = balanced_model(corr, 1, 4)
+        assert takes_series(model) == isinstance(corr, EqualCorrelation)
+        for r in (1e-300, 1e-150):
+            assert pdf(model, r) == 0.0
+            assert cdf(model, r) == 0.0
+        x = np.geomspace(1e-300, 1e300, 121)
+        assert np.all(np.isfinite(pdf(model, x)))
+        assert np.all((cdf(model, x) >= 0.0) & (cdf(model, x) <= 1.0))
+
+    def test_rayleigh_density_at_underflowing_r(self):
+        # shape 1: x^(a-1) = 1 must survive r*r underflowing to 0
+        model = match_parameters(
+            EnsembleSpec(fading_m=1, powers=(2.0,), correlation=EqualCorrelation(0.0)))
+        assert pdf(model, 1e-300) == pytest.approx(2e-300 / model.omega_r, rel=1e-12)
 
     @pytest.mark.parametrize("corr", [ExponentialCorrelation(0.97), EqualCorrelation(0.999)])
-    def test_near_maximal_takes_quadrature(self, corr):
+    def test_near_maximal_takes_contour(self, corr):
         model = balanced_model(corr, 1, 4)
         assert not takes_series(model)
         rs = np.linspace(0.2, 1.8, 4) * math.sqrt(model.mean_square)
@@ -263,3 +309,59 @@ class TestSeriesRoute:
         if isinstance(corr, EqualCorrelation):
             want = [pdf_equal_corr(model, corr.rho, float(r)) for r in rs]
             assert np.max(np.abs(values - want)) <= 1e-8
+
+
+# Near-maximal spectra that take the contour at abs_tol = 1e-10: largest
+# shape (m_z = 10, L = 16), rho = 1 - 1e-6, and both correlation kinds
+CONTOUR_PANEL = [
+    (EqualCorrelation(0.7), 10, 16),
+    (EqualCorrelation(0.9), 3, 8),
+    (EqualCorrelation(0.9999), 10, 2),
+    (EqualCorrelation(1.0 - 1e-6), 1, 2),
+    (EqualCorrelation(1.0 - 1e-6), 10, 16),
+    (ExponentialCorrelation(0.7), 10, 16),
+    (ExponentialCorrelation(0.8), 3, 16),
+    (ExponentialCorrelation(0.95), 1, 4),
+]
+
+
+class TestContourRoute:
+    """The Bromwich contour sum against mpmath on near-maximal spectra, and
+    forced onto spectra the series handles."""
+
+    @pytest.mark.parametrize("corr, m_z, L", CONTOUR_PANEL)
+    def test_mpmath_panel(self, corr, m_z, L):
+        model = balanced_model(corr, m_z, L)
+        assert not takes_series(model, 1e-10)
+        ts = np.geomspace(0.01, 10.0, 7) * model.mean_square
+        want_cdf = [mp_inverse(model, t, False) for t in ts]
+        want_pdf = [mp_inverse(model, t, True) for t in ts]
+        for tol in (1e-8, 1e-10):
+            assert np.max(np.abs(cdf(model, ts, abs_tol=tol) - want_cdf)) <= 0.1 * tol
+            assert np.max(np.abs(pdf(model, np.sqrt(ts), abs_tol=tol) - want_pdf)) <= 0.1 * tol
+
+    def test_forced_contour_matches_series(self, monkeypatch):
+        models = random_models(20, seed=11)
+        grids = [np.linspace(0.05, 4.0, 9) * model.mean_square for model in models]
+        want = [(cdf(model, ts, abs_tol=1e-12), pdf(model, np.sqrt(ts), abs_tol=1e-12))
+                for model, ts in zip(models, grids)]
+        monkeypatch.setattr(gammasum, "_MAX_SERIES_TERMS", 0)
+        for model, ts, (want_cdf, want_pdf) in zip(models, grids, want):
+            assert not takes_series(model, 1e-10)
+            assert np.max(np.abs(cdf(model, ts, abs_tol=1e-10) - want_cdf)) <= 1e-10
+            assert np.max(np.abs(pdf(model, np.sqrt(ts), abs_tol=1e-10) - want_pdf)) <= 1e-10
+
+    @pytest.mark.parametrize("fn", [cdf, pdf])
+    def test_below_floor_raises_at_once(self, fn):
+        model = balanced_model(ExponentialCorrelation(0.97), 1, 4)
+        x = np.array([0.3, 1.0, 2.0]) * model.mean_square
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(AccuracyError) as info:
+                fn(model, x, abs_tol=1e-14)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.01
+        assert info.value.partial.shape == x.shape
+        assert np.all(np.isfinite(info.value.partial))
+        assert np.max(np.abs(info.value.partial - fn(model, x, abs_tol=1e-10))) == 0.0
