@@ -7,7 +7,8 @@ Outage follows from the proxy CDF; average error probabilities follow from
 the MGF: for coherent BPSK the integral (1/pi) int_0^(pi/2) M(-1/sin^2)
 with u = cot(theta), summed by the exp-sinh rule of ``specfun`` with one
 array MGF call per step halving, and for noncoherent BFSK the single value
-mgf(-1/2)/2.  Every number produced here is an equivalent-MRC
+mgf(-1/2)/2.  Only omega_r moves along an SNR curve, so a curve is one
+array call on the fit.  Every number produced here is an equivalent-MRC
 approximation of the true EGC metric, and curve metadata says so.
 """
 from __future__ import annotations
@@ -115,9 +116,24 @@ def egc_model(rx: ReceiverSpec) -> GammaSumModel:
 
 def outage(model: GammaSumModel, threshold: float) -> float:
     """Probability that the combiner output SNR drops below the threshold."""
-    if not threshold > 0:
-        raise DomainError(f"outage threshold must be positive, got {threshold}")
     return cdf(model, threshold)
+
+
+def _bpsk(model: GammaSumModel, scale):
+    """``ber_bpsk`` of ``model`` with its power times ``scale``, a float or
+    an array whose entries are the lanes of one exp-sinh sum."""
+    def integrand(ln_u):
+        u = np.exp(ln_u)[(...,) + (None,) * np.ndim(scale)]
+        w = 1.0 + u * u
+        with np.errstate(over="ignore"):  # w * scale -> inf, where the MGF is 0
+            return u * mgf(model, -w * scale) / w
+
+    try:
+        value = _exp_sinh(integrand, -745.0, 300.0, 1e-12) / math.pi
+    except TruncationError as exc:
+        raise AccuracyError(f"BPSK quadrature did not stabilize: {exc}",
+                            partial=exc.partial / math.pi) from exc
+    return np.where(value >= _TINY, value, 0.0)
 
 
 def ber_bpsk(model: GammaSumModel) -> float:
@@ -133,17 +149,7 @@ def ber_bpsk(model: GammaSumModel) -> float:
     the smallest normal float (about 2.2e-308) keeps only a few digits and
     is returned as 0.0.
     """
-    def integrand(ln_u):
-        u = np.exp(ln_u)
-        w = 1.0 + u * u
-        return u * mgf(model, -w) / w
-
-    try:
-        value = _exp_sinh(integrand, -745.0, 300.0, 1e-12) / math.pi
-    except TruncationError as exc:
-        raise AccuracyError(f"BPSK quadrature did not stabilize: {exc}",
-                            partial=exc.partial / math.pi) from exc
-    return value if value >= _TINY else 0.0
+    return float(_bpsk(model, 1.0))
 
 
 def ber_bfsk_noncoherent(model: GammaSumModel) -> float:
@@ -162,53 +168,47 @@ def power_profile(omega1: float, mu: float, L: int) -> tuple[float, ...]:
     return tuple(omega1 * math.exp(-mu * k) for k in range(L))
 
 
-def _swept_models(rx: ReceiverSpec, snr_db_grid) -> list[tuple[float, GammaSumModel]]:
+def _sweep(rx: ReceiverSpec, snr_db_grid, threshold: float | None = None):
+    """The grid as floats, the ensemble's fit, and each point's power scale
+    over the fit.  The first point that puts the proxy power, or with
+    ``threshold`` threshold / scale, outside (0, inf) raises DomainError."""
     grid = [float(snr_db) for snr_db in snr_db_grid]
     for snr_db in grid:
         if not math.isfinite(snr_db):
             raise DomainError(f"SNR grid points must be finite, got {snr_db}")
     base = match_parameters(rx.ensemble)
-    omega1 = rx.ensemble.powers[0]
-    L = rx.ensemble.branch_count
-    out = []
-    for snr_db in grid:
-        try:
-            omega = base.omega_r * 10.0 ** (snr_db / 10.0) / (L * omega1)
-        except OverflowError:
-            omega = math.inf
-        if not 0.0 < omega < math.inf:
-            raise DomainError(
-                f"SNR grid point {snr_db} dB puts the proxy power out of range ({omega})")
-        out.append((snr_db, base.scaled(omega)))
-    return out
+    with np.errstate(all="ignore"):
+        scale = 10.0 ** np.divide(grid, 10.0) / (rx.ensemble.branch_count * rx.ensemble.powers[0])
+        checked = {"proxy power": base.omega_r * scale}
+        if threshold is not None:
+            checked["outage threshold"] = threshold / scale
+    for what, values in checked.items():
+        bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
+        if bad.size:
+            raise DomainError(f"SNR grid point {grid[bad[0]]} dB puts the {what} "
+                              f"out of range ({float(values[bad[0]])})")
+    return grid, base, scale
+
+
+def _curve(grid, values, kind: str, **meta) -> PerfCurve:
+    return PerfCurve(points=tuple(map(PerfPoint, grid, map(float, values))), kind=kind,
+                     meta={"method": "equivalent-mrc-approximation", **meta})
 
 
 def ber_curve(rx: ReceiverSpec, snr_db_grid) -> PerfCurve:
     """Analytic error probability versus per-branch average SNR (dB)."""
-    points = []
-    for snr_db, model in _swept_models(rx, snr_db_grid):
-        if rx.modulation == "bpsk":
-            value = ber_bpsk(model)
-        else:
-            value = ber_bfsk_noncoherent(model)
-        points.append(PerfPoint(snr_db=snr_db, value=value))
-    return PerfCurve(
-        points=tuple(points),
-        kind=f"ber-{rx.modulation}",
-        meta={"method": "equivalent-mrc-approximation",
-              "branches": rx.ensemble.branch_count},
-    )
+    grid, base, scale = _sweep(rx, snr_db_grid)
+    if rx.modulation == "bpsk":
+        values = _bpsk(base, scale)
+    else:
+        values = 0.5 * mgf(base, -0.5 * scale)
+    return _curve(grid, values, f"ber-{rx.modulation}", branches=rx.ensemble.branch_count)
 
 
 def outage_curve(rx: ReceiverSpec, snr_db_grid, threshold: float) -> PerfCurve:
     """Analytic outage probability versus per-branch average SNR (dB)."""
-    points = []
-    for snr_db, model in _swept_models(rx, snr_db_grid):
-        points.append(PerfPoint(snr_db=snr_db, value=outage(model, threshold)))
-    return PerfCurve(
-        points=tuple(points),
-        kind="outage",
-        meta={"method": "equivalent-mrc-approximation",
-              "threshold": threshold,
-              "branches": rx.ensemble.branch_count},
-    )
+    if not 0.0 < threshold < math.inf:
+        raise DomainError(f"outage threshold must be positive and finite, got {threshold}")
+    grid, base, scale = _sweep(rx, snr_db_grid, threshold)
+    return _curve(grid, cdf(base, threshold / scale), "outage",
+                  threshold=threshold, branches=rx.ensemble.branch_count)

@@ -13,9 +13,9 @@ null mean.  The report carries raw numbers without reinterpreting them.
 
 The model CDF used by both tests is a monotone interpolation of the exact
 CDF, evaluated on its whole grid in one array call; chi-square bin edges
-are model quantiles, found once per campaign.  ``scipy.optimize`` and
-``scipy.interpolate`` are imported on first use, so that importing the
-package does not load them.
+are model quantiles, found once per campaign by one bisection over all
+of them.  ``scipy.interpolate`` is imported on first use, so that
+importing the package does not load it.
 """
 from __future__ import annotations
 
@@ -99,23 +99,20 @@ def ks_test(samples: NDArray[np.float64],
 
 def _bin_edges(cdf_fn: Callable, n_bins: int, hi: float) -> NDArray[np.float64]:
     """Interior edges of n_bins equiprobable bins: model quantiles found by
-    root bracketing from 0, with ``hi`` doubled until it covers the last."""
-    from scipy.optimize import brentq
-
-    def scalar_cdf(r):
-        return float(np.asarray(cdf_fn(np.asarray([r], dtype=float)))[0])
-
+    one bisection over all of them on [0, hi], with ``hi`` doubled until it
+    covers the last, to 1e-12 absolute plus 1e-12 relative."""
     probs = np.arange(1, n_bins) / n_bins
-    lo = 0.0
-    f_hi = scalar_cdf(hi)
-    while f_hi < probs[-1] and hi < 1e12:
+    while np.asarray(cdf_fn(np.asarray([hi])))[0] < probs[-1]:
+        if hi >= 1e12:
+            raise ValidationError(f"CDF stays below {probs[-1]} up to {hi:.3e}")
         hi *= 2.0
-        f_hi = scalar_cdf(hi)
-    edges = np.empty(probs.size)
-    for i, p in enumerate(probs):
-        edges[i] = brentq(lambda r: scalar_cdf(r) - p, lo, hi, xtol=1e-12, rtol=1e-12)
-        lo = edges[i]
-    return edges
+    lo, up = np.zeros(probs.size), np.full(probs.size, hi)
+    while np.any(up - lo > 1e-12 * (1.0 + up)):
+        mid = 0.5 * (lo + up)
+        below = np.asarray(cdf_fn(mid)) < probs
+        lo = np.where(below, mid, lo)
+        up = np.where(below, up, mid)
+    return 0.5 * (lo + up)
 
 
 def _chi_square(x_sorted: NDArray[np.float64],

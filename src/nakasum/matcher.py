@@ -51,11 +51,6 @@ class GammaSumModel:
             raise ConsistencyError("spectrum length must equal branch count")
 
     @property
-    def det_corr(self) -> float:
-        """Determinant of the proxy correlation matrix (eigenvalue product)."""
-        return math.prod(self.spectrum.values)
-
-    @property
     def mean_square(self) -> float:
         return self.omega_r * self.branch_count
 

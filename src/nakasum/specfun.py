@@ -11,8 +11,8 @@ half-integer parameters produce such series), and it raises
 TruncationError past 100 000 terms.  F_A is its Laplace integral.
 Semi-infinite integrals here and downstream (F_A, the equal-correlation W
 coefficients, the BPSK error rate) share one exp-sinh trapezoid rule whose
-step halves until two sums agree to a relative tolerance; the Laplace
-integrals of 1F1 products stop at 1e-12.
+step halves until two sums agree to a relative tolerance in every lane;
+the Laplace integrals of 1F1 products stop at 1e-12.
 """
 from __future__ import annotations
 
@@ -168,36 +168,36 @@ def ln_kummer_1f1(a: float, c: float, x: float) -> float:
 _EXP_SINH_LEVELS = 10
 
 
-def _exp_sinh(integrand, ln_lo: float, ln_hi: float, rel_tol: float) -> float:
+def _exp_sinh(integrand, ln_lo: float, ln_hi: float, rel_tol: float):
     """int_0^inf f(u) du by the exp-sinh trapezoid rule.
 
     ``integrand`` maps an array of ln u to u * f(u), the integrand in
-    d(ln u); taking ln u spares the caller powers of an underflowed u.  The
-    nodes span ln u in [ln_lo, ln_hi], outside which the caller's integrand
-    must be negligible.  The step halves until two successive sums agree to
-    ``rel_tol`` (relative to at least 1e-300, below which doubles lose
-    their precision); past _EXP_SINH_LEVELS halvings TruncationError
-    carries the finest sum.
+    d(ln u), one value per node or a (nodes, lanes) array summed per lane;
+    ln u spares the caller powers of an underflowed u.  The nodes span ln u
+    in [ln_lo, ln_hi], outside which the integrand must be negligible.  The
+    step halves until two successive sums agree to ``rel_tol`` in every lane
+    (relative to at least 1e-300, below which doubles lose their precision);
+    past _EXP_SINH_LEVELS halvings TruncationError carries the finest sums.
     """
     v_lo = math.asinh(2.0 / math.pi * ln_lo)
     v_hi = math.asinh(2.0 / math.pi * ln_hi)
 
-    def node_sum(h: float, odd_only: bool) -> float:
+    def node_sum(h: float, odd_only: bool):
         # h times the integrand summed over the nodes j*h in [v_lo, v_hi],
         # or over those with odd j: the nodes the step h adds to step 2h
         j = np.arange(math.ceil(v_lo / h), math.floor(v_hi / h) + 1)
         if odd_only:
             j = j[j % 2 == 1]
         v = h * j
-        return h * float(np.sum(integrand(0.5 * math.pi * np.sinh(v))
-                                * (0.5 * math.pi * np.cosh(v))))
+        return h * np.sum(integrand(0.5 * math.pi * np.sinh(v)).T
+                          * (0.5 * math.pi * np.cosh(v)), axis=-1)
 
     h = 0.5
     total = node_sum(h, False)
     for _ in range(_EXP_SINH_LEVELS):
         h /= 2.0
         finer = 0.5 * total + node_sum(h, True)
-        if abs(finer - total) <= rel_tol * max(abs(finer), 1e-300):
+        if np.all(np.abs(finer - total) <= rel_tol * np.maximum(np.abs(finer), 1e-300)):
             return finer
         total = finer
     raise TruncationError(
@@ -219,7 +219,7 @@ def _kummer_laplace(a: float, factors: Counter) -> float:
             g *= hyp1f1(p, c, -scale * u) ** count
         return g
 
-    return _exp_sinh(integrand, -40.0 / a, math.log(700.0), _REL_TOL)
+    return float(_exp_sinh(integrand, -40.0 / a, math.log(700.0), _REL_TOL))
 
 
 def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],

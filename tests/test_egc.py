@@ -14,6 +14,7 @@ from scipy.special import gammainc
 from nakasum import specfun
 
 from nakasum.egc import (
+    MODULATIONS,
     PerfCurve,
     ReceiverSpec,
     ber_bfsk_noncoherent,
@@ -26,8 +27,14 @@ from nakasum.egc import (
 )
 from nakasum.errors import AccuracyError, DomainError, ValidationError
 from nakasum.gammasum import cdf, mgf, pdf
+from nakasum.linalg import CorrelationMatrix
 from nakasum.matcher import match_parameters
-from nakasum.moments import EnsembleSpec, EqualCorrelation, ExponentialCorrelation
+from nakasum.moments import (
+    ArbitraryCorrelation,
+    EnsembleSpec,
+    EqualCorrelation,
+    ExponentialCorrelation,
+)
 
 
 def balanced_rx(corr, m_z, L, n0=1.0, mod="bpsk"):
@@ -249,6 +256,40 @@ class TestBerBfsk:
         assert ber_bfsk_noncoherent(model) == pytest.approx(want, rel=1e-13)
 
 
+# Ensembles of the curve oracle: each correlation model, up to L = 8, with
+# unequal powers in two of them
+ORACLE_ENSEMBLES = {
+    "equal": EnsembleSpec(fading_m=2, powers=(1.0,) * 8, correlation=EqualCorrelation(0.6)),
+    "exponential": EnsembleSpec(fading_m=3, powers=power_profile(1.0, 0.3, 6),
+                                correlation=ExponentialCorrelation(0.7)),
+    "arbitrary": EnsembleSpec(
+        fading_m=2, powers=(1.0, 0.8, 1.3, 0.6),
+        correlation=ArbitraryCorrelation(
+            CorrelationMatrix.from_markov_links(np.array([0.8, 0.5, 0.65])))),
+}
+
+
+class TestCurveOracle:
+    """Each curve against the single-point functions on the fit scaled to
+    every grid point: the per-point route the array sweep replaced."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_ENSEMBLES))
+    def test_matches_single_points(self, name):
+        spec = ORACLE_ENSEMBLES[name]
+        grid = np.linspace(-40.0, 60.0, 21)
+        base = match_parameters(spec)
+        models = [base.scaled(base.omega_r * 10.0 ** (snr_db / 10.0)
+                              / (spec.branch_count * spec.powers[0])) for snr_db in grid]
+        for mod, single in (("bpsk", ber_bpsk), ("bfsk", ber_bfsk_noncoherent)):
+            rx = ReceiverSpec(ensemble=spec, noise_psd=1.0, modulation=mod)
+            want = [single(model) for model in models]
+            assert min(want) > 0.0
+            assert ber_curve(rx, grid).values() == pytest.approx(want, rel=1e-13, abs=0.0)
+        rx = ReceiverSpec(ensemble=spec, noise_psd=1.0)
+        want = [outage(model, 2.0) for model in models]
+        assert outage_curve(rx, grid, 2.0).values() == pytest.approx(want, rel=0.0, abs=1e-14)
+
+
 class TestPowerProfile:
     def test_flat(self):
         assert power_profile(2.0, 0.0, 4) == (2.0, 2.0, 2.0, 2.0)
@@ -316,11 +357,11 @@ class TestCurves:
 
     @pytest.mark.parametrize("grid", [[5.0, 3100.0], np.array([5.0, 3100.0]), [-4000.0]],
                              ids=["list", "numpy", "underflow"])
-    @pytest.mark.parametrize("curve", ["bpsk", "outage"])
+    @pytest.mark.parametrize("curve", ["bpsk", "bfsk", "outage"])
     def test_out_of_range_snr_names_the_point(self, curve, grid):
         # 10^(snr/10) overflowed: a raw OverflowError for a list, a
         # RuntimeWarning then a fit error for numpy; -4000 dB gave power 0
-        rx = balanced_rx(EqualCorrelation(0.2), 1, 2)
+        rx = balanced_rx(EqualCorrelation(0.2), 1, 2, mod="bfsk" if curve == "bfsk" else "bpsk")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"SNR grid point {float(grid[-1])} dB"):
@@ -328,6 +369,31 @@ class TestCurves:
                     outage_curve(rx, grid, threshold=1.0)
                 else:
                     ber_curve(rx, grid)
+
+    def test_outage_threshold_out_of_range_names_the_point(self):
+        # the power at -3080 dB is still positive, but 1/scale overflows
+        rx = balanced_rx(EqualCorrelation(0.2), 1, 2)
+        grid = [5.0, -3080.0]
+        assert ber_curve(rx, grid).values()[-1] == pytest.approx(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="SNR grid point -3080.0 dB puts the outage"):
+                outage_curve(rx, grid, threshold=1.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+    def test_outage_threshold_domain(self, threshold):
+        with pytest.raises(DomainError, match="outage threshold"):
+            outage_curve(balanced_rx(EqualCorrelation(0.2), 1, 2), [5.0], threshold)
+
+    def test_very_high_snr_is_warning_free(self):
+        # (1 + u^2) * scale overflows to inf past about 480 dB, where the
+        # MGF is 0: a RuntimeWarning before, now the limit value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mod in MODULATIONS:
+                rx = balanced_rx(EqualCorrelation(0.2), 2, 2, mod=mod)
+                values = ber_curve(rx, [500.0, 1000.0, 3000.0]).values()
+                assert 0.0 < values[0] < 1e-180 and values[1:] == [0.0, 0.0]
 
     def test_curve_metadata_marks_approximation(self):
         curve = ber_curve(balanced_rx(EqualCorrelation(0.2), 1, 2), [5.0])

@@ -2,6 +2,7 @@
 forms, route equivalence, and normalization."""
 import math
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -291,6 +292,18 @@ class TestSeriesRoute:
         assert np.all(np.isfinite(pdf(model, x)))
         assert np.all((cdf(model, x) >= 0.0) & (cdf(model, x) <= 1.0))
 
+    def test_tiny_scale_huge_arguments(self):
+        # t / scale and the prefactor 2r / scale overflowed: a RuntimeWarning
+        # in place of the values the series gives past the support
+        model = match_parameters(EnsembleSpec(fading_m=2, powers=(1e-30, 1e-30),
+                                              correlation=EqualCorrelation(0.3)))
+        assert takes_series(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cdf(model, 1e300) == pytest.approx(1.0, abs=1e-8)
+            assert cdf(model, 1e300) == cdf(model, 1.0)
+            assert pdf(model, 1e290) == 0.0
+
     def test_rayleigh_density_at_underflowing_r(self):
         # shape 1: x^(a-1) = 1 must survive r*r underflowing to 0
         model = match_parameters(
@@ -350,6 +363,30 @@ class TestContourRoute:
             assert not takes_series(model, 1e-10)
             assert np.max(np.abs(cdf(model, ts, abs_tol=1e-10) - want_cdf)) <= 1e-10
             assert np.max(np.abs(pdf(model, np.sqrt(ts), abs_tol=1e-10) - want_pdf)) <= 1e-10
+
+    @pytest.mark.parametrize("corr, m_z, tol", [
+        (EqualCorrelation(0.7), 10, 7e-13),
+        (EqualCorrelation(0.9999), 1, 7e-13),
+        (EqualCorrelation(0.9999), 10, 2e-13),
+        (EqualCorrelation(0.9), 3, 5e-13),
+    ])
+    def test_estimate_covers_roundoff(self, corr, m_z, tol):
+        # near the floor |S48 - S40| alone under-read the error: with it,
+        # the last two cells returned CDFs 3.1e-13 (t = 3.2 E[R^2]) and
+        # 6.4e-13 (t = 10 E[R^2]) off, against differences of 9.3e-14 and
+        # 4.4e-13
+        model = balanced_model(corr, m_z, 16)
+        assert not takes_series(model, tol)
+        raised = 0
+        for t in np.geomspace(0.01, 10.0, 7) * model.mean_square:
+            for fn, x, density in ((cdf, t, False), (pdf, math.sqrt(t), True)):
+                try:
+                    value = fn(model, x, abs_tol=tol)
+                except AccuracyError:
+                    raised += 1
+                    continue
+                assert abs(value - mp_inverse(model, t, density)) <= tol
+        assert raised < 14
 
     @pytest.mark.parametrize("fn", [cdf, pdf])
     def test_below_floor_raises_at_once(self, fn):

@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nakasum import gof
 from nakasum.errors import BinningError, ValidationError
 from nakasum.gof import (
     GofReport,
@@ -133,6 +134,24 @@ class TestChiSquare:
         with pytest.raises(BinningError):
             chi_square_test(np.arange(100.0), scipy.stats.uniform(scale=100).cdf,
                             n_bins=50)
+
+    def test_bin_edges_are_quantiles_from_one_bisection(self):
+        # hi = 1 is doubled until it covers the 0.99 quantile (about 6.6)
+        gamma = scipy.stats.gamma(a=2.0)
+        calls = []
+
+        def counted(r):
+            calls.append(np.size(r))
+            return gamma.cdf(r)
+
+        edges = gof._bin_edges(counted, 100, 1.0)
+        probs = np.arange(1, 100) / 100
+        assert np.max(np.abs(edges - gamma.ppf(probs)) / (1.0 + edges)) <= 2e-12
+        assert len(calls) < 50 and max(calls) == probs.size
+
+    def test_bin_edges_need_the_last_quantile(self):
+        with pytest.raises(ValidationError, match="CDF stays below"):
+            gof._bin_edges(lambda r: np.full(np.shape(r), 0.5), 10, 1.0)
 
     @settings(max_examples=10, deadline=None)
     @given(shift=st.floats(0.1, 3.0))
