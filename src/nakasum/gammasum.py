@@ -13,8 +13,9 @@ form of their generating function on M roots of unity by one inverse FFT.
 Two errors enter, each held below ``_SERIES_SHARE * abs_tol`` of weight
 (every incomplete-gamma factor is at most 1): the mass beyond M, which
 aliases onto the kept weights and which a Chernoff bound computed from the
-spectrum alone caps before any series work; and the trailing weights
-dropped once their sum falls below the share.  The whole threshold array is
+spectrum alone caps before any series work; and the trailing weights cut
+once their sum falls below the share, which is added to the last kept
+weight so that the CDF still reaches 1.  The whole threshold array is
 evaluated at once.
 
 The series converges like q_max^k with q_max = 1 - lambda_min/lambda_max,
@@ -164,7 +165,12 @@ def _mixture(shapes, scales, tol: float) -> _Mixture | None:
     weights = np.fft.irfft(np.exp(_log_pgf(shapes, log_p, q, z)), terms)
     tail = np.cumsum(weights[::-1])[::-1]
     keep = max(1, int(np.count_nonzero(tail > tol)))
-    return _Mixture(float(np.sum(shapes)), scale, weights[:keep])
+    # the cut mass goes to the last kept weight, whose incomplete gamma
+    # bounds theirs, so the error bound is unchanged
+    kept = weights[:keep]
+    if keep < terms:
+        kept[-1] += tail[keep]
+    return _Mixture(float(np.sum(shapes)), scale, kept)
 
 
 def _series_cdf(mix: _Mixture, t: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -5,10 +5,10 @@ correlation coefficients (unit diagonal, entries in [0, 1], positive
 semidefinite).  The module provides eigenvalues (LAPACK), a semidefinite
 Cholesky factorization used by the sampler, and a Markov-product ("Green's
 matrix") approximation of an arbitrary correlation matrix, under which
-every principal-submatrix inverse is tridiagonal with entries explicit in
-the links between the subset's neighbours.  The joint-moment series read
-those links through ``subset_links``; the stacked LAPACK inverses of
-principal submatrices serve the public per-subset API only.
+every principal submatrix is determined by the links between the subset's
+neighbours.  The joint moments read those links through ``subset_links``;
+``principal_submatrix_inverse`` inverts one principal submatrix and has no
+library caller.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ __all__ = [
     "EigenSpectrum",
     "eigenvalues_sym",
     "principal_submatrix_inverse",
-    "principal_submatrix_inverses",
     "subset_links",
     "greens_fit",
     "cholesky_psd",
@@ -161,41 +160,17 @@ def principal_submatrix_inverse(m: CorrelationMatrix,
         raise ValidationError("index set must be strictly increasing")
     if idx[0] < 0 or idx[-1] >= m.dim:
         raise ValidationError(f"index set {idx} out of range for dim {m.dim}")
-    return principal_submatrix_inverses(m, np.array([idx]))[0]
-
-
-def principal_submatrix_inverses(m: CorrelationMatrix,
-                                 subsets: NDArray[np.intp]) -> NDArray[np.float64]:
-    """Stacked inverses of the principal submatrices whose (validated)
-    index sets are the rows of ``subsets``, shape (S, k) -> (S, k, k).
-
-    Raises :class:`SingularMatrixError` naming the first index set whose
-    submatrix is singular or whose inverse residual reaches 1e-8.
-    """
-    subs = m.entries[subsets[:, :, None], subsets[:, None, :]]
+    sub = m.entries[np.ix_(idx, idx)]
     try:
-        inv = np.linalg.inv(subs)
-    except np.linalg.LinAlgError:
-        for idx, sub in zip(subsets, subs):
-            try:
-                np.linalg.inv(sub)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"principal submatrix {tuple(idx.tolist())} is singular") from exc
-        raise
-    # in place: C(16,4) stacked 4x4 arrays take a quarter megabyte each
-    residual = subs @ inv
-    residual -= np.eye(subsets.shape[1])
-    residual = np.abs(residual, out=residual).max(axis=(1, 2))
-    bad = ~(residual < 1e-8)
-    if bad.any():
-        first = int(np.argmax(bad))
+        inv = np.linalg.inv(sub)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"principal submatrix {idx} is singular") from exc
+    residual = np.abs(sub @ inv - np.eye(len(idx))).max()
+    if not residual < 1e-8:
         raise SingularMatrixError(
-            f"principal submatrix {tuple(subsets[first].tolist())} is numerically "
-            f"singular (inverse residual {residual[first]:.2e})")
-    inv += inv.transpose(0, 2, 1)
-    inv *= 0.5
-    return inv
+            f"principal submatrix {idx} is numerically singular "
+            f"(inverse residual {residual:.2e})")
+    return 0.5 * (inv + inv.T)
 
 
 def subset_links(m: CorrelationMatrix, subsets: NDArray[np.intp]) -> NDArray[np.float64]:

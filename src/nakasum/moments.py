@@ -11,28 +11,28 @@ and four envelopes:
   1 - sqrt(rho) is always formed as (1 - rho)/(1 + sqrt(rho)), which keeps
   its relative precision as rho -> 1;
 * Markov-structured correlation (exponential, or an arbitrary matrix after
-  its Markov-product fit) uses single-series expansions whose parameters
-  are those of the tridiagonal inverses of 3x3 and 4x4 principal
-  submatrices.  These inverses are explicit in the links between subset
-  neighbours, r = c_ab, through u = r^2 and w = 1 - r^2, so every lane is
-  built in closed form from the fitted link products; no submatrix is
-  inverted.
+  its Markov-product fit) keys each subset by the links c between its
+  neighbours.  The outer branches of a chain a - b - c are independent
+  given the middle one, and E[Z_a^2 | Z_b] = (1 - c_ab^2) + c_ab^2 Z_b^2, so
+  E[Z_a^2 Z_b Z_c] and E[Z_a Z_b Z_c^2] are sums of pair moments, one 2F1
+  each.  E[Z_a Z_b^2 Z_c] and the quadruples are single series whose
+  parameters, those of the subset's tridiagonal inverse, are explicit in
+  u = c^2 and w = 1 - c^2; no submatrix is inverted.
 
 A fit sums its Markov series in one call whose lanes are all C(L,3)
-triples (once per exponent pattern) and all C(L,4) quadruples.  Term k of
-a lane is exp(k log q + log-gamma terms) times two factors
-2F1(a0 + k, b; c; x) with a0, b, c and x fixed per lane; a triple's second
-factor has x = 0 and stays exactly 1.  Each factor starts from two values
-of one ``scipy.special.hyp2f1`` array call and advances along k by the
-Gauss contiguous relation in the first parameter (DLMF 15.5.11); for
-0 <= x < 1 the function is the dominant solution and forward recursion is
-stable.  k advances in blocks: the recursion steps through k, while the
-terms, the running sums, the stop rule (the first k > 3 whose term is at
-most the relative tolerance times the lane's partial sum) and the
-overflow check are array operations over the block.  Every lane stops
-at a relative 1e-12 and raises TruncationError past 10 000 terms.  The
-public per-subset routines take a tridiagonal inverse, read its links and
-run the same evaluation with one lane.
+(1, 2, 1) triples and all C(L,4) quadruples.  Term k of a lane is
+exp(k log q + log-gamma terms) times two factors 2F1(a0 + k, b; c; x) with
+a0, b, c and x fixed per lane; a triple's second factor has x = 0 and
+stays exactly 1.  Each factor starts from two values of one
+``scipy.special.hyp2f1`` array call and advances along k by the Gauss
+contiguous relation in the first parameter (DLMF 15.5.11); for 0 <= x < 1
+the function is the dominant solution and forward recursion is stable.
+k advances in blocks: the recursion steps through k, while the terms, the
+running sums, the stop rule (the first k > 3 whose term is at most the
+relative tolerance times the lane's partial sum) and the overflow check
+are array operations over the block.  Every lane stops at a relative 1e-12
+and raises TruncationError past 10 000 terms.  The public per-subset
+routines take one subset's links.
 
 Joint-moment routines take unit-power envelopes; the fourth-moment
 assembly supplies the power prefactors explicitly.
@@ -296,18 +296,6 @@ def w_coefficient(orders: tuple[int, ...], m_z: int, rho: float) -> float:
     return _w_via_fa(orders, m_z, rho)
 
 
-def _require_tridiagonal(mat: NDArray[np.float64], name: str) -> None:
-    rows, cols = np.triu_indices(len(mat), 2)
-    band = mat[rows, cols]
-    bad = np.abs(band) > 1e-8 * np.abs(mat).max()
-    if bad.any():
-        e = np.argmax(bad)
-        raise ValidationError(
-            f"{name} must be tridiagonal (entry ({rows[e]},{cols[e]}) is "
-            f"{band[e]:.3e}); only Markov-structured correlation "
-            "admits this expansion")
-
-
 def _require_ratio_below_one(ratio: NDArray[np.float64]) -> None:
     if np.any(ratio >= 1.0 - 1e-9):
         raise TruncationError(
@@ -318,10 +306,10 @@ def _require_ratio_below_one(ratio: NDArray[np.float64]) -> None:
 
 
 class _Lanes(NamedTuple):
-    """Lanes of the joint-moment series, one per subset and exponent
-    pattern: prefactor, geometric ratio q, 2F1 parameters a0 and b, one row
-    of arguments x per 2F1 factor, and the lane's log-gamma group (a column
-    of ``_joint_lgam``)."""
+    """Lanes of the joint-moment series, one per subset: prefactor,
+    geometric ratio q, 2F1 parameters a0 and b, one row of arguments x per
+    2F1 factor, and the lane's log-gamma group (a column of
+    ``_joint_lgam``)."""
 
     pref: NDArray[np.float64]
     q: NDArray[np.float64]
@@ -331,10 +319,10 @@ class _Lanes(NamedTuple):
     group: NDArray[np.intp]
 
 
-_TRIPLE_PATTERNS = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
-# log-gamma groups: (2,1,1) and (1,2,1) add the same two log-gammas
-_TRIPLE_GROUP = {(2, 1, 1): 0, (1, 2, 1): 0, (1, 1, 2): 1}
-_QUAD_GROUP = 2
+# log-gamma groups: Gamma(m + k + 1/2) times Gamma(m + k + 1) for the
+# (1, 2, 1) triples and Gamma(m + k + 1/2) for the quadruples
+_TRIPLE_GROUP = 0
+_QUAD_GROUP = 1
 
 # (k x lane) cells per block of the joint-moment series; bounds the block
 # arrays of the large-L fits (3500 lanes at L = 16)
@@ -348,7 +336,7 @@ def _joint_lgam(m: float, k0: int, rows: int) -> NDArray[np.float64]:
     gh = np.array([math.lgamma(m + k + 0.5) for k in ks])
     g1 = np.array([math.lgamma(m + k + 1.0) for k in ks])
     gk = np.array([math.lgamma(k + 1.0) for k in ks])
-    return np.stack([g1 + gh - g0 - gk, gh + gh - g0 - gk, 2.0 * gh - gk - g0], axis=1)
+    return np.stack([g1 + gh - g0 - gk, 2.0 * gh - gk - g0], axis=1)
 
 
 def _first_block_rows(ratio: NDArray[np.float64]) -> int:
@@ -464,10 +452,9 @@ def _link_powers(links: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArr
     return r * r, (1.0 - r) * (1.0 + r)
 
 
-def _triple_lanes(patterns: tuple[tuple[int, int, int], ...],
-                  links: NDArray[np.float64], m_z: int) -> _Lanes:
-    """Lanes of joint_moment_triple for subsets a < b < c whose rows of
-    ``links`` are (r1, r2) = (c_ab, c_bc), pattern by pattern.
+def _triple_lanes(links: NDArray[np.float64], m_z: int) -> _Lanes:
+    """Lanes of E[Z_a Z_b^2 Z_c] for subsets a < b < c whose rows of
+    ``links`` are (r1, r2) = (c_ab, c_bc).
 
     The subset's Markov-product submatrix has the tridiagonal inverse
     d11 = 1/w1, d22 = s/(w1 w2), d33 = 1/w2, d12 = -r1/w1, d23 = -r2/w2 with
@@ -480,20 +467,33 @@ def _triple_lanes(patterns: tuple[tuple[int, int, int], ...],
     (u1, u2), (w1, w2) = _link_powers(links)
     s = w1 + u1 * w2
     _require_ratio_below_one(u1)
-    q = u1 * w2 / s
-    x = u2 * w1 / s
+    # det^m / ((d11 d33)^(m + 1/2) d22^(m + 1))
+    pref = w1 ** (m + 1.5) * w2 ** (m + 1.5) / s ** (m + 1.0)
+    pref *= math.exp(ln_gamma(m + 0.5) - 2.0 * ln_gamma(m))
+    pref /= m ** 2.0
     size = len(links)
-    lanes = []
-    for n1, n2, n3 in patterns:
-        # det^m / (d11^(m + n1/2) d22^(m + n2/2) d33^(m + n3/2))
-        pref = (w1 ** (m + (n1 + n2) / 2.0) * w2 ** (m + (n2 + n3) / 2.0)
-                / s ** (m + n2 / 2.0))
-        pref *= math.exp(ln_gamma(m + n3 / 2.0) - 2.0 * ln_gamma(m))
-        pref /= m ** ((n1 + n2 + n3) / 2.0)
-        lanes.append(_Lanes(pref, q, np.full(size, m + n2 / 2.0), np.full(size, m + n3 / 2.0),
-                            np.stack([x, np.zeros(size)]),
-                            np.full(size, _TRIPLE_GROUP[n1, n2, n3])))
-    return _concat_lanes(lanes)
+    return _Lanes(pref, u1 * w2 / s, np.full(size, m + 1.0), np.full(size, m + 0.5),
+                  np.stack([u2 * w1 / s, np.zeros(size)]), np.full(size, _TRIPLE_GROUP))
+
+
+def _pair_moment(p: float, q: float, m: int, r: NDArray[np.float64]) -> NDArray[np.float64]:
+    """E[Z_a^p Z_b^q] of two unit-power envelopes with power correlation r,
+    Gamma(m + p/2) Gamma(m + q/2) / (Gamma(m)^2 m^((p + q)/2)) times
+    2F1(-p/2, -q/2; m; r), for an array r."""
+    coeff = math.exp(ln_gamma(m + p / 2.0) + ln_gamma(m + q / 2.0) - 2.0 * ln_gamma(m))
+    return coeff / m ** ((p + q) / 2.0) * hyp2f1(-p / 2.0, -q / 2.0, m, r)
+
+
+def _outer_square_triples(links: NDArray[np.float64], m_z: int) -> NDArray[np.float64]:
+    """Rows E[Z_a^2 Z_b Z_c] and E[Z_a Z_b Z_c^2] for subsets a < b < c whose
+    rows of ``links`` are (c_ab, c_bc).
+
+    Z_a and Z_c are independent given the Gaussians of branch b, and
+    E[Z_a^2 | Z_b] = (1 - r_ab) + r_ab Z_b^2 with r_ab = c_ab^2, so
+    E[Z_a^2 Z_b Z_c] = r_ab E[Z_b^3 Z_c] + (1 - r_ab) E[Z_b Z_c]; the
+    second row mirrors it."""
+    u, w = _link_powers(links)
+    return u * _pair_moment(3, 1, m_z, u[::-1]) + w * _pair_moment(1, 1, m_z, u[::-1])
 
 
 def _quad_lanes(links: NDArray[np.float64], m_z: int) -> _Lanes:
@@ -523,75 +523,47 @@ def _concat_lanes(lanes: list[_Lanes]) -> _Lanes:
     return _Lanes(*(np.concatenate(field, axis=-1) for field in zip(*lanes)))
 
 
-def _links_from_inverse(inv: NDArray[np.float64], name: str) -> NDArray[np.float64]:
-    """Neighbour links of the Markov-product matrix whose tridiagonal
-    inverse is ``inv`` (3x3 or 4x4), as one row of links.
-
-    r1 = -inv_12/inv_11 and the last link is -inv_(n-1)n/inv_nn.  The middle
-    link of a 4x4 is read from the trailing 3x3 block's inverse, the Schur
-    complement of inv_11, whose leading entry is inv_22 - inv_12^2/inv_11.
-    """
-    _require_tridiagonal(inv, name)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        links = [-inv[0, 1] / inv[0, 0]]
-        if len(inv) == 4:
-            links.append(-inv[1, 2] / (inv[1, 1] - inv[0, 1] ** 2 / inv[0, 0]))
-        links.append(-inv[-2, -1] / inv[-1, -1])
-    links = np.array([links])
-    if not np.all(np.abs(links) < 1.0):
-        raise ValidationError(
-            f"{name} is not the inverse of a nonsingular correlation matrix "
-            f"(links {links[0].tolist()})")
-    return links
+def _checked_links(links: NDArray[np.float64], count: int) -> NDArray[np.float64]:
+    """The links of one subset as a one-row array, or ValidationError."""
+    links = np.asarray(links, dtype=float)
+    if links.shape != (count,) or not np.all((links >= 0.0) & (links < 1.0)):
+        raise ValidationError(f"need {count} links in [0, 1), got {links.tolist()}")
+    return links[None]
 
 
-def joint_moment_triple(n1: int, n2: int, n3: int, delta: NDArray[np.float64],
+def joint_moment_triple(n1: int, n2: int, n3: int, links: NDArray[np.float64],
                         m_z: int) -> float:
     """Unit-power joint moment E[Z_a^n1 Z_b^n2 Z_c^n3] for three branches
-    whose 3x3 sqrt-correlation submatrix has the tridiagonal inverse
-    ``delta``.
+    a < b < c of a Markov-product correlation matrix, whose links between
+    neighbours are ``links`` = (c_ab, c_bc).
 
-    Single series over k with one Gauss-hypergeometric factor per term;
-    the term ratio is geometric with ratio delta_12^2/(delta_11 delta_22).
-    The series is built from the links read off ``delta``, the same
-    builder that serves every subset of a fit.
+    (2, 1, 1) and (1, 1, 2) are sums of two pair moments; (1, 2, 1) is the
+    single series that serves every subset of a fit, with one lane.
     """
-    if (n1, n2, n3) not in _TRIPLE_PATTERNS:
+    if (n1, n2, n3) not in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
         raise DomainError(f"unsupported exponent triple ({n1}, {n2}, {n3})")
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (3, 3):
-        raise ValidationError(f"delta must be 3x3, got {delta.shape}")
-    lanes = _triple_lanes(((n1, n2, n3),), _links_from_inverse(delta, "delta"), m_z)
-    return float(_joint_series(lanes, float(m_z))[0])
+    links = _checked_links(links, 2)
+    if n2 == 2:
+        return float(_joint_series(_triple_lanes(links, m_z), float(m_z))[0])
+    return float(_outer_square_triples(links, m_z)[0 if n1 == 2 else 1, 0])
 
 
-def joint_moment_quad(psi: NDArray[np.float64], m_z: int) -> float:
-    """Unit-power joint moment E[Z_a Z_b Z_c Z_d] for four branches whose
-    4x4 sqrt-correlation submatrix has the tridiagonal inverse ``psi``."""
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (4, 4):
-        raise ValidationError(f"psi must be 4x4, got {psi.shape}")
-    lanes = _quad_lanes(_links_from_inverse(psi, "psi"), m_z)
+def joint_moment_quad(links: NDArray[np.float64], m_z: int) -> float:
+    """Unit-power joint moment E[Z_a Z_b Z_c Z_d] for four branches
+    a < b < c < d of a Markov-product correlation matrix, whose links
+    between neighbours are ``links`` = (c_ab, c_bc, c_cd)."""
+    lanes = _quad_lanes(_checked_links(links, 3), m_z)
     return float(_joint_series(lanes, float(m_z))[0])
 
 
 def _fourth_moment_pair_terms(spec: EnsembleSpec) -> float:
     m = spec.fading_m
-    powers = spec.powers
-    c2 = 6.0 * _gamma_ratio(m + 1.0, m) ** 2 / m ** 2
-    c3 = 4.0 * math.exp(
-        ln_gamma(m + 1.5) + ln_gamma(m + 0.5) - 2.0 * ln_gamma(m)) / m ** 2
-    pairs = list(itertools.combinations(range(spec.branch_count), 2))
-    rho = [spec.rho(i, j) for i, j in pairs]
-    f3 = hyp2f1(-1.5, -0.5, m, np.array(rho)).tolist()
-    t2 = 0.0
-    t3 = 0.0
-    for (i, j), rij, f3ij in zip(pairs, rho, f3):
-        # 2F1(-1, -1; m; rij) terminates after its linear term
-        t2 += powers[i] * powers[j] * (1.0 + rij / m)
-        t3 += (powers[i] ** 1.5 * powers[j] ** 0.5 +
-               powers[i] ** 0.5 * powers[j] ** 1.5) * f3ij
-    return c2 * t2 + c3 * t3
+    p = np.asarray(spec.powers)
+    i, j = np.triu_indices(spec.branch_count, 1)
+    rho = np.array([spec.rho(a, b) for a, b in zip(i.tolist(), j.tolist())])
+    pi, pj = p[i], p[j]
+    e31 = (pi ** 1.5 * np.sqrt(pj) + np.sqrt(pi) * pj ** 1.5) * _pair_moment(3, 1, m, rho)
+    return float(np.sum(6.0 * pi * pj * _pair_moment(2, 2, m, rho) + 4.0 * e31))
 
 
 def _fourth_moment_joint_equal(spec: EnsembleSpec) -> float:
@@ -623,14 +595,15 @@ def _fourth_moment_joint_markov(spec: EnsembleSpec,
     p = np.asarray(spec.powers)
     L = spec.branch_count
     triples = np.array(list(itertools.combinations(range(L), 3)))
-    lanes = [_triple_lanes(_TRIPLE_PATTERNS, subset_links(fitted, triples), m)]
+    links = subset_links(fitted, triples)
+    lanes = [_triple_lanes(links, m)]
     if L >= 4:
         quads = np.array(list(itertools.combinations(range(L), 4)))
         lanes.append(_quad_lanes(subset_links(fitted, quads), m))
-    # one series call: the three triple patterns over all subsets, then the quads
+    # one series call: the (1, 2, 1) triples, then the quads
     series = _joint_series(_concat_lanes(lanes), float(m))
-    t211, t121, t112, tquad = np.split(series, [len(triples), 2 * len(triples),
-                                                3 * len(triples)])
+    t121, tquad = series[:len(triples)], series[len(triples):]
+    t211, t112 = _outer_square_triples(links, m)
     pa, pb, pc = p[triples].T
     total = 12.0 * np.sum(pa * np.sqrt(pb * pc) * t211
                           + np.sqrt(pa) * pb * np.sqrt(pc) * t121

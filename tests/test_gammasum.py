@@ -304,6 +304,16 @@ class TestSeriesRoute:
             assert cdf(model, 1e300) == cdf(model, 1.0)
             assert pdf(model, 1e290) == 0.0
 
+    @pytest.mark.parametrize("powers, t", [((1.0, 1.0), 1e6), ((1e-30, 1e-30), 1e300)],
+                             ids=["unit", "tiny-scale"])
+    def test_cdf_reaches_one(self, powers, t):
+        # the trailing weights cut from the series go to the last kept one,
+        # so past the support the CDF is 1, not the sum of the kept weights
+        model = match_parameters(EnsembleSpec(fading_m=2, powers=powers,
+                                              correlation=EqualCorrelation(0.3)))
+        assert takes_series(model)
+        assert cdf(model, t) == pytest.approx(1.0, abs=1e-15)
+
     def test_rayleigh_density_at_underflowing_r(self):
         # shape 1: x^(a-1) = 1 must survive r*r underflowing to 0
         model = match_parameters(

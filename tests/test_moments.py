@@ -21,13 +21,8 @@ from nakasum.errors import (
     ValidationError,
 )
 from nakasum import linalg, moments
-from nakasum.linalg import (
-    CorrelationMatrix,
-    greens_fit,
-    principal_submatrix_inverse,
-    principal_submatrix_inverses,
-    subset_links,
-)
+from nakasum.linalg import CorrelationMatrix, greens_fit, subset_links
+from nakasum.matcher import match_parameters
 from nakasum.moments import (
     ArbitraryCorrelation,
     EnsembleSpec,
@@ -242,24 +237,31 @@ def unit_exponential_spec(m_z, rho, L):
                         correlation=ExponentialCorrelation(rho))
 
 
+def exponential_links(rho, idx):
+    """Links (c_ab, c_bc[, c_cd]) of the subset ``idx`` of an exponential
+    correlation matrix."""
+    return subset_links(CorrelationMatrix.exponential(rho, max(idx) + 1), np.array([idx]))[0]
+
+
 class TestJointMomentSeries:
     def test_triple_independent_closed_form(self):
         for m in (1, 2, 3):
             want = gamma(m + 0.5) ** 2 * gamma(m + 1.0) / (gamma(m) ** 3 * m ** 2)
-            got = joint_moment_triple(1, 1, 2, np.eye(3), m)
+            got = joint_moment_triple(1, 1, 2, (0.0, 0.0), m)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_triple_orderings_at_independence_agree(self):
         for n in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
-            assert joint_moment_triple(*n, np.eye(3), 2) == pytest.approx(
-                joint_moment_triple(2, 1, 1, np.eye(3), 2), rel=1e-12)
+            assert joint_moment_triple(*n, (0.0, 0.0), 2) == pytest.approx(
+                joint_moment_triple(2, 1, 1, (0.0, 0.0), 2), rel=1e-12)
 
     def test_triple_reversal_symmetry(self):
-        m = CorrelationMatrix.exponential(0.49, 3)
-        delta = principal_submatrix_inverse(m, (0, 1, 2))
-        a = joint_moment_triple(2, 1, 1, delta, 2)
-        b = joint_moment_triple(1, 1, 2, delta[::-1, ::-1], 2)
-        assert a == pytest.approx(b, rel=1e-11)
+        links = (0.8, 0.45)
+        for m in (1, 2):
+            assert joint_moment_triple(2, 1, 1, links, m) == pytest.approx(
+                joint_moment_triple(1, 1, 2, links[::-1], m), rel=1e-15)
+            assert joint_moment_triple(1, 2, 1, links, m) == pytest.approx(
+                joint_moment_triple(1, 2, 1, links[::-1], m), rel=1e-11)
 
     def test_triple_monte_carlo(self):
         # simulation oracle: empirical joint moment of unit-power branches
@@ -268,21 +270,18 @@ class TestJointMomentSeries:
         z = sample_correlated_nakagami(spec, n, seed=101).data
         prod = z[:, 0] ** 2 * z[:, 1] * z[:, 2]
         emp, se = prod.mean(), prod.std() / math.sqrt(n)
-        delta = principal_submatrix_inverse(spec.sqrt_corr_matrix(), (0, 1, 2))
-        got = joint_moment_triple(2, 1, 1, delta, m_z)
+        got = joint_moment_triple(2, 1, 1, exponential_links(rho, (0, 1, 2)), m_z)
         assert abs(got - emp) < 3.5 * se
 
     def test_quad_independent_closed_form(self):
         for m in (1, 2):
             want = (gamma(m + 0.5) / gamma(m)) ** 4 / m ** 2
-            assert joint_moment_quad(np.eye(4), m) == pytest.approx(want, rel=1e-12)
+            assert joint_moment_quad((0.0, 0.0, 0.0), m) == pytest.approx(want, rel=1e-12)
 
     def test_quad_continuity_near_zero(self):
         m = 2
-        base = joint_moment_quad(np.eye(4), m)
-        delta = principal_submatrix_inverse(
-            CorrelationMatrix.exponential(1e-6, 4), (0, 1, 2, 3))
-        near = joint_moment_quad(delta, m)
+        base = joint_moment_quad((0.0, 0.0, 0.0), m)
+        near = joint_moment_quad(exponential_links(1e-6, (0, 1, 2, 3)), m)
         assert near == pytest.approx(base, rel=1e-4)
 
     def test_quad_monte_carlo(self):
@@ -291,26 +290,28 @@ class TestJointMomentSeries:
         z = sample_correlated_nakagami(spec, n, seed=202).data
         prod = z[:, 0] * z[:, 1] * z[:, 2] * z[:, 3]
         emp, se = prod.mean(), prod.std() / math.sqrt(n)
-        psi = principal_submatrix_inverse(spec.sqrt_corr_matrix(), (0, 1, 2, 3))
-        got = joint_moment_quad(psi, m_z)
+        got = joint_moment_quad(exponential_links(rho, (0, 1, 2, 3)), m_z)
         assert abs(got - emp) < 3.5 * se
 
-    def test_rejects_non_tridiagonal(self):
-        dense = np.linalg.inv(CorrelationMatrix.equal(0.25, 3).entries)
-        with pytest.raises(ValidationError):
-            joint_moment_triple(2, 1, 1, dense, 1)
+    @pytest.mark.parametrize("links", [
+        (0.5,), (0.5, 0.5, 0.5), [[0.5, 0.5]], (0.5, 1.0), (0.5, 1.5), (-0.1, 0.5),
+        (math.nan, 0.5), (0.5, math.inf)],
+        ids=["one", "three", "nested", "unit", "above-one", "negative", "nan", "inf"])
+    def test_triple_rejects_bad_links(self, links):
+        for orders in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
+            with pytest.raises(ValidationError, match="links"):
+                joint_moment_triple(*orders, links, 1)
 
-    def test_rejects_inverse_with_unit_link(self):
-        # a tridiagonal matrix whose links read 1 inverts no correlation matrix
-        delta = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -0.5], [0.0, -0.5, 1.0]])
-        with pytest.raises(ValidationError, match="not the inverse"):
-            joint_moment_triple(2, 1, 1, delta, 1)
-        with pytest.raises(ValidationError, match="not the inverse"):
-            joint_moment_quad(np.eye(4) - np.diag([0.5, 1.0, 0.5], 1) - np.diag([0.5, 1.0, 0.5], -1), 1)
+    @pytest.mark.parametrize("links", [
+        (0.5, 0.5), (0.5, 0.5, 0.5, 0.5), (0.5, 1.0, 0.5), (0.5, 0.5, -1e-300),
+        (math.nan, 0.5, 0.5)], ids=["two", "four", "unit", "negative", "nan"])
+    def test_quad_rejects_bad_links(self, links):
+        with pytest.raises(ValidationError, match="links"):
+            joint_moment_quad(links, 1)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(DomainError):
-            joint_moment_triple(3, 1, 1, np.eye(3), 1)
+            joint_moment_triple(3, 1, 1, (0.0, 0.0), 1)
 
 
 def mp_joint_moment(rho, idx, m, orders):
@@ -355,19 +356,38 @@ class TestJointMomentOracles:
     @pytest.mark.parametrize("rho", [0.2, 0.5, 0.8, 0.9])
     @pytest.mark.parametrize("m_z", [1, 2, 3])
     def test_against_mpmath_series(self, rho, m_z):
-        # gapped subsets, so the inverses couple non-adjacent branches
-        mat = CorrelationMatrix.exponential(rho, 6)
-        cases = [((2, 1, 1), (0, 2, 3)), ((1, 2, 1), (0, 1, 3)),
-                 ((1, 1, 2), (1, 2, 5)), ((1, 1, 1, 1), (0, 1, 3, 4))]
+        # gapped subsets, so the links are products of several matrix links;
+        # the outer-square triples are closed forms, the rest 1e-12 series
+        cases = [((2, 1, 1), (0, 2, 3), 1e-14), ((1, 2, 1), (0, 1, 3), 1e-10),
+                 ((1, 1, 2), (1, 2, 5), 1e-14), ((2, 1, 1), (1, 2, 5), 1e-14),
+                 ((1, 1, 2), (0, 2, 3), 1e-14), ((1, 1, 1, 1), (0, 1, 3, 4), 1e-10)]
         with mp.workdps(30):
-            for orders, idx in cases:
-                inv = principal_submatrix_inverse(mat, idx)
+            for orders, idx, rel in cases:
+                links = exponential_links(rho, idx)
                 if len(idx) == 4:
-                    got = joint_moment_quad(inv, m_z)
+                    got = joint_moment_quad(links, m_z)
                 else:
-                    got = joint_moment_triple(*orders, inv, m_z)
+                    got = joint_moment_triple(*orders, links, m_z)
                 ref = float(mp_joint_moment(rho, idx, m_z, orders))
-                assert got == pytest.approx(ref, rel=1e-10), (orders, idx)
+                assert got == pytest.approx(ref, rel=rel), (orders, idx)
+
+    @pytest.mark.parametrize("rho", [0.999, 1.0 - 1e-6])
+    @pytest.mark.parametrize("m_z", [1, 3])
+    def test_outer_square_triples_near_maximal(self, rho, m_z):
+        # where the series cannot be summed: below the rho -> 1 limit
+        # E[Z^4] = (m + 1)/m by about 1.75 (1 - rho)/m, and within a
+        # Monte-Carlo estimate's spread
+        links = exponential_links(rho, (0, 1, 2))
+        t211 = joint_moment_triple(2, 1, 1, links, m_z)
+        t112 = joint_moment_triple(1, 1, 2, links, m_z)
+        limit = (m_z + 1.0) / m_z
+        for got in (t211, t112):
+            assert 0.0 < limit - got < 2.0 * (1.0 - rho) / m_z
+        n = 4_000_000
+        z = sample_correlated_nakagami(unit_exponential_spec(m_z, rho, 3), n, seed=11).data
+        for got, prod in ((t211, z[:, 0] ** 2 * z[:, 1] * z[:, 2]),
+                          (t112, z[:, 0] * z[:, 1] * z[:, 2] ** 2)):
+            assert abs(got - prod.mean()) < 4.0 * prod.std() / math.sqrt(n)
 
     @pytest.mark.parametrize("spec", [
         EnsembleSpec(fading_m=2, powers=tuple(math.exp(-0.3 * k) for k in range(8)),
@@ -388,15 +408,15 @@ class TestJointMomentOracles:
         total = (m + 1.0) / m * math.fsum(x * x for x in p)
         total += _fourth_moment_pair_terms(spec)
         for a, b, c in itertools.combinations(range(len(p)), 3):
-            delta = principal_submatrix_inverse(fitted, (a, b, c))
+            links = (fitted.entries[a, b], fitted.entries[b, c])
             total += 12.0 * (
-                p[a] * math.sqrt(p[b] * p[c]) * joint_moment_triple(2, 1, 1, delta, m)
-                + math.sqrt(p[a] * p[c]) * p[b] * joint_moment_triple(1, 2, 1, delta, m)
-                + math.sqrt(p[a] * p[b]) * p[c] * joint_moment_triple(1, 1, 2, delta, m))
+                p[a] * math.sqrt(p[b] * p[c]) * joint_moment_triple(2, 1, 1, links, m)
+                + math.sqrt(p[a] * p[c]) * p[b] * joint_moment_triple(1, 2, 1, links, m)
+                + math.sqrt(p[a] * p[b]) * p[c] * joint_moment_triple(1, 1, 2, links, m))
         for idx in itertools.combinations(range(len(p)), 4):
-            psi = principal_submatrix_inverse(fitted, idx)
+            links = [fitted.entries[i, j] for i, j in zip(idx, idx[1:])]
             total += 24.0 * math.sqrt(math.prod(p[i] for i in idx)) * \
-                joint_moment_quad(psi, m)
+                joint_moment_quad(links, m)
         assert fourth_moment_Z(spec) == pytest.approx(total, rel=1e-12)
 
     def test_no_warning_from_finished_subsets(self):
@@ -411,24 +431,31 @@ class TestJointMomentOracles:
     def test_independent_subset_needs_only_its_first_term(self, monkeypatch):
         # q = 0 ends the series at k = 0, even on a budget below the
         # stop rule's first chance at k = 4
-        triple = joint_moment_triple(2, 1, 1, np.eye(3), 2)
-        quad4 = joint_moment_quad(np.eye(4), 2)
+        triple = joint_moment_triple(1, 2, 1, (0.0, 0.0), 2)
+        quad4 = joint_moment_quad((0.0, 0.0, 0.0), 2)
         monkeypatch.setattr(moments, "_JOINT_MAX_TERMS", 3)
-        assert joint_moment_triple(2, 1, 1, np.eye(3), 2) == triple
-        assert joint_moment_quad(np.eye(4), 2) == quad4
-        delta = principal_submatrix_inverse(CorrelationMatrix.exponential(0.3, 3), (0, 1, 2))
+        assert joint_moment_triple(1, 2, 1, (0.0, 0.0), 2) == triple
+        assert joint_moment_quad((0.0, 0.0, 0.0), 2) == quad4
+        links = exponential_links(0.3, (0, 1, 2))
         with pytest.raises(TruncationError):
-            joint_moment_triple(2, 1, 1, delta, 2)
+            joint_moment_triple(1, 2, 1, links, 2)
+        # the outer-square triples sum no series
+        assert math.isfinite(joint_moment_triple(2, 1, 1, links, 2))
 
-    def test_near_maximal_still_raises(self):
+    @pytest.mark.parametrize("rho", [0.98, 0.99, 0.999])
+    @pytest.mark.parametrize("m_z", [1, 3])
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_near_maximal_still_raises(self, rho, m_z, L):
+        # the quad series goes silently wrong here (ROADMAP item 3): the fit
+        # must raise, not return a value built from it
         with pytest.raises(TruncationError):
-            fourth_moment_Z(unit_exponential_spec(1, 0.98, 4))
+            match_parameters(unit_exponential_spec(m_z, rho, L))
 
 
 # -- the joint-moment series summed one k at a time --------------------------
 #
 # `per_k_series` is the reference for the blocked `_joint_series`: one call
-# per exponent pattern, term k formed, checked, added and tested against
+# per lane kind ((1, 2, 1) triples or quads), term k formed, checked, added and tested against
 # the stop rule before k + 1 is looked at.  It takes its starting values
 # from the same `scipy.special.hyp2f1` (checked against mpmath in
 # `test_hyp2f1_starting_values_against_mpmath`), so the comparison isolates
@@ -484,15 +511,16 @@ def per_k_series(lanes, pattern, m, max_terms=10_000):
 
 
 def per_k_fourth_moment(spec):
-    """E[Z^4] with each exponent pattern's series summed by `per_k_series`."""
+    """E[Z^4] with the (1, 2, 1) triple and quad series summed by
+    `per_k_series`; the outer-square triples are the fit's closed forms."""
     m = spec.fading_m
     p = np.asarray(spec.powers)
     L = len(p)
     fitted = greens_fit(spec.sqrt_corr_matrix())
     triples = np.array(list(itertools.combinations(range(L), 3)))
     links = subset_links(fitted, triples)
-    t211, t121, t112 = (per_k_series(_triple_lanes((n,), links, m), n, float(m))[0]
-                        for n in ((2, 1, 1), (1, 2, 1), (1, 1, 2)))
+    t121 = per_k_series(_triple_lanes(links, m), (1, 2, 1), float(m))[0]
+    t211, t112 = moments._outer_square_triples(links, m)
     pa, pb, pc = p[triples].T
     total = (m + 1.0) / m * math.fsum(p * p) + _fourth_moment_pair_terms(spec)
     joint = 12.0 * np.sum(pa * np.sqrt(pb * pc) * t211 + np.sqrt(pa) * pb * np.sqrt(pc) * t121
@@ -550,10 +578,9 @@ class TestBlockedSeries:
         # each lane converges on a budget that just reaches the oracle's
         # stop index and raises on one term less (rho = 1e-5 stops at the
         # first chance, k = 4)
-        links = np.concatenate([subset_links(CorrelationMatrix.exponential(rho, 3),
-                                             np.array([[0, 1, 2]])) for rho in (1e-5, 0.3, 0.6)])
-        lanes = _triple_lanes(((2, 1, 1),), links, 1)
-        want, stops = per_k_series(lanes, (2, 1, 1), 1.0)
+        links = np.array([exponential_links(rho, (0, 1, 2)) for rho in (1e-5, 0.3, 0.6)])
+        lanes = _triple_lanes(links, 1)
+        want, stops = per_k_series(lanes, (1, 2, 1), 1.0)
         assert stops[0] == 4
         for i, stop in enumerate(stops):
             lane = moments._Lanes(*(field[..., i:i + 1] for field in lanes))
@@ -580,22 +607,21 @@ class TestBlockedSeries:
     def test_truncation_partial_matches_per_k_oracle(self, monkeypatch):
         mat = CorrelationMatrix.exponential(0.98, 6)
         triples = np.array(list(itertools.combinations(range(6), 3)))
-        lanes = _triple_lanes(((2, 1, 1),), subset_links(mat, triples), 1)
+        lanes = _triple_lanes(subset_links(mat, triples), 1)
         for max_terms, cause, message in ((10_000, "overflow", "overflowed"),
                                           (40, "budget", "did not converge")):
             with pytest.raises(TruncationError, match=cause) as want:
-                per_k_series(lanes, (2, 1, 1), 1.0, max_terms)
+                per_k_series(lanes, (1, 2, 1), 1.0, max_terms)
             with monkeypatch.context() as patch:
                 patch.setattr(moments, "_JOINT_MAX_TERMS", max_terms)
                 with pytest.raises(TruncationError, match=message) as got:
                     moments._joint_series(lanes, 1.0)
             assert got.value.partial == pytest.approx(want.value.partial, rel=1e-13)
-        delta = principal_submatrix_inverse(mat, (0, 1, 2))
+        links = exponential_links(0.98, (0, 1, 2))
         with pytest.raises(TruncationError) as got:
-            joint_moment_triple(2, 1, 1, delta, 1)
+            joint_moment_triple(1, 2, 1, links, 1)
         with pytest.raises(TruncationError) as want:
-            per_k_series(_triple_lanes(((2, 1, 1),), moments._links_from_inverse(delta, "delta"),
-                                       1), (2, 1, 1), 1.0)
+            per_k_series(_triple_lanes(links[None], 1), (1, 2, 1), 1.0)
         assert got.value.partial == pytest.approx(want.value.partial, rel=1e-13)
 
     def test_hyp2f1_starting_values_against_mpmath(self):
@@ -603,7 +629,7 @@ class TestBlockedSeries:
         worst = 0.0
         with mp.workdps(40):
             for m in range(1, 11):
-                lanes = _concat_lanes([_triple_lanes(moments._TRIPLE_PATTERNS, np.zeros((1, 2)), m),
+                lanes = _concat_lanes([_triple_lanes(np.zeros((1, 2)), m),
                                        _quad_lanes(np.zeros((1, 3)), m)])
                 for a0, b in set(zip(lanes.a0, lanes.b)):
                     for a in (a0, a0 + 1.0):
@@ -616,15 +642,16 @@ class TestBlockedSeries:
 
 # -- the lanes from link products against the inverse-based construction ----
 #
-# `inverse_triple_lanes`/`inverse_quad_lanes` build the lanes the way the fit
-# did before its lanes came from link products: from stacked tridiagonal
-# inverses of the principal submatrices and their determinants.  A float
+# `inverse_triple_lanes`/`inverse_quad_lanes` build the (1, 2, 1) triple and
+# quad lanes the way the fit did before its lanes came from link products:
+# from stacked tridiagonal inverses of the principal submatrices and their
+# determinants.  A float
 # matrix rounds each product c_ij, and its inverse amplifies that rounding
 # by about 1/w, w = 1 - r^2 of the strongest link; LAPACK adds as much
 # again.  Near-unit links are therefore checked against the inverse of the
 # exact Markov product, formed in mpmath.
 
-def inverse_triple_lanes(patterns, deltas, m_z, dets=None):
+def inverse_triple_lanes(deltas, m_z, dets=None):
     m = float(m_z)
     det = np.linalg.det(deltas) if dets is None else dets
     d11, d22, d33 = deltas[:, 0, 0], deltas[:, 1, 1], deltas[:, 2, 2]
@@ -632,16 +659,11 @@ def inverse_triple_lanes(patterns, deltas, m_z, dets=None):
     q = d12 * d12 / (d11 * d22)
     x = d23 * d23 / (d22 * d33)
     size = len(deltas)
-    lanes = []
-    for n1, n2, n3 in patterns:
-        pref = det ** m / (
-            d11 ** (m + n1 / 2.0) * d22 ** (m + n2 / 2.0) * d33 ** (m + n3 / 2.0))
-        pref *= math.exp(math.lgamma(m + n3 / 2.0) - 2.0 * math.lgamma(m))
-        pref /= m ** ((n1 + n2 + n3) / 2.0)
-        lanes.append(moments._Lanes(pref, q, np.full(size, m + n2 / 2.0),
-                                    np.full(size, m + n3 / 2.0), np.stack([x, np.zeros(size)]),
-                                    np.full(size, moments._TRIPLE_GROUP[n1, n2, n3])))
-    return _concat_lanes(lanes)
+    pref = det ** m / (d11 ** (m + 0.5) * d22 ** (m + 1.0) * d33 ** (m + 0.5))
+    pref *= math.exp(math.lgamma(m + 0.5) - 2.0 * math.lgamma(m))
+    pref /= m ** 2.0
+    return moments._Lanes(pref, q, np.full(size, m + 1.0), np.full(size, m + 0.5),
+                          np.stack([x, np.zeros(size)]), np.full(size, moments._TRIPLE_GROUP))
 
 
 def inverse_quad_lanes(psis, m_z, dets=None):
@@ -682,7 +704,7 @@ def closed_form_lanes(fitted, m_z):
     """Lanes of every triple and quadruple of ``fitted``, as the fit builds
     them."""
     triples, *quads = [subset_links(fitted, s) for s in all_subsets(fitted.dim)]
-    lanes = [_triple_lanes(moments._TRIPLE_PATTERNS, triples, m_z)]
+    lanes = [_triple_lanes(triples, m_z)]
     return _concat_lanes(lanes + [_quad_lanes(links, m_z) for links in quads])
 
 
@@ -690,23 +712,33 @@ def inverse_lanes(fitted, inverses, m_z):
     """The same lanes from ``inverses(fitted, subsets)``, the stacked
     inverses and their determinants (None for numpy's)."""
     (invs, dets), *quads = [inverses(fitted, s) for s in all_subsets(fitted.dim)]
-    lanes = [inverse_triple_lanes(moments._TRIPLE_PATTERNS, invs, m_z, dets)]
+    lanes = [inverse_triple_lanes(invs, m_z, dets)]
     return _concat_lanes(lanes + [inverse_quad_lanes(i, m_z, d) for i, d in quads])
 
 
 def lapack_inverses(fitted, subsets):
-    return principal_submatrix_inverses(fitted, subsets), None
+    """numpy's stacked inverses of the principal submatrices; a singular
+    one, or one whose inverse residual reaches 1e-8, raises."""
+    subs = fitted.entries[subsets[:, :, None], subsets[:, None, :]]
+    try:
+        invs = np.linalg.inv(subs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("singular principal submatrix") from exc
+    if not np.abs(subs @ invs - np.eye(subsets.shape[1])).max() < 1e-8:
+        raise SingularMatrixError("numerically singular principal submatrix")
+    return invs, None
 
 
 def oracle_fourth_moment(spec, fitted, inverses):
-    """E[Z^4] assembled from the inverse-based lanes."""
+    """E[Z^4] assembled from the inverse-based lanes; the outer-square
+    triples, which sum no series, are the fit's closed forms."""
     m = spec.fading_m
     p = np.asarray(spec.powers)
     L = len(p)
     series = moments._joint_series(inverse_lanes(fitted, inverses, m), float(m))
     triples = np.array(list(itertools.combinations(range(L), 3)))
-    t211, t121, t112, tquad = np.split(series, [len(triples), 2 * len(triples),
-                                                3 * len(triples)])
+    t121, tquad = series[:len(triples)], series[len(triples):]
+    t211, t112 = moments._outer_square_triples(subset_links(fitted, triples), m)
     pa, pb, pc = p[triples].T
     total = 12.0 * np.sum(pa * np.sqrt(pb * pc) * t211 + np.sqrt(pa) * pb * np.sqrt(pc) * t121
                           + np.sqrt(pa * pb) * pc * t112)
@@ -815,8 +847,8 @@ class TestLanesFromLinks:
         def unreachable(*args):
             raise AssertionError("inverse-based lane construction reached")
 
-        monkeypatch.setattr(linalg, "principal_submatrix_inverses", unreachable)
-        monkeypatch.setattr(moments, "_require_tridiagonal", unreachable)
+        monkeypatch.setattr(linalg, "principal_submatrix_inverse", unreachable)
+        monkeypatch.setattr(np.linalg, "inv", unreachable)
         monkeypatch.setattr(np.linalg, "det", unreachable)
         assert fourth_moment_Z(spec) == want
 
