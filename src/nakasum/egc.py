@@ -56,8 +56,8 @@ class ReceiverSpec:
     modulation: str = "bpsk"
 
     def __post_init__(self):
-        if not self.noise_psd > 0:
-            raise ValidationError(f"noise psd must be positive, got {self.noise_psd}")
+        if not 0.0 < self.noise_psd < math.inf:
+            raise ValidationError(f"noise psd must be positive and finite, got {self.noise_psd}")
         if self.modulation not in MODULATIONS:
             raise ValidationError(
                 f"modulation must be one of {MODULATIONS}, got {self.modulation!r}")
@@ -168,25 +168,38 @@ def power_profile(omega1: float, mu: float, L: int) -> tuple[float, ...]:
     return tuple(omega1 * math.exp(-mu * k) for k in range(L))
 
 
-def _sweep(rx: ReceiverSpec, snr_db_grid, threshold: float | None = None):
-    """The grid as floats, the ensemble's fit, and each point's power scale
-    over the fit.  The first point that puts the proxy power, or with
-    ``threshold`` threshold / scale, outside (0, inf) raises DomainError."""
+def _out_of_range(grid, what: str, values) -> None:
+    """DomainError naming the first point whose value is outside (0, inf)."""
+    bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
+    if bad.size:
+        raise DomainError(f"SNR grid point {grid[bad[0]]} dB puts the {what} "
+                          f"out of range ({float(values[bad[0]])})")
+
+
+def _snr_scale(rx: ReceiverSpec, snr_db_grid):
+    """The grid as floats and each point's combiner SNR per unit squared
+    envelope sum, 10^(snr/10) / (L omega_1).  A point that is not finite or
+    puts this scale outside (0, inf) raises DomainError."""
     grid = [float(snr_db) for snr_db in snr_db_grid]
     for snr_db in grid:
         if not math.isfinite(snr_db):
             raise DomainError(f"SNR grid points must be finite, got {snr_db}")
-    base = match_parameters(rx.ensemble)
     with np.errstate(all="ignore"):
         scale = 10.0 ** np.divide(grid, 10.0) / (rx.ensemble.branch_count * rx.ensemble.powers[0])
-        checked = {"proxy power": base.omega_r * scale}
+    _out_of_range(grid, "combiner SNR scale", scale)
+    return grid, scale
+
+
+def _sweep(rx: ReceiverSpec, snr_db_grid, threshold: float | None = None):
+    """``_snr_scale`` and the ensemble's fit.  The first point that puts the
+    proxy power, or with ``threshold`` threshold / scale, outside (0, inf)
+    raises DomainError."""
+    grid, scale = _snr_scale(rx, snr_db_grid)
+    base = match_parameters(rx.ensemble)
+    with np.errstate(all="ignore"):
+        _out_of_range(grid, "proxy power", base.omega_r * scale)
         if threshold is not None:
-            checked["outage threshold"] = threshold / scale
-    for what, values in checked.items():
-        bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
-        if bad.size:
-            raise DomainError(f"SNR grid point {grid[bad[0]]} dB puts the {what} "
-                              f"out of range ({float(values[bad[0]])})")
+            _out_of_range(grid, "outage threshold", threshold / scale)
     return grid, base, scale
 
 

@@ -71,14 +71,6 @@ _TINY = np.finfo(float).smallest_subnormal
 _HALF_MAX = 0.5 * np.finfo(float).max
 
 
-def _active_rates(model: GammaSumModel) -> NDArray[np.float64]:
-    """Per-eigenvalue rates omega_r*lambda/m_r, zero eigenvalues dropped."""
-    lams = np.asarray([l for l in model.spectrum.values if l > 0.0])
-    if lams.size == 0:
-        raise DomainError("model has no positive eigenvalues")
-    return model.omega_r * lams / model.m_r
-
-
 def _scalar_or_array(values: NDArray[np.float64], scalar: bool):
     return float(values) if scalar else values
 
@@ -88,8 +80,9 @@ def mgf(model: GammaSumModel, s: ArrayLike) -> float | NDArray[np.float64]:
 
     Defined for s below the pole m_r / (omega_r * max eigenvalue); all
     performance consumers evaluate on the negative real axis, and the
-    small positive range supports derivative checks at the origin.  Zero
-    eigenvalues contribute unit factors and are skipped.  ``s`` is a
+    small positive range supports derivative checks at the origin.  It is
+    the product over the merged Gamma terms that ``pdf`` and ``cdf`` sum
+    (zero eigenvalues contribute unit factors and are skipped).  ``s`` is a
     scalar or an array.
     """
     if np.ndim(s) == 0 and s == 0.0:
@@ -97,13 +90,13 @@ def mgf(model: GammaSumModel, s: ArrayLike) -> float | NDArray[np.float64]:
     s_arr = np.asarray(s, dtype=float)
     if np.isnan(s_arr).any():
         raise DomainError("mgf requires s to be a number, got nan")
-    rates = _active_rates(model)
-    beyond = s_arr * float(rates.max()) >= 1.0
+    shapes, scales = _distinct_gammas(model)
+    beyond = s_arr * scales[-1] >= 1.0
     if np.any(beyond):
         raise DomainError(
-            f"mgf pole at s={1.0 / float(rates.max())}; got s={s_arr[beyond].flat[0]}")
-    log_terms = np.sum(np.log1p(-s_arr[..., None] * rates), axis=-1)
-    return _scalar_or_array(np.exp(-model.m_r * log_terms), s_arr.ndim == 0)
+            f"mgf pole at s={1.0 / scales[-1]}; got s={s_arr[beyond].flat[0]}")
+    log_terms = np.sum(shapes * np.log1p(-s_arr[..., None] * scales), axis=-1)
+    return _scalar_or_array(np.exp(-log_terms), s_arr.ndim == 0)
 
 
 # -- Moschopoulos series -----------------------------------------------------

@@ -13,9 +13,12 @@ at a time: one (rows, L) draw, the Cholesky product, squared and added
 into the block's power array, so a block holds two layers at most.
 Multi-block calls run their blocks on a thread pool that the call starts
 and joins before it returns (one worker per available CPU, at most four,
-never more than the call has blocks), and combine the per-block rows or
-partial sums in block order, so every output is bit-identical whatever the
-number of workers.  Single-block calls run inline and start no thread.
+never more than the call has blocks).  Samples are written in place;
+every estimate maps each block's row sums to an array of partial sums and
+adds the arrays in block order.  So every output is bit-identical whatever
+the number of workers.  Single-block calls run inline and start no thread.
+A simulated EGC curve evaluates all its SNR points on one envelope draw
+(common random numbers); hard bit decisions draw one stream per point.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import erfc
 
-from .egc import PerfCurve, PerfPoint, ReceiverSpec
+from .egc import PerfCurve, PerfPoint, ReceiverSpec, _snr_scale
 from .errors import ValidationError
 from .linalg import cholesky_psd
 from .moments import EnsembleSpec
@@ -181,33 +184,29 @@ def sample_sum(spec: EnsembleSpec, n: int, seed: int) -> NDArray[np.float64]:
     return z
 
 
+def _reduce_blocks(reduce, factors, seed: int, n: int) -> NDArray[np.float64]:
+    """Sum over the blocks of n rows of reduce(block, squared envelope row
+    sums), an array, added in block order."""
+    def task(job):
+        block, lo, hi = job
+        z = _row_sum_block(factors, seed, block, hi - lo)
+        return reduce(block, np.square(z, out=z))
+
+    return sum(_map_blocks(task, _blocks(n)))
+
+
 def estimate_sum_moments(spec: EnsembleSpec, n: int, seed: int) -> dict:
     """Streaming estimates of E[Z^2] and E[Z^4] with standard errors."""
     _check_draws(n, seed)
-    factors = _layer_factors(spec)
 
-    def task(job):
-        block, lo, hi = job
-        z2 = _row_sum_block(factors, seed, block, hi - lo) ** 2
+    def reduce(block, z2):
         z4 = z2 * z2
-        return float(z2.sum()), float(z4.sum()), float((z4 * z4).sum())
+        return np.array([z2.sum(), z4.sum(), (z4 * z4).sum()])
 
-    s2 = s4 = s8 = 0.0
-    for p2, p4, p8 in _map_blocks(task, _blocks(n)):
-        s2 += p2
-        s4 += p4
-        s8 += p8
-    m2 = s2 / n
-    m4 = s4 / n
-    var2 = max(0.0, s4 / n - m2 * m2)
-    var4 = max(0.0, s8 / n - m4 * m4)
-    return {
-        "n": n,
-        "m2": m2,
-        "m4": m4,
-        "se2": math.sqrt(var2 / n),
-        "se4": math.sqrt(var4 / n),
-    }
+    m2, m4, m8 = (_reduce_blocks(reduce, _layer_factors(spec), seed, n) / n).tolist()
+    return {"n": n, "m2": m2, "m4": m4,
+            "se2": math.sqrt(max(0.0, m4 - m2 * m2) / n),
+            "se4": math.sqrt(max(0.0, m8 - m4 * m4) / n)}
 
 
 def _conditional_bep(gammas: NDArray[np.float64], modulation: str) -> NDArray[np.float64]:
@@ -222,46 +221,35 @@ def simulate_egc_ber(rx: ReceiverSpec, snr_db_grid, n_bits: int, seed: int,
 
     The default averages the exact conditional error probability of each
     combiner draw (semi-analytic, low variance); ``conditional=False``
-    counts hard bit decisions instead.
+    counts hard bit decisions instead, one stream per point.  All points
+    share one draw of n_bits envelopes, scaled to each point's combiner SNR
+    by the rule of ``ber_curve``, which rejects a point before any draw.
     """
     _check_draws(n_bits, seed, minimum=10_000)
-    spec = rx.ensemble
-    L = spec.branch_count
-    omega1 = spec.powers[0]
-    grid = [float(snr_db) for snr_db in snr_db_grid]
-    # per point: noise density, envelope stream seed, bit-decision stream seed
-    streams = [(omega1 / 10.0 ** (snr_db / 10.0), derive_seed(seed, 0xE9C, idx),
-                derive_seed(seed, 0xB17, idx)) for idx, snr_db in enumerate(grid)]
-    factors = _layer_factors(spec)
-    blocks = _blocks(n_bits)
+    grid, scale = _snr_scale(rx, snr_db_grid)
+    bit_seeds = [derive_seed(seed, 0xB17, idx) for idx in range(len(grid))]
 
-    def task(job):
-        (n0, child, bit_seed), (block, lo, hi) = job
-        gammas = _row_sum_block(factors, child, block, hi - lo) ** 2 / (L * n0)
-        bep = _conditional_bep(gammas, rx.modulation)
-        if not conditional:
-            rng = _block_generator(bit_seed, block)
-            bep = (rng.random(gammas.size) < bep).astype(float)
-        return float(bep.sum()), float((bep * bep).sum())
+    def reduce(block, z2):
+        sums = np.empty((len(grid), 2))
+        for idx, point_scale in enumerate(scale):
+            # the last point scales the block's draws in place: one array less
+            gammas = np.multiply(z2, point_scale, out=z2 if idx == len(grid) - 1 else None)
+            bep = _conditional_bep(gammas, rx.modulation)
+            if not conditional:
+                rng = _block_generator(bit_seeds[idx], block)
+                bep = (rng.random(bep.size) < bep).astype(float)
+            sums[idx] = bep.sum(), (bep * bep).sum()
+        return sums
 
-    partials = _map_blocks(task, [(point, b) for point in streams for b in blocks])
-    points = []
-    for idx, snr_db in enumerate(grid):
-        total = 0.0
-        total_sq = 0.0
-        for part, part_sq in partials[idx * len(blocks):(idx + 1) * len(blocks)]:
-            total += part
-            total_sq += part_sq
-        mean = total / n_bits
-        var = max(0.0, total_sq / n_bits - mean * mean)
-        points.append(PerfPoint(snr_db=snr_db, value=mean,
-                                stderr=math.sqrt(var / n_bits)))
+    mean, mean_sq = (_reduce_blocks(reduce, _layer_factors(rx.ensemble),
+                                    derive_seed(seed, 0xE9C, 0), n_bits) / n_bits).T
+    stderr = np.sqrt(np.maximum(0.0, mean_sq - mean * mean) / n_bits)
     return PerfCurve(
-        points=tuple(points),
+        points=tuple(map(PerfPoint, grid, mean.tolist(), stderr.tolist())),
         kind=f"ber-{rx.modulation}-sim",
         meta={"method": "conditional-error" if conditional else "bit-count",
               "n_bits": n_bits, "seed": int(seed),
-              "branches": L},
+              "branches": rx.ensemble.branch_count},
     )
 
 

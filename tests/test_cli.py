@@ -1,5 +1,6 @@
 """Command-line interface tests: flag validation, output formats,
 determinism, and the correlation-file round trip."""
+import csv
 import json
 import math
 
@@ -161,6 +162,25 @@ class TestValidateAndSample:
         assert out1 == out2
         doc = json.loads(out1)
         assert doc["n_trials"] == 4
+
+    @pytest.mark.parametrize("mod", ["bpsk", "bfsk"])
+    def test_validate_egc(self, capsys, mod):
+        spec = ("--model", "exp", "--rho", "0.5", "--mz", "2", "--L", "3",
+                "--omega", "1", "--mod", mod, "--snr-grid", "0:12:4")
+        args = ("validate", *spec, "--kind", "egc", "--n-bits", "20000", "--seed", "5")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert run(capsys, *args) == (0, out, "")
+        lines = out.splitlines()
+        assert lines[0] == "snr_db,analytic,simulated,stderr"
+        rows = list(csv.DictReader(lines))
+        assert [float(r["snr_db"]) for r in rows] == [0.0, 4.0, 8.0, 12.0]
+        code, ber_out, _ = run(capsys, "ber", *spec)
+        assert code == 0
+        assert [r["analytic"] for r in rows] == [
+            r["value"] for r in csv.DictReader(ber_out.splitlines())]
+        for r in rows:
+            assert abs(float(r["simulated"]) - float(r["analytic"])) < 0.5 * float(r["analytic"])
 
     def test_validate_table_mode(self, capsys):
         code, out, _ = run(capsys, "validate", "--model", "equal", "--table",

@@ -69,8 +69,12 @@ class TestEgcModel:
     def test_modulation_validation(self):
         with pytest.raises(ValidationError):
             balanced_rx(EqualCorrelation(0.0), 1, 2, mod="qam")
-        with pytest.raises(ValidationError):
-            balanced_rx(EqualCorrelation(0.0), 1, 2, n0=0.0)
+
+    @pytest.mark.parametrize("n0", [0.0, -1.0, math.nan, math.inf])
+    def test_noise_psd_domain(self, n0):
+        # an infinite density was accepted and failed later in egc_model
+        with pytest.raises(ValidationError, match="noise psd must be positive and finite"):
+            balanced_rx(EqualCorrelation(0.0), 1, 2, n0=n0)
 
 
 class TestOutage:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from nakasum.egc import ReceiverSpec, ber_bpsk, egc_model
-from nakasum.errors import ValidationError
+from nakasum.egc import ReceiverSpec, ber_bpsk, ber_curve, egc_model
+from nakasum.errors import DomainError, ValidationError
 from nakasum.matcher import match_parameters
 from nakasum.moments import (
     EnsembleSpec,
@@ -197,6 +197,34 @@ class TestEgcSimulation:
         b = simulate_egc_ber(rx, [8.0], n_bits=20_000, seed=43)
         assert a.points[0].value == b.points[0].value
 
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 4000.0, -4000.0])
+    def test_grid_point_out_of_domain(self, snr_db):
+        rx = ReceiverSpec(ensemble=unit_spec(EqualCorrelation(0.5), 1, 3),
+                          noise_psd=1.0)
+        grid = [8.0, snr_db]
+        for run in (lambda: ber_curve(rx, grid),
+                    lambda: simulate_egc_ber(rx, grid, n_bits=20_000, seed=43)):
+            with pytest.raises(DomainError, match=f"(point|got) {snr_db}"):
+                run()
+
+    def test_points_share_envelope_draws(self):
+        # every point scales the same envelope draws, so each point of a
+        # curve is the single-point curve at that SNR and the same seed
+        rx = ReceiverSpec(ensemble=unit_spec(EqualCorrelation(0.5), 1, 3),
+                          noise_psd=1.0)
+        grid = [0.0, 8.0, 16.0]
+        curve = simulate_egc_ber(rx, grid, n_bits=20_000, seed=43)
+        for point, snr_db in zip(curve.points, grid):
+            alone = simulate_egc_ber(rx, [snr_db], n_bits=20_000, seed=43).points[0]
+            assert point.value == pytest.approx(alone.value, rel=1e-14)
+            assert point.stderr == pytest.approx(alone.stderr, rel=1e-12)
+
+    def test_empty_grid(self):
+        # an empty grid gave ValueError from a pool of no workers
+        rx = ReceiverSpec(ensemble=unit_spec(EqualCorrelation(0.5), 1, 3),
+                          noise_psd=1.0)
+        assert simulate_egc_ber(rx, [], n_bits=20_000, seed=43).points == ()
+
     def test_min_draws(self):
         rx = ReceiverSpec(ensemble=unit_spec(EqualCorrelation(0.5), 1, 3),
                           noise_psd=1.0)
@@ -265,26 +293,27 @@ def oracle_moments(spec, n, seed):
 
 
 def oracle_ber(rx, grid, n_bits, seed, conditional):
+    # one envelope stream per curve, each point's combiner SNR its squared
+    # row sum times 10^(snr/10) / (L omega_1); one bit stream per point
     spec = rx.ensemble
-    L = spec.branch_count
-    out = []
-    for idx, snr_db in enumerate(grid):
-        n0 = spec.powers[0] / 10.0 ** (float(snr_db) / 10.0)
-        child = derive_seed(seed, 0xE9C, idx)
-        total = total_sq = 0.0
-        done = 0
-        for block in oracle_blocks(spec, n_bits, child):
-            gammas = block.sum(axis=1) ** 2 / (L * n0)
-            bep = simkit._conditional_bep(gammas, rx.modulation)
+    scale = 10.0 ** (np.asarray(grid, dtype=float) / 10.0) / (
+        spec.branch_count * spec.powers[0])
+    total = np.zeros(len(grid))
+    total_sq = np.zeros(len(grid))
+    blocks = oracle_blocks(spec, n_bits, derive_seed(seed, 0xE9C, 0))
+    for block, envelopes in enumerate(blocks):
+        z2 = envelopes.sum(axis=1) ** 2
+        for idx in range(len(grid)):
+            bep = simkit._conditional_bep(z2 * scale[idx], rx.modulation)
             if not conditional:
-                rng = simkit._block_generator(derive_seed(seed, 0xB17, idx),
-                                              done // simkit._BLOCK_ROWS)
-                bep = (rng.random(gammas.size) < bep).astype(float)
-            total += float(bep.sum())
-            total_sq += float((bep * bep).sum())
-            done += gammas.size
-        mean = total / n_bits
-        var = max(0.0, total_sq / n_bits - mean * mean)
+                rng = simkit._block_generator(derive_seed(seed, 0xB17, idx), block)
+                bep = (rng.random(bep.size) < bep).astype(float)
+            total[idx] += float(bep.sum())
+            total_sq[idx] += float((bep * bep).sum())
+    out = []
+    for snr_db, s1, s2 in zip(grid, total.tolist(), total_sq.tolist()):
+        mean = s1 / n_bits
+        var = max(0.0, s2 / n_bits - mean * mean)
         out.append((float(snr_db), mean, math.sqrt(var / n_bits)))
     return out
 
