@@ -258,9 +258,8 @@ def _gof_table(args) -> str:
             for L in (2, 5):
                 spec = EnsembleSpec(fading_m=mz, powers=(1.0,) * L,
                                     correlation=cls(rho))
-                rep = gof.gof_campaign(
-                    spec, trials=args.trials, per_trial=args.per_trial,
-                    seed=args.seed, alpha_mode=args.alpha_mode)
+                rep = gof.gof_campaign(spec, trials=args.trials,
+                                       per_trial=args.per_trial, seed=args.seed)
                 lines.append(f"{rho:>4} {mz:>3} {L:>3} "
                              f"{rep.alpha_cs:>10.4f} {rep.alpha_ks:>10.4f}")
     return "\n".join(lines) + "\n"
@@ -271,13 +270,16 @@ def cmd_validate(args) -> int:
         if args.model == "arbitrary":
             raise ValidationError("--table runs the parametric scenario grid; "
                                   "use equal or exp")
+        for flag in ("--rho", "--mz", "--L", "--mu", "--corr-file"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ValidationError(f"--table runs a fixed scenario grid "
+                                      f"and ignores {flag}")
         _emit(_gof_table(args), args.out)
         return 0
     spec = build_spec(args)
     if args.kind == "gof":
-        report = gof.gof_campaign(
-            spec, trials=args.trials, per_trial=args.per_trial,
-            seed=args.seed, alpha_mode=args.alpha_mode)
+        report = gof.gof_campaign(spec, trials=args.trials,
+                                  per_trial=args.per_trial, seed=args.seed)
         _emit(report.to_json(), args.out)
         return 0
     rx = egc.ReceiverSpec(ensemble=spec, noise_psd=args.n0, modulation=args.mod)
@@ -361,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "standard scenario grid")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--per-trial", type=int, default=10_000)
-    p.add_argument("--alpha-mode", choices=("stat-mean", "alpha-mean"),
-                   default="stat-mean")
     p.add_argument("--n0", type=float, default=1.0)
     p.add_argument("--mod", choices=("bpsk", "bfsk"), default="bpsk")
     p.add_argument("--snr-grid", default="0:16:5")

@@ -1,15 +1,14 @@
 """Chi-square and Kolmogorov-Smirnov goodness-of-fit testing of sampled
 envelope sums against the fitted analytical distribution.
 
-The campaign protocol draws a number of independent trials, computes both
-statistics per trial against the model CDF, averages the statistics across
-trials, and evaluates the significance levels at the averaged statistics.
-(Averaging the per-trial significance levels instead is available through
-``alpha_mode="alpha-mean"``.)  The significance levels are upper-tail
-p-values (the regularised upper incomplete gamma for chi-square, the
-Kolmogorov Q function for K-S): a small level means misfit was detected,
-and a level of about 0.4-0.5 means the averaged statistic sits at its
-null mean.  The report carries raw numbers without reinterpreting them.
+The campaign protocol draws independent trials, computes both statistics
+per trial against the model CDF (100 equiprobable chi-square bins), with
+the kernels the public tests use, and averages them across trials.  Its
+one significance rule is the upper-tail p-value at the averaged statistic
+(the regularised upper incomplete gamma for chi-square, the Kolmogorov Q
+function for K-S): a small level means misfit was detected, and a level of
+about 0.4-0.5 means the averaged statistic sits at its null mean.  The
+report carries raw numbers without reinterpreting them.
 
 The model CDF used by both tests is a monotone interpolation of the exact
 CDF, evaluated on its whole grid in one array call; chi-square bin edges
@@ -32,11 +31,10 @@ from .errors import BinningError, ValidationError
 from .gammasum import cdf
 from .matcher import GammaSumModel, match_parameters
 from .moments import EnsembleSpec
-from .simkit import derive_seed, sample_sum
+from .simkit import _check_integers, derive_seed, sample_sum
 
 __all__ = [
     "GofReport",
-    "kolmogorov_sf",
     "ks_test",
     "chi_square_test",
     "model_envelope_cdf",
@@ -54,24 +52,46 @@ class GofReport:
     alpha_ks: float
     n_samples: int
     n_trials: int
-    alpha_mode: str = "stat-mean"
 
     def to_json(self) -> str:
         return json.dumps({
-            "schema": "gof-report/1",
+            "schema": "gof-report/2",
             "chi2_stat": self.chi2_stat,
             "ks_stat": self.ks_stat,
             "alpha_cs": self.alpha_cs,
             "alpha_ks": self.alpha_ks,
             "n_samples": self.n_samples,
             "n_trials": self.n_trials,
-            "alpha_mode": self.alpha_mode,
         }, indent=2)
 
 
-def kolmogorov_sf(x: float) -> float:
-    """Asymptotic Kolmogorov survival function Q(x) = 2 sum (-1)^(k-1) e^(-2k^2x^2)."""
-    return float(kolmogorov(x))
+_N_BINS = 100  # equiprobable chi-square bins of the campaign; chi_square_test default
+
+
+def _sorted_samples(samples: NDArray[np.float64], minimum: int) -> NDArray[np.float64]:
+    """Sorted copy of a vector of at least ``minimum`` finite samples."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size < minimum:
+        raise ValidationError(f"samples must be a vector of length >= {minimum}")
+    if not np.isfinite(x).all():
+        raise ValidationError("samples must be finite")
+    return np.sort(x)
+
+
+def _check_binning(n: int, n_bins: int) -> None:
+    """Reject n samples whose expected count per bin is below 5."""
+    if n < 5 * n_bins:
+        raise BinningError(
+            f"{n} samples give expected bin counts below 5 with {n_bins} bins")
+
+
+def _ks_distance(x_sorted: NDArray[np.float64], cdf_fn: Callable) -> float:
+    """K-S distance of sorted samples from the model CDF: the larger of
+    the two one-sided gaps, taken at every order statistic."""
+    n = x_sorted.size
+    f = np.asarray(cdf_fn(x_sorted), dtype=float)
+    grid = np.arange(1, n + 1) / n
+    return max(float(np.max(grid - f)), float(np.max(f - (grid - 1.0 / n))))
 
 
 def ks_test(samples: NDArray[np.float64],
@@ -82,19 +102,9 @@ def ks_test(samples: NDArray[np.float64],
     Both one-sided gaps are taken at every order statistic.  The input is
     sorted internally if needed.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 10:
-        raise ValidationError("ks_test needs a vector of at least 10 samples")
-    if np.isnan(x).any():
-        raise ValidationError("samples contain NaN")
-    x = np.sort(x)
-    n = x.size
-    f = np.asarray(cdf_fn(x), dtype=float)
-    grid = np.arange(1, n + 1) / n
-    d_plus = float(np.max(grid - f))
-    d_minus = float(np.max(f - (grid - 1.0 / n)))
-    d = max(d_plus, d_minus)
-    return d, kolmogorov_sf(math.sqrt(n) * d)
+    x_sorted = _sorted_samples(samples, 10)
+    d = _ks_distance(x_sorted, cdf_fn)
+    return d, float(kolmogorov(math.sqrt(x_sorted.size) * d))
 
 
 def _bin_edges(cdf_fn: Callable, n_bins: int, hi: float) -> NDArray[np.float64]:
@@ -115,21 +125,19 @@ def _bin_edges(cdf_fn: Callable, n_bins: int, hi: float) -> NDArray[np.float64]:
     return 0.5 * (lo + up)
 
 
-def _chi_square(x_sorted: NDArray[np.float64],
-                edges: NDArray[np.float64]) -> tuple[float, float]:
+def _chi_square_stat(x_sorted: NDArray[np.float64],
+                     edges: NDArray[np.float64]) -> float:
     """Chi-square statistic of sorted samples over equiprobable bins with
-    the given interior edges, and its upper-tail significance level."""
+    the given interior edges."""
     n = x_sorted.size
-    n_bins = edges.size + 1
     counts = np.diff(np.searchsorted(x_sorted, edges, side="right"),
                      prepend=0, append=n)
-    expected = n / n_bins
-    chi2 = float(np.sum((counts - expected) ** 2) / expected)
-    return chi2, float(gammaincc((n_bins - 1) / 2.0, chi2 / 2.0))
+    expected = n / (edges.size + 1)
+    return float(np.sum((counts - expected) ** 2) / expected)
 
 
 def chi_square_test(samples: NDArray[np.float64],
-                    cdf_fn: Callable, n_bins: int = 100) -> tuple[float, float]:
+                    cdf_fn: Callable, n_bins: int = _N_BINS) -> tuple[float, float]:
     """Chi-square statistic over equiprobable model bins and its
     significance level.
 
@@ -137,18 +145,12 @@ def chi_square_test(samples: NDArray[np.float64],
     parameters are refitted from the data, leaving n_bins - 1 degrees of
     freedom.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError("chi_square_test needs a vector of samples")
-    if np.isnan(x).any():
-        raise ValidationError("samples contain NaN")
-    n = x.size
-    if n < 5 * n_bins:
-        raise BinningError(
-            f"{n} samples give expected bin counts below 5 with {n_bins} bins")
-    x_sorted = np.sort(x)
+    _check_integers(("n_bins", n_bins, 2))
+    x_sorted = _sorted_samples(samples, 1)
+    _check_binning(x_sorted.size, n_bins)
     edges = _bin_edges(cdf_fn, n_bins, max(float(x_sorted[-1]), 1.0))
-    return _chi_square(x_sorted, edges)
+    chi2 = _chi_square_stat(x_sorted, edges)
+    return chi2, float(gammaincc((n_bins - 1) / 2.0, chi2 / 2.0))
 
 
 # Power-of-two multiples of the mean square searched for the grid's upper
@@ -196,45 +198,40 @@ def model_envelope_cdf(model: GammaSumModel) -> Callable:
 
 
 def gof_campaign(spec: EnsembleSpec, trials: int = 100, per_trial: int = 10_000,
-                 seed: int = 0, n_bins: int = 100,
-                 alpha_mode: str = "stat-mean") -> GofReport:
+                 seed: int = 0) -> GofReport:
     """Run the averaged goodness-of-fit campaign for one ensemble.
 
-    Each trial draws ``per_trial`` independent envelope sums, computes the
-    chi-square and K-S statistics against the fitted model, and the
-    statistics are averaged across trials.  Results are deterministic for
-    a given seed.
+    Each trial draws ``per_trial`` independent envelope sums and computes
+    the chi-square statistic over 100 equiprobable model bins and the K-S
+    distance against the fitted model.  The statistics are averaged across
+    trials, and each significance level is the single-trial upper tail at
+    the averaged statistic.  Results are deterministic for a given seed.
+
+    The arguments are checked before the fit: ``trials``, ``per_trial``
+    and ``seed`` must be integers, not bools, of at least 1, 1 and 0
+    (ValidationError), and ``per_trial`` at least 500, five draws per bin
+    (BinningError).
     """
-    if trials < 1 or per_trial < 10:
-        raise ValidationError("need at least 1 trial of at least 10 samples")
-    if alpha_mode not in ("stat-mean", "alpha-mean"):
-        raise ValidationError(f"unknown alpha_mode {alpha_mode!r}")
+    _check_integers(("trials", trials, 1), ("per_trial", per_trial, 1),
+                    ("seed", seed, 0))
+    _check_binning(per_trial, _N_BINS)
     model = match_parameters(spec)
     env_cdf = model_envelope_cdf(model)
-    edges = _bin_edges(env_cdf, n_bins, math.sqrt(model.mean_square))
+    edges = _bin_edges(env_cdf, _N_BINS, math.sqrt(model.mean_square))
 
-    def one_trial(idx: int) -> tuple[float, float, float, float]:
+    chi2, dist = [], []
+    for idx in range(trials):
         z = np.sort(sample_sum(spec, per_trial, derive_seed(seed, 0x60F, idx)))
-        chi2, alpha_cs = _chi_square(z, edges)
-        d, alpha_ks = ks_test(z, env_cdf)
-        return chi2, d, alpha_cs, alpha_ks
+        chi2.append(_chi_square_stat(z, edges))
+        dist.append(_ks_distance(z, env_cdf))
 
-    results = [one_trial(i) for i in range(trials)]
-
-    chi2_mean = math.fsum(r[0] for r in results) / trials
-    d_mean = math.fsum(r[1] for r in results) / trials
-    if alpha_mode == "stat-mean":
-        alpha_cs = float(gammaincc((n_bins - 1) / 2.0, chi2_mean / 2.0))
-        alpha_ks = kolmogorov_sf(math.sqrt(per_trial) * d_mean)
-    else:
-        alpha_cs = math.fsum(r[2] for r in results) / trials
-        alpha_ks = math.fsum(r[3] for r in results) / trials
+    chi2_mean = math.fsum(chi2) / trials
+    d_mean = math.fsum(dist) / trials
     return GofReport(
         chi2_stat=chi2_mean,
         ks_stat=d_mean,
-        alpha_cs=alpha_cs,
-        alpha_ks=alpha_ks,
+        alpha_cs=float(gammaincc((_N_BINS - 1) / 2.0, chi2_mean / 2.0)),
+        alpha_ks=float(kolmogorov(math.sqrt(per_trial) * d_mean)),
         n_samples=per_trial,
         n_trials=trials,
-        alpha_mode=alpha_mode,
     )

@@ -140,7 +140,8 @@ class EnsembleSpec:
     correlation: CorrelationModel
 
     def __post_init__(self):
-        if not (isinstance(self.fading_m, (int, np.integer)) and self.fading_m >= 1):
+        if isinstance(self.fading_m, bool) or not (
+                isinstance(self.fading_m, (int, np.integer)) and self.fading_m >= 1):
             raise ValidationError(
                 f"fading parameter must be a positive integer, got {self.fading_m}")
         powers = tuple(float(p) for p in self.powers)

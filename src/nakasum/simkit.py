@@ -69,10 +69,10 @@ def derive_seed(seed: int, tag: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
-def _check_draws(n, seed, minimum: int = 1) -> None:
-    """Reject a draw count below ``minimum`` and a negative seed; both must
-    be integers."""
-    for name, value, low in (("draw count", n, minimum), ("seed", seed, 0)):
+def _check_integers(*checks) -> None:
+    """Reject each (name, value, low) whose value is not an integer (a bool
+    included) or is below ``low``; the error names the argument."""
+    for name, value, low in checks:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
         if value < low:
@@ -158,7 +158,7 @@ def _row_sum_block(factors, seed: int, block: int, rows: int,
 
 def sample_correlated_nakagami(spec: EnsembleSpec, n: int, seed: int) -> SampleBatch:
     """Draw n correlated Nakagami envelope vectors."""
-    _check_draws(n, seed)
+    _check_integers(("draw count", n, 1), ("seed", seed, 0))
     factors = _layer_factors(spec)
     data = np.empty((n, spec.branch_count))
 
@@ -172,7 +172,7 @@ def sample_correlated_nakagami(spec: EnsembleSpec, n: int, seed: int) -> SampleB
 
 def sample_sum(spec: EnsembleSpec, n: int, seed: int) -> NDArray[np.float64]:
     """Row sums of a correlated Nakagami batch."""
-    _check_draws(n, seed)
+    _check_integers(("draw count", n, 1), ("seed", seed, 0))
     factors = _layer_factors(spec)
     z = np.empty(n)
 
@@ -197,7 +197,7 @@ def _reduce_blocks(reduce, factors, seed: int, n: int) -> NDArray[np.float64]:
 
 def estimate_sum_moments(spec: EnsembleSpec, n: int, seed: int) -> dict:
     """Streaming estimates of E[Z^2] and E[Z^4] with standard errors."""
-    _check_draws(n, seed)
+    _check_integers(("draw count", n, 1), ("seed", seed, 0))
 
     def reduce(block, z2):
         z4 = z2 * z2
@@ -225,7 +225,7 @@ def simulate_egc_ber(rx: ReceiverSpec, snr_db_grid, n_bits: int, seed: int,
     share one draw of n_bits envelopes, scaled to each point's combiner SNR
     by the rule of ``ber_curve``, which rejects a point before any draw.
     """
-    _check_draws(n_bits, seed, minimum=10_000)
+    _check_integers(("draw count", n_bits, 10_000), ("seed", seed, 0))
     grid, scale = _snr_scale(rx, snr_db_grid)
     bit_seeds = [derive_seed(seed, 0xB17, idx) for idx in range(len(grid))]
 

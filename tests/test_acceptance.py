@@ -323,8 +323,7 @@ def test_criterion_08b_gof_published_small_alpha_cells():
         corr = EqualCorrelation(rho) if label == "equal" else ExponentialCorrelation(rho)
         t_cell = time.time()
         report = gof_campaign(balanced(corr, m_z, L), trials=trials,
-                              per_trial=per_trial, seed=8000 + cell_idx,
-                              n_bins=n_bins)
+                              per_trial=per_trial, seed=8000 + cell_idx)
         per_table_time[label] += time.time() - t_cell
         cell = f"({label}, rho={rho}, m_z={m_z}, L={L})"
         for metric in metrics:

@@ -3,6 +3,7 @@ tracer wraps by name."""
 import ast
 import importlib
 import pathlib
+import pkgutil
 
 import nakasum
 
@@ -31,5 +32,10 @@ def test_tracer_names_resolve():
 
 
 def test_all_exports_resolve():
-    for name in nakasum.__all__:
-        assert hasattr(nakasum, name), name
+    # the package and every submodule: a removal that leaves a stale
+    # export fails here
+    modules = [nakasum] + [importlib.import_module(f"nakasum.{info.name}")
+                           for info in pkgutil.iter_modules(nakasum.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -190,6 +190,22 @@ class TestValidateAndSample:
         assert lines[0].split() == ["rho", "mz", "L", "alpha_cs", "alpha_ks"]
         assert len(lines) == 9  # header + 2x2x2 scenario grid
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rho", "0.9"), ("--mz", "2"), ("--L", "3"), ("--mu", "0.3"),
+        ("--corr-file", "corr.txt")])
+    def test_validate_table_rejects_ignored_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "validate", "--model", "equal", "--table",
+                             flag, value, "--trials", "1", "--per-trial", "500")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and flag in err
+
+    def test_validate_gof_negative_seed(self, capsys):
+        code, out, err = run(capsys, "validate", "--model", "equal", "--rho", "0.3",
+                             "--mz", "1", "--L", "2", "--kind", "gof",
+                             "--trials", "2", "--per-trial", "1000", "--seed", "-1")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "seed" in err
+
     def test_sample_binary_export(self, capsys, tmp_path):
         path = tmp_path / "draws.bin"
         code, _, _ = run(capsys, "sample", "--model", "exp", "--rho", "0.3",

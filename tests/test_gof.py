@@ -15,34 +15,39 @@ from nakasum.gof import (
     GofReport,
     chi_square_test,
     gof_campaign,
-    kolmogorov_sf,
     ks_test,
     model_envelope_cdf,
 )
 from nakasum.matcher import match_parameters
 from nakasum.moments import EnsembleSpec, EqualCorrelation, ExponentialCorrelation
+from nakasum.simkit import derive_seed, sample_sum
 
 
 class TestKolmogorovSf:
+    """The Kolmogorov survival function Q that gives every K-S
+    significance level, ``scipy.special.kolmogorov``, over the range of
+    sqrt(n) * D the tests and the campaign reach."""
+
     def test_against_scipy(self):
+        # Q(x) = 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2), summed to convergence
         for x in (0.3, 0.5, 0.8, 1.0, 1.5, 2.2):
-            assert kolmogorov_sf(x) == pytest.approx(
-                float(scipy.special.kolmogorov(x)), rel=1e-12)
+            series = 2.0 * math.fsum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
+                                     for k in range(1, 200))
+            assert float(scipy.special.kolmogorov(x)) == pytest.approx(series, rel=1e-12)
 
     def test_limits(self):
-        assert kolmogorov_sf(1e-6) == 1.0
-        assert kolmogorov_sf(5.0) < 1e-10
+        assert scipy.special.kolmogorov(1e-6) == 1.0
+        assert scipy.special.kolmogorov(5.0) < 1e-10
 
     @pytest.mark.parametrize("x", [0.0011, 0.005, 0.01])
     def test_small_argument_is_one(self, x):
         # sqrt(n) * D >= 1/(2 sqrt(n)) reaches these at n = 1e4; the
         # alternating series converges too slowly to sum here
-        assert kolmogorov_sf(x) == pytest.approx(1.0, abs=1e-15)
+        assert scipy.special.kolmogorov(x) == pytest.approx(1.0, abs=1e-15)
 
     def test_monotone(self):
-        xs = np.linspace(0.2, 3.0, 30)
-        vals = [kolmogorov_sf(float(x)) for x in xs]
-        assert all(b <= a for a, b in zip(vals, vals[1:]))
+        vals = scipy.special.kolmogorov(np.linspace(0.2, 3.0, 30))
+        assert np.all(np.diff(vals) <= 0.0)
 
 
 class TestKsTest:
@@ -99,13 +104,19 @@ class TestKsTest:
         assert a1 == pytest.approx(a0, abs=1e-10)
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            ks_test(np.array([1.0, np.nan, 2.0] * 10), lambda x: x)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                ks_test(np.array([1.0, bad, 2.0] * 10), lambda x: x)
         with pytest.raises(ValidationError):
             ks_test(np.arange(5.0), lambda x: x)
 
 
 class TestChiSquare:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            chi_square_test(np.full(1000, bad), scipy.stats.uniform().cdf, n_bins=10)
+
     def test_alpha_against_scipy(self):
         rng = np.random.default_rng(4)
         gamma = scipy.stats.gamma(a=2.0)
@@ -134,6 +145,12 @@ class TestChiSquare:
         with pytest.raises(BinningError):
             chi_square_test(np.arange(100.0), scipy.stats.uniform(scale=100).cdf,
                             n_bins=50)
+
+    @pytest.mark.parametrize("n_bins", [1, 0, True, 10.0])
+    def test_bin_count_checked(self, n_bins):
+        with pytest.raises(ValidationError, match="n_bins"):
+            chi_square_test(np.arange(1000.0), scipy.stats.uniform(scale=1000).cdf,
+                            n_bins=n_bins)
 
     def test_bin_edges_are_quantiles_from_one_bisection(self):
         # hi = 1 is doubled until it covers the 0.99 quantile (about 6.6)
@@ -191,18 +208,49 @@ class TestCampaign:
         b = gof_campaign(spec, trials=6, per_trial=2000, seed=8)
         assert a == b
 
-    def test_alpha_mean_mode(self):
+    def test_statistics_from_public_tests(self):
+        # the campaign's averages equal a recomputation from the same draws
+        # through ks_test and a direct count over the same bin edges, and
+        # each alpha is the single-trial upper tail at the averaged statistic
         spec = EnsembleSpec(fading_m=1, powers=(1.0, 1.0),
                             correlation=EqualCorrelation(0.3))
-        r = gof_campaign(spec, trials=6, per_trial=2000, seed=8,
-                         alpha_mode="alpha-mean")
-        assert r.alpha_mode == "alpha-mean"
-        assert 0.0 <= r.alpha_cs <= 1.0
+        trials, per_trial, seed = 3, 2000, 8
+        report = gof_campaign(spec, trials=trials, per_trial=per_trial, seed=seed)
+        model = match_parameters(spec)
+        env_cdf = model_envelope_cdf(model)
+        edges = gof._bin_edges(env_cdf, 100, math.sqrt(model.mean_square))
+        expected = per_trial / 100
+        chi2, dist = [], []
+        for idx in range(trials):
+            z = sample_sum(spec, per_trial, derive_seed(seed, 0x60F, idx))
+            counts = np.bincount(np.searchsorted(edges, z), minlength=100)
+            chi2.append(float(np.sum((counts - expected) ** 2) / expected))
+            dist.append(ks_test(z, env_cdf)[0])
+        assert report.chi2_stat == math.fsum(chi2) / trials
+        assert report.ks_stat == math.fsum(dist) / trials
+        assert report.alpha_cs == scipy.special.gammaincc(99 / 2, report.chi2_stat / 2)
+        assert report.alpha_ks == scipy.special.kolmogorov(
+            math.sqrt(per_trial) * report.ks_stat)
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"seed": -1}, ValidationError, "seed"),
+        ({"trials": 2.5}, ValidationError, "trials"),
+        ({"trials": True}, ValidationError, "trials"),
+        ({"per_trial": 2000.0}, ValidationError, "per_trial"),
+        ({"per_trial": 100}, BinningError, "below 5 with 100 bins"),
+    ])
+    def test_argument_checks_before_fit(self, monkeypatch, kwargs, error, match):
+        monkeypatch.setattr(gof, "match_parameters", pytest.fail)
+        spec = EnsembleSpec(fading_m=1, powers=(1.0, 1.0),
+                            correlation=EqualCorrelation(0.3))
+        with pytest.raises(error, match=match):
+            gof_campaign(spec, **{"trials": 2, "per_trial": 2000, **kwargs})
 
     def test_report_json(self):
         report = GofReport(chi2_stat=101.0, ks_stat=0.01, alpha_cs=0.4,
                            alpha_ks=0.5, n_samples=1000, n_trials=10)
         import json
         doc = json.loads(report.to_json())
-        assert doc["schema"] == "gof-report/1"
+        assert doc["schema"] == "gof-report/2"
         assert doc["n_trials"] == 10
+        assert "alpha_mode" not in doc

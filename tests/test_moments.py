@@ -56,6 +56,8 @@ class TestEnsembleSpec:
         with pytest.raises(ValidationError):
             EnsembleSpec(fading_m=0, powers=(1.0,), correlation=EqualCorrelation(0.0))
         with pytest.raises(ValidationError):
+            EnsembleSpec(fading_m=True, powers=(1.0, 1.0), correlation=EqualCorrelation(0.3))
+        with pytest.raises(ValidationError):
             EnsembleSpec(fading_m=1, powers=(), correlation=EqualCorrelation(0.0))
         with pytest.raises(ValidationError):
             EnsembleSpec(fading_m=1, powers=(-1.0,), correlation=EqualCorrelation(0.0))
