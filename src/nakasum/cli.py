@@ -8,7 +8,7 @@ pdf       envelope density over a grid
 mgf       moment generating function at one point
 outage    outage probability versus per-branch average SNR
 ber       average error probability versus per-branch average SNR
-validate  goodness-of-fit campaign or Monte-Carlo EGC comparison
+validate  gof campaign | egc Monte-Carlo comparison | table of campaign levels
 sample    export correlated envelope draws
 
 Exit codes: 0 success, 2 validation/domain error, 3 numerical accuracy
@@ -119,8 +119,6 @@ def _parse_omega(text: str, L: int, mu: float | None) -> tuple[float, ...]:
 
 
 def build_spec(args: argparse.Namespace) -> EnsembleSpec:
-    if args.mz is None:
-        raise ValidationError("--mz is required")
     if args.model == "arbitrary":
         if args.corr_file is None:
             raise ValidationError("--model arbitrary requires --corr-file")
@@ -166,7 +164,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=("equal", "exp", "arbitrary"), required=True)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--corr-file", default=None)
-    p.add_argument("--mz", type=int, default=None, help="integer fading parameter")
+    p.add_argument("--mz", type=int, required=True, help="integer fading parameter")
     p.add_argument("--L", type=int, default=None, help="branch count")
     p.add_argument("--omega", default="1",
                    help="branch powers: scalar or comma list (linear units)")
@@ -177,6 +175,18 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--per-trial", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _receiver(args, modulation: str = "bpsk") -> egc.ReceiverSpec:
+    # noise_psd=1.0: the curves read the per-branch SNR from the grid
+    return egc.ReceiverSpec(build_spec(args), noise_psd=1.0, modulation=modulation)
 
 
 def cmd_match(args) -> int:
@@ -230,26 +240,31 @@ def cmd_mgf(args) -> int:
 
 
 def cmd_outage(args) -> int:
-    spec = build_spec(args)
-    rx = egc.ReceiverSpec(ensemble=spec, noise_psd=args.n0)
+    rx = _receiver(args)
+    threshold = args.threshold
     if args.threshold_db is not None:
-        threshold = 10.0 ** (args.threshold_db / 10.0)
-    else:
-        threshold = args.threshold
+        with np.errstate(over="ignore"):  # inf fails outage_curve's range check
+            threshold = float(10.0 ** np.float64(args.threshold_db / 10.0))
     curve = egc.outage_curve(rx, _parse_grid(args.snr_grid, "--snr-grid"), threshold)
     _emit(_rows_to_text(curve.to_rows(), egc.CURVE_CSV_HEADER, args.format), args.out)
     return 0
 
 
 def cmd_ber(args) -> int:
-    spec = build_spec(args)
-    rx = egc.ReceiverSpec(ensemble=spec, noise_psd=args.n0, modulation=args.mod)
+    rx = _receiver(args, args.mod)
     curve = egc.ber_curve(rx, _parse_grid(args.snr_grid, "--snr-grid"))
     _emit(_rows_to_text(curve.to_rows(), egc.CURVE_CSV_HEADER, args.format), args.out)
     return 0
 
 
-def _gof_table(args) -> str:
+def cmd_validate_gof(args) -> int:
+    report = gof.gof_campaign(build_spec(args), trials=args.trials,
+                              per_trial=args.per_trial, seed=args.seed)
+    _emit(report.to_json(), args.out)
+    return 0
+
+
+def cmd_validate_table(args) -> int:
     """Campaign significance levels over the standard scenario grid."""
     cls = EqualCorrelation if args.model == "equal" else ExponentialCorrelation
     lines = [f"{'rho':>4} {'mz':>3} {'L':>3} {'alpha_cs':>10} {'alpha_ks':>10}"]
@@ -262,27 +277,12 @@ def _gof_table(args) -> str:
                                        per_trial=args.per_trial, seed=args.seed)
                 lines.append(f"{rho:>4} {mz:>3} {L:>3} "
                              f"{rep.alpha_cs:>10.4f} {rep.alpha_ks:>10.4f}")
-    return "\n".join(lines) + "\n"
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0
 
 
-def cmd_validate(args) -> int:
-    if args.table:
-        if args.model == "arbitrary":
-            raise ValidationError("--table runs the parametric scenario grid; "
-                                  "use equal or exp")
-        for flag in ("--rho", "--mz", "--L", "--mu", "--corr-file"):
-            if getattr(args, flag[2:].replace("-", "_")) is not None:
-                raise ValidationError(f"--table runs a fixed scenario grid "
-                                      f"and ignores {flag}")
-        _emit(_gof_table(args), args.out)
-        return 0
-    spec = build_spec(args)
-    if args.kind == "gof":
-        report = gof.gof_campaign(spec, trials=args.trials,
-                                  per_trial=args.per_trial, seed=args.seed)
-        _emit(report.to_json(), args.out)
-        return 0
-    rx = egc.ReceiverSpec(ensemble=spec, noise_psd=args.n0, modulation=args.mod)
+def cmd_validate_egc(args) -> int:
+    rx = _receiver(args, args.mod)
     grid = _parse_grid(args.snr_grid, "--snr-grid")
     analytic = egc.ber_curve(rx, grid)
     simulated = simkit.simulate_egc_ber(rx, grid, n_bits=args.n_bits, seed=args.seed)
@@ -300,84 +300,84 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    spec = build_spec(args)
-    batch = simkit.sample_correlated_nakagami(spec, args.n, args.seed)
-    if args.out is None:
-        raise ValidationError("sample requires --out")
-    simkit.save_batch(batch, args.out, fmt="bin" if args.format == "bin" else "csv")
+    batch = simkit.sample_correlated_nakagami(build_spec(args), args.n, args.seed)
+    simkit.save_batch(batch, args.out, fmt=args.format)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False throughout: --mod must never read as --model
     parser = argparse.ArgumentParser(
-        prog="nakasum",
+        prog="nakasum", allow_abbrev=False,
         description="Correlated Nakagami-m envelope sums through a "
                     "moment-matched Gamma-sum model.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("match", help="fit the proxy model")
+    def command(name: str, help: str, func, subs=sub) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("match", "fit the proxy model", cmd_match)
     _add_spec_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("tables", help="regenerate the balanced m_r tables")
+    p = command("tables", "regenerate the balanced m_r tables", cmd_tables)
     p.add_argument("--corr", choices=("equal", "exp", "both"), default="both")
     _add_io_flags(p)
-    p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("pdf", help="envelope density over a grid")
+    p = command("pdf", "envelope density over a grid", cmd_pdf)
     _add_spec_flags(p)
     p.add_argument("--r-grid", default="0.1:5:50", help="start:stop:count")
     _add_io_flags(p)
-    p.set_defaults(func=cmd_pdf)
 
-    p = sub.add_parser("mgf", help="MGF of the squared envelope at s <= 0")
+    p = command("mgf", "MGF of the squared envelope at s below its pole", cmd_mgf)
     _add_spec_flags(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_mgf)
 
-    p = sub.add_parser("outage", help="outage probability vs per-branch SNR")
+    p = command("outage", "outage probability vs per-branch SNR", cmd_outage)
     _add_spec_flags(p)
-    p.add_argument("--n0", type=float, default=1.0, help="noise density")
     p.add_argument("--snr-grid", default="0:20:11", help="dB grid start:stop:count")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--threshold", type=float, help="linear SNR threshold")
     g.add_argument("--threshold-db", type=float, help="SNR threshold in dB")
     _add_io_flags(p)
-    p.set_defaults(func=cmd_outage)
 
-    p = sub.add_parser("ber", help="average error probability vs per-branch SNR")
+    p = command("ber", "average error probability vs per-branch SNR", cmd_ber)
     _add_spec_flags(p)
-    p.add_argument("--n0", type=float, default=1.0)
     p.add_argument("--mod", choices=("bpsk", "bfsk"), default="bpsk")
     p.add_argument("--snr-grid", default="0:20:11")
     _add_io_flags(p)
-    p.set_defaults(func=cmd_ber)
 
-    p = sub.add_parser("validate", help="statistical validation runs")
+    jobs = sub.add_parser("validate", help="statistical validation runs",
+                          allow_abbrev=False).add_subparsers(dest="job", required=True)
+
+    p = command("gof", "averaged chi-square/K-S campaign (JSON report)",
+                cmd_validate_gof, jobs)
     _add_spec_flags(p)
-    p.add_argument("--kind", choices=("gof", "egc"), default="gof")
-    p.add_argument("--table", action="store_true",
-                   help="render campaign significance levels over the "
-                        "standard scenario grid")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--per-trial", type=int, default=10_000)
-    p.add_argument("--n0", type=float, default=1.0)
+    _add_campaign_flags(p)
+
+    p = command("egc", "analytic EGC error rate against Monte Carlo",
+                cmd_validate_egc, jobs)
+    _add_spec_flags(p)
     p.add_argument("--mod", choices=("bpsk", "bfsk"), default="bpsk")
     p.add_argument("--snr-grid", default="0:16:5")
     p.add_argument("--n-bits", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     _add_io_flags(p)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("sample", help="export correlated envelope draws")
+    p = command("table", "campaign significance levels over the standard "
+                "scenario grid", cmd_validate_table, jobs)
+    p.add_argument("--model", choices=("equal", "exp"), required=True)
+    _add_campaign_flags(p)
+
+    p = command("sample", "export correlated envelope draws", cmd_sample)
     _add_spec_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
-    p.set_defaults(func=cmd_sample)
 
     return parser
 

@@ -13,10 +13,9 @@ approximation of the true EGC metric, and curve metadata says so.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +48,9 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class ReceiverSpec:
-    """Diversity receiver: branch ensemble, noise density, modulation."""
+    """Diversity receiver: branch ensemble, noise density, modulation.  Only
+    ``egc_model`` reads ``noise_psd``; ``ber_curve``, ``outage_curve`` and
+    ``simulate_egc_ber`` take the per-branch SNR from their grid."""
 
     ensemble: EnsembleSpec
     noise_psd: float
@@ -94,14 +95,6 @@ class PerfCurve:
                 "meta": json.dumps(meta, sort_keys=True),
             })
         return rows
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CURVE_CSV_HEADER)
-        writer.writeheader()
-        for row in self.to_rows():
-            writer.writerow(row)
-        return buf.getvalue()
 
 
 def egc_model(rx: ReceiverSpec) -> GammaSumModel:
@@ -159,12 +152,12 @@ def ber_bfsk_noncoherent(model: GammaSumModel) -> float:
 
 def power_profile(omega1: float, mu: float, L: int) -> tuple[float, ...]:
     """Exponentially decaying branch powers omega1 * exp(-mu * (k-1))."""
-    if not omega1 > 0:
-        raise DomainError(f"omega1 must be positive, got {omega1}")
-    if mu < 0:
-        raise DomainError(f"decay exponent must be nonnegative, got {mu}")
-    if L < 1:
-        raise DomainError(f"need at least one branch, got {L}")
+    if not 0.0 < omega1 < math.inf:
+        raise DomainError(f"omega1 must be positive and finite, got {omega1}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"decay exponent must be nonnegative and finite, got {mu}")
+    if isinstance(L, bool) or not isinstance(L, numbers.Integral) or L < 1:
+        raise DomainError(f"branch count must be an integer >= 1, got {L!r}")
     return tuple(omega1 * math.exp(-mu * k) for k in range(L))
 
 

@@ -3,19 +3,34 @@ determinism, and the correlation-file round trip."""
 import csv
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from nakasum.cli import main, read_corr_file, write_corr_file
+from nakasum.cli import build_parser, main, read_corr_file, write_corr_file
 from nakasum.linalg import CorrelationMatrix, greens_fit
 from nakasum.simkit import load_batch
+
+
+SPEC = ["--model", "equal", "--rho", "0.2", "--mz", "1", "--L", "3"]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(capsys, argv, flag):
+    """argparse rejects ``argv`` with exit 2 and names ``flag`` on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and flag in captured.err
 
 
 class TestMatch:
@@ -153,8 +168,8 @@ class TestCurves:
 
 class TestValidateAndSample:
     def test_validate_gof_deterministic(self, capsys, tmp_path):
-        args = ("validate", "--model", "equal", "--rho", "1", "--mz", "1",
-                "--L", "2", "--omega", "1", "--kind", "gof",
+        args = ("validate", "gof", "--model", "equal", "--rho", "1", "--mz", "1",
+                "--L", "2", "--omega", "1",
                 "--trials", "4", "--per-trial", "1500", "--seed", "5")
         code, out1, _ = run(capsys, *args)
         assert code == 0
@@ -167,7 +182,7 @@ class TestValidateAndSample:
     def test_validate_egc(self, capsys, mod):
         spec = ("--model", "exp", "--rho", "0.5", "--mz", "2", "--L", "3",
                 "--omega", "1", "--mod", mod, "--snr-grid", "0:12:4")
-        args = ("validate", *spec, "--kind", "egc", "--n-bits", "20000", "--seed", "5")
+        args = ("validate", "egc", *spec, "--n-bits", "20000", "--seed", "5")
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert run(capsys, *args) == (0, out, "")
@@ -183,7 +198,7 @@ class TestValidateAndSample:
             assert abs(float(r["simulated"]) - float(r["analytic"])) < 0.5 * float(r["analytic"])
 
     def test_validate_table_mode(self, capsys):
-        code, out, _ = run(capsys, "validate", "--model", "equal", "--table",
+        code, out, _ = run(capsys, "validate", "table", "--model", "equal",
                            "--trials", "2", "--per-trial", "1000", "--seed", "3")
         assert code == 0
         lines = out.strip().splitlines()
@@ -194,14 +209,13 @@ class TestValidateAndSample:
         ("--rho", "0.9"), ("--mz", "2"), ("--L", "3"), ("--mu", "0.3"),
         ("--corr-file", "corr.txt")])
     def test_validate_table_rejects_ignored_flag(self, capsys, flag, value):
-        code, out, err = run(capsys, "validate", "--model", "equal", "--table",
-                             flag, value, "--trials", "1", "--per-trial", "500")
-        assert code == 2
-        assert out == "" and err.startswith("error: ") and flag in err
+        assert_usage_error(capsys, ["validate", "table", "--model", "equal",
+                                    flag, value, "--trials", "1",
+                                    "--per-trial", "500"], flag)
 
     def test_validate_gof_negative_seed(self, capsys):
-        code, out, err = run(capsys, "validate", "--model", "equal", "--rho", "0.3",
-                             "--mz", "1", "--L", "2", "--kind", "gof",
+        code, out, err = run(capsys, "validate", "gof", "--model", "equal", "--rho", "0.3",
+                             "--mz", "1", "--L", "2",
                              "--trials", "2", "--per-trial", "1000", "--seed", "-1")
         assert code == 2
         assert out == "" and err.startswith("error: ") and "seed" in err
@@ -310,3 +324,39 @@ class TestMalformedInput:
                            "--mz", "1", "--L", "2", "--omega", "1,a")
         assert code == 2
         assert "--omega" in err
+
+    def test_outage_threshold_db_overflow(self, capsys):
+        code, out, err = run(capsys, "outage", *SPEC, "--threshold-db", "4000")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "threshold" in err
+
+
+class TestFlags:
+    # every subcommand rejects a flag it does not read, abbreviations included
+    @pytest.mark.parametrize("argv, flag", [
+        (["match", *SPEC, "--mod", "exp"], "--mod"),
+        (["ber", *SPEC, "--n0", "2"], "--n0"),
+        (["validate", "gof", *SPEC, "--mod", "bfsk"], "--mod"),
+        (["validate", "gof", *SPEC, "--format", "csv"], "--format"),
+        (["validate", "egc", *SPEC, "--trials", "5"], "--trials"),
+        (["validate", "table", "--model", "arbitrary"], "--model"),
+        (["validate", "--kind", "gof", *SPEC], "--kind"),
+    ], ids=["match-abbrev", "ber-n0", "gof-mod", "gof-format", "egc-trials",
+            "table-arbitrary", "old-kind"])
+    def test_rejected(self, capsys, argv, flag):
+        assert_usage_error(capsys, argv, flag)
+
+    def test_curve_csv_header(self, capsys):
+        code, out, _ = run(capsys, "ber", *SPEC, "--snr-grid", "0:10:2")
+        assert code == 0
+        assert out.splitlines()[0] == "snr_db,value,kind,meta"
+
+    def test_readme_examples_parse(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme.read_text(), re.S)
+        commands = [line for line in block.group(1).replace("\\\n", " ").splitlines()
+                    if line.startswith("nakasum ")]
+        assert commands
+        parser = build_parser()
+        for line in commands:
+            parser.parse_args(shlex.split(line)[1:])

@@ -15,7 +15,6 @@ from nakasum import specfun
 
 from nakasum.egc import (
     MODULATIONS,
-    PerfCurve,
     ReceiverSpec,
     ber_bfsk_noncoherent,
     ber_bpsk,
@@ -321,6 +320,13 @@ class TestPowerProfile:
             power_profile(0.0, 0.1, 3)
         with pytest.raises(DomainError):
             power_profile(1.0, -0.1, 3)
+        for omega1, mu in ((math.inf, 0.1), (math.nan, 0.1),
+                           (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                power_profile(omega1, mu, 3)
+        for L in (0, 2.5, True, "3"):
+            with pytest.raises(DomainError):
+                power_profile(1.0, 0.1, L)
 
 
 class TestCurves:
@@ -404,7 +410,3 @@ class TestCurves:
         assert curve.meta["method"] == "equivalent-mrc-approximation"
         rows = curve.to_rows()
         assert set(rows[0]) == {"snr_db", "value", "kind", "meta"}
-
-    def test_csv_header(self):
-        curve = PerfCurve(points=(), kind="ber-bpsk", meta={})
-        assert curve.to_csv().splitlines()[0] == "snr_db,value,kind,meta"
