@@ -382,9 +382,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """Join a grid flag and a separate value that starts with one '-' (a
+    negative start such as -5:20:6, which argparse would read as an option)
+    into one '--flag=value' token."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--snr-grid", "--r-grid") and (
+                tok.startswith("-") and not tok.startswith("--")):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValidationError, DomainError) as exc:

@@ -10,6 +10,11 @@ function for K-S): a small level means misfit was detected, and a level of
 about 0.4-0.5 means the averaged statistic sits at its null mean.  The
 report carries raw numbers without reinterpreting them.
 
+The trials run on the ``simkit`` worker pool, one contiguous range of
+trials per worker.  Each trial draws from its own stream, derived from the
+campaign seed and the trial index, and the statistics are averaged in
+trial order, so a report does not depend on the number of workers.
+
 The model CDF used by both tests is a monotone interpolation of the exact
 CDF, evaluated on its whole grid in one array call; chi-square bin edges
 are model quantiles, found once per campaign by one bisection over all
@@ -31,7 +36,8 @@ from .errors import BinningError, ValidationError
 from .gammasum import cdf
 from .matcher import GammaSumModel, match_parameters
 from .moments import EnsembleSpec
-from .simkit import _check_integers, derive_seed, sample_sum
+from . import simkit
+from .simkit import _check_integers, derive_seed
 
 __all__ = [
     "GofReport",
@@ -205,7 +211,9 @@ def gof_campaign(spec: EnsembleSpec, trials: int = 100, per_trial: int = 10_000,
     the chi-square statistic over 100 equiprobable model bins and the K-S
     distance against the fitted model.  The statistics are averaged across
     trials, and each significance level is the single-trial upper tail at
-    the averaged statistic.  Results are deterministic for a given seed.
+    the averaged statistic.  The trials run on the ``simkit`` worker pool,
+    each on its own stream derived from ``seed`` and its index, so results
+    are deterministic for a given seed whatever the number of workers.
 
     The arguments are checked before the fit: ``trials``, ``per_trial``
     and ``seed`` must be integers, not bools, of at least 1, 1 and 0
@@ -219,11 +227,24 @@ def gof_campaign(spec: EnsembleSpec, trials: int = 100, per_trial: int = 10_000,
     env_cdf = model_envelope_cdf(model)
     edges = _bin_edges(env_cdf, _N_BINS, math.sqrt(model.mean_square))
 
-    chi2, dist = [], []
-    for idx in range(trials):
-        z = np.sort(sample_sum(spec, per_trial, derive_seed(seed, 0x60F, idx)))
-        chi2.append(_chi_square_stat(z, edges))
-        dist.append(_ks_distance(z, env_cdf))
+    factors = simkit._layer_factors(spec)
+
+    def task(indices):
+        # the envelope sums of sample_sum(spec, per_trial, trial seed), drawn
+        # through the private block helpers (see simkit._map_blocks)
+        stats = []
+        for idx in indices:
+            trial_seed, z = derive_seed(seed, 0x60F, idx), np.empty(per_trial)
+            for block, lo, hi in simkit._blocks(per_trial):
+                simkit._row_sum_block(factors, trial_seed, block, hi - lo, out=z[lo:hi])
+            z.sort()
+            stats.append((_chi_square_stat(z, edges), _ks_distance(z, env_cdf)))
+        return stats
+
+    jobs = min(simkit._worker_count(), trials)
+    parts = simkit._map_blocks(task, [range(trials * j // jobs, trials * (j + 1) // jobs)
+                                      for j in range(jobs)])
+    chi2, dist = zip(*(pair for part in parts for pair in part))
 
     chi2_mean = math.fsum(chi2) / trials
     d_mean = math.fsum(dist) / trials

@@ -13,7 +13,9 @@ at a time: one (rows, L) draw, the Cholesky product, squared and added
 into the block's power array, so a block holds two layers at most.
 Multi-block calls run their blocks on a thread pool that the call starts
 and joins before it returns (one worker per available CPU, at most four,
-never more than the call has blocks).  Samples are written in place;
+never more than the call has blocks).  The same pool runs the trials of a
+goodness-of-fit campaign (``gof.gof_campaign``), one contiguous range of
+trials per worker.  Samples are written in place;
 every estimate maps each block's row sums to an array of partial sums and
 adds the arrays in block order.  So every output is bit-identical whatever
 the number of workers.  Single-block calls run inline and start no thread.

@@ -166,6 +166,32 @@ class TestCurves:
         assert got == pytest.approx(want, abs=1e-7)
 
 
+NEGATIVE_GRID_CALLS = {
+    "outage": ["outage", "--model", "equal", "--rho", "0.3", "--mz", "2", "--L", "3",
+               "--threshold-db", "-7.3", "--snr-grid", "-5:20:6"],
+    "ber": ["ber", *SPEC, "--snr-grid", "-5:20:6", "--mod", "bfsk"],
+    "validate-egc": ["validate", "egc", *SPEC, "--snr-grid", "-5:0:2",
+                     "--n-bits", "10000"],
+    # a negative radius is a domain error, reported by the command itself
+    "pdf": ["pdf", *SPEC, "--r-grid", "-1:2:4"],
+}
+
+
+class TestNegativeGridStart:
+    @pytest.mark.parametrize("name", NEGATIVE_GRID_CALLS)
+    def test_separate_token_equals_joined_flag(self, capsys, name):
+        argv = NEGATIVE_GRID_CALLS[name]
+        at = next(i for i, tok in enumerate(argv) if tok.endswith("-grid"))
+        joined = argv[:at] + [f"{argv[at]}={argv[at + 1]}"] + argv[at + 2:]
+        got = run(capsys, *argv)
+        assert got == run(capsys, *joined)
+        assert got[0] == (2 if name == "pdf" else 0)
+
+    def test_option_after_grid_flag_still_an_option(self, capsys):
+        assert_usage_error(capsys, ["ber", *SPEC, "--snr-grid", "--mod", "bfsk"],
+                           "--snr-grid")
+
+
 class TestValidateAndSample:
     def test_validate_gof_deterministic(self, capsys, tmp_path):
         args = ("validate", "gof", "--model", "equal", "--rho", "1", "--mz", "1",

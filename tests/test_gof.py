@@ -1,6 +1,7 @@
 """Goodness-of-fit machinery: survival functions against scipy oracles,
 null behavior, power, and the campaign protocol."""
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakasum import gof
+import nakasum
+from nakasum import gof, simkit
 from nakasum.errors import BinningError, ValidationError
 from nakasum.gof import (
     GofReport,
@@ -254,3 +256,90 @@ class TestCampaign:
         assert doc["schema"] == "gof-report/2"
         assert doc["n_trials"] == 10
         assert "alpha_mode" not in doc
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """The returned function sets the worker count of the calls' pools."""
+    def set_workers(k):
+        monkeypatch.setattr(simkit, "_worker_count", lambda: k)
+
+    return set_workers
+
+
+def serial_campaign_means(spec, trials, per_trial, seed):
+    """Mean chi-square and K-S distance of the campaign's trials drawn one
+    after another through the public sampler."""
+    model = match_parameters(spec)
+    env_cdf = model_envelope_cdf(model)
+    edges = gof._bin_edges(env_cdf, 100, math.sqrt(model.mean_square))
+    chi2, dist = [], []
+    for idx in range(trials):
+        z = np.sort(sample_sum(spec, per_trial, derive_seed(seed, 0x60F, idx)))
+        chi2.append(gof._chi_square_stat(z, edges))
+        dist.append(gof._ks_distance(z, env_cdf))
+    return math.fsum(chi2) / trials, math.fsum(dist) / trials
+
+
+class TestPooledCampaign:
+    SPEC = EnsembleSpec(fading_m=2, powers=(1.0, 0.5, 0.25),
+                        correlation=EqualCorrelation(0.3))
+
+    @pytest.mark.parametrize("trials, per_trial", [(7, 2000), (2, 65_536 + 500)],
+                             ids=["one-block", "multi-block"])
+    def test_report_independent_of_workers(self, fresh_pool, trials, per_trial):
+        want = serial_campaign_means(self.SPEC, trials, per_trial, 4)
+        reports = []
+        for workers in (1, 2, 3):
+            fresh_pool(workers)
+            reports.append(gof_campaign(self.SPEC, trials=trials, per_trial=per_trial, seed=4))
+            assert (reports[-1].chi2_stat, reports[-1].ks_stat) == want
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_trials_skip_public_sampler(self, fresh_pool, monkeypatch):
+        # a tracer wraps the public sampler wherever the package binds it; the
+        # pool's tasks must not call it
+        fresh_pool(2)
+        for module in (nakasum, simkit, gof):
+            if hasattr(module, "sample_sum"):
+                monkeypatch.setattr(module, "sample_sum", pytest.fail)
+        gof_campaign(self.SPEC, trials=3, per_trial=2000, seed=4)
+
+    def test_trial_error_reaches_caller(self, fresh_pool, monkeypatch):
+        fresh_pool(2)
+        before = threading.active_count()
+        real = simkit._block_generator
+        failing_seed = derive_seed(4, 0x60F, 2)
+
+        def failing(seed, block):
+            if seed == failing_seed:
+                raise RuntimeError("trial 2 failed")
+            return real(seed, block)
+
+        monkeypatch.setattr(simkit, "_block_generator", failing)
+        with pytest.raises(RuntimeError, match="trial 2 failed"):
+            gof_campaign(self.SPEC, trials=4, per_trial=2000, seed=4)
+        assert threading.active_count() == before
+
+    def test_single_trial_runs_inline(self, fresh_pool, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-trial campaign started a pool")
+
+        fresh_pool(3)
+        monkeypatch.setattr(simkit, "ThreadPoolExecutor", no_pool)
+        gof_campaign(self.SPEC, trials=1, per_trial=2000, seed=4)
+
+    @pytest.mark.parametrize("workers, trials", [(1, 5), (2, 5), (3, 7), (3, 2)])
+    def test_one_trial_range_per_worker(self, fresh_pool, monkeypatch, workers, trials):
+        fresh_pool(workers)
+        real, seen = simkit._map_blocks, []
+
+        def recording(task, jobs):
+            seen.append(list(jobs))
+            return real(task, jobs)
+
+        monkeypatch.setattr(simkit, "_map_blocks", recording)
+        gof_campaign(self.SPEC, trials=trials, per_trial=2000, seed=4)
+        (jobs,) = seen
+        assert len(jobs) == min(workers, trials)
+        assert [idx for job in jobs for idx in job] == list(range(trials))
