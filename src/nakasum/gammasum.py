@@ -15,8 +15,10 @@ Two errors enter, each held below ``_SERIES_SHARE * abs_tol`` of weight
 aliases onto the kept weights and which a Chernoff bound computed from the
 spectrum alone caps before any series work; and the trailing weights cut
 once their sum falls below the share, which is added to the last kept
-weight so that the CDF still reaches 1.  The whole threshold array is
-evaluated at once.
+weight so that the CDF still reaches 1.  A threshold array is evaluated
+in chunks whose (thresholds, terms) temporaries hold at most
+``_CHUNK_CELLS`` cells, so an array call's memory does not grow with the
+number of thresholds; each value is the one a scalar call gives.
 
 The series converges like q_max^k with q_max = 1 - lambda_min/lambda_max,
 so near-maximal correlation needs too many terms.  When the Chernoff bound
@@ -24,7 +26,7 @@ asks for more than ``_MAX_SERIES_TERMS`` the PDF and CDF invert the closed
 form transform prod(1 + s*scale)^-shape (over s for the CDF) on the
 Bromwich hyperbola of Trefethen, Weideman & Schmelzer (BIT 46, 2006) with
 the 48-node trapezoid rule, 24 complex evaluations per threshold by
-conjugate symmetry, for the whole threshold array at once.  Where the
+conjugate symmetry, in chunks of the threshold array as above.  Where the
 error estimate, the difference from the 40-node sum plus a roundoff term,
 exceeds ``abs_tol`` AccuracyError is raised at once.  Roundoff in the e^z
 weights puts the floor near 1e-11: on 45 near-maximal spectra (L <= 16,
@@ -68,6 +70,9 @@ _CHERNOFF_GRID = np.arange(1, 64) / 64.0
 # Eigenvalues this close (relative to the largest) are merged.
 _MERGE_RTOL = 1e-12
 _TINY = np.finfo(float).smallest_subnormal
+# Cells of the widest temporary of a series or contour evaluation; a larger
+# threshold array is evaluated in chunks.
+_CHUNK_CELLS = 1 << 15
 _HALF_MAX = 0.5 * np.finfo(float).max
 
 
@@ -166,22 +171,46 @@ def _mixture(shapes, scales, tol: float) -> _Mixture | None:
     return _Mixture(float(np.sum(shapes)), scale, kept)
 
 
+def _in_chunks(kernel, x: NDArray[np.float64], width: int) -> NDArray[np.float64]:
+    """kernel(x), whose temporaries hold ``width`` cells per value of x.
+
+    An x that fits in _CHUNK_CELLS goes to the kernel whole; a larger one
+    in consecutive pieces of its flattened values, whose results are joined
+    along the kernel's last axis and shaped like x.  Each value's result is
+    the same either way.
+    """
+    step = max(1, _CHUNK_CELLS // width)
+    if x.size <= step:
+        return kernel(x)
+    flat = x.ravel()
+    joined = np.concatenate([kernel(flat[lo:lo + step]) for lo in range(0, flat.size, step)],
+                            axis=-1)
+    return joined.reshape(joined.shape[:-1] + x.shape)
+
+
 def _series_cdf(mix: _Mixture, t: NDArray[np.float64]) -> NDArray[np.float64]:
     a = mix.shape + np.arange(mix.weights.size)
     # t is capped where every term is 1, so t / scale stays finite
     t_cap = np.minimum(t, _HALF_MAX * min(1.0, mix.scale))
-    return np.sum(gammainc(a, t_cap[..., None] / mix.scale) * mix.weights, axis=-1)
+    return _in_chunks(
+        lambda part: np.sum(gammainc(a, part[..., None] / mix.scale) * mix.weights, axis=-1),
+        t_cap, a.size)
 
 
 def _series_pdf(mix: _Mixture, r: NDArray[np.float64]) -> NDArray[np.float64]:
     a = mix.shape + np.arange(mix.weights.size)
-    # x stays a positive float, so every term is finite: r is capped where
-    # the density is 0 anyway, and an r*r that underflows to 0 is read as
-    # the smallest subnormal; every other x is left as it is
-    r_cap = np.minimum(r, math.sqrt(_HALF_MAX * min(1.0, mix.scale)))
-    x = np.maximum(r_cap * r_cap / mix.scale, _TINY)[..., None]
-    dens = np.exp((a - 1.0) * np.log(x) - x - gammaln(a))
-    return 2.0 * r_cap / mix.scale * np.sum(dens * mix.weights, axis=-1)
+    a_less_1, log_norm = a - 1.0, gammaln(a)
+
+    def kernel(r):
+        # x stays a positive float, so every term is finite: r is capped where
+        # the density is 0 anyway, and an r*r that underflows to 0 is read as
+        # the smallest subnormal; every other x is left as it is
+        x = np.maximum(r * r / mix.scale, _TINY)[..., None]
+        dens = np.exp(a_less_1 * np.log(x) - x - log_norm)
+        return 2.0 * r / mix.scale * np.sum(dens * mix.weights, axis=-1)
+
+    return _in_chunks(kernel, np.minimum(r, math.sqrt(_HALF_MAX * min(1.0, mix.scale))),
+                      a.size)
 
 
 # -- Bromwich contour ---------------------------------------------------------
@@ -217,18 +246,23 @@ def _bromwich(shapes, scales, log_t: NDArray[np.float64], density: bool,
     threshold overflows.  Raises AccuracyError, with the 48-node sum as
     ``partial``, where its error estimate exceeds abs_tol.
     """
-    log_ss = _LOG_Z[:, None] + np.log(scales) - log_t[..., None, None]
-    big = log_ss.real > 0.0
-    log_factors = np.where(big, log_ss, 0.0) + np.log1p(np.exp(np.where(big, -log_ss, log_ss)))
-    log_terms = _LOG_W - np.sum(shapes * log_factors, axis=-1)
-    if density:
-        log_terms += math.log(2.0) - 0.5 * log_t[..., None]
-    else:
-        log_terms -= _LOG_Z
-    terms = np.exp(log_terms)
-    fine = np.sum(terms.real[..., :_FINE], axis=-1)
-    err = (np.abs(fine - np.sum(terms.real[..., _FINE:], axis=-1))
-           + _ROUNDOFF * np.sum(np.abs(terms[..., :_FINE]), axis=-1))
+    def kernel(log_t):
+        # the 48-node sum and its error estimate, stacked
+        log_ss = _LOG_Z[:, None] + np.log(scales) - log_t[..., None, None]
+        big = log_ss.real > 0.0
+        log_factors = np.where(big, log_ss, 0.0) + np.log1p(np.exp(np.where(big, -log_ss, log_ss)))
+        log_terms = _LOG_W - np.sum(shapes * log_factors, axis=-1)
+        if density:
+            log_terms += math.log(2.0) - 0.5 * log_t[..., None]
+        else:
+            log_terms -= _LOG_Z
+        terms = np.exp(log_terms)
+        fine = np.sum(terms.real[..., :_FINE], axis=-1)
+        err = (np.abs(fine - np.sum(terms.real[..., _FINE:], axis=-1))
+               + _ROUNDOFF * np.sum(np.abs(terms[..., :_FINE]), axis=-1))
+        return np.stack((fine, err))
+
+    fine, err = _in_chunks(kernel, log_t, _LOG_Z.size * scales.size)
     if np.any(err > abs_tol):
         raise AccuracyError(
             f"{'pdf' if density else 'cdf'} contour error estimate "

@@ -18,8 +18,8 @@ trial order, so a report does not depend on the number of workers.
 The model CDF used by both tests is a monotone interpolation of the exact
 CDF, evaluated on its whole grid in one array call; chi-square bin edges
 are model quantiles, found once per campaign by one bisection over all
-of them.  ``scipy.interpolate`` is imported on first use, so that
-importing the package does not load it.
+of them.  The interpolant is a numpy port of scipy's PCHIP, equal to it
+bit for bit, so the package never imports ``scipy.interpolate``.
 """
 from __future__ import annotations
 
@@ -171,6 +171,51 @@ _TAIL_PROB = 1e-10
 _GRID_POINTS = 1201
 
 
+def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
+    """PCHIP end slope: the one-sided three-point estimate, set to 0 where
+    its sign differs from the end piece's and capped at 3 times that
+    piece's slope where the first two pieces' slopes differ in sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: NDArray[np.float64], y: NDArray[np.float64]) -> Callable:
+    """Monotone piecewise-cubic Hermite interpolant (Fritsch & Carlson,
+    SIAM J. Numer. Anal. 17, 1980) through (x, y), x strictly increasing
+    with at least 3 points, for queries in [x[0], x[-1]].
+
+    A port of scipy's ``PchipInterpolator``: the same slope and end
+    formulas, the same power-form coefficients, summed in the same order,
+    so that its values are scipy's bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    # interior slopes: the weighted harmonic mean of the two neighbouring
+    # pieces' slopes, 0 where either is flat or their signs differ
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][inner] = 1.0 / whmean[inner]
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    # c3 + c2 s + c1 s^2 + c0 s^3 on each piece, s the offset from its start
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def interp(r):
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+        s = r - x[i]
+        return c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+
+    return interp
+
+
 def model_envelope_cdf(model: GammaSumModel) -> Callable:
     """Fast envelope-domain CDF: values to absolute error 1e-10 on a grid,
     monotone interpolation between them.
@@ -179,8 +224,6 @@ def model_envelope_cdf(model: GammaSumModel) -> Callable:
     clamped to 1.  Interpolation error is far below the K-S statistic
     resolution at the campaign sample sizes.
     """
-    from scipy.interpolate import PchipInterpolator
-
     # first power-of-two multiple of the mean square past the
     # (1 - _TAIL_PROB) quantile
     t_try = model.mean_square * 2.0 ** np.arange(_BRACKET_DOUBLINGS)
@@ -193,7 +236,7 @@ def model_envelope_cdf(model: GammaSumModel) -> Callable:
     f_grid = np.zeros(_GRID_POINTS)
     f_grid[1:] = cdf(model, r_grid[1:] ** 2, abs_tol=_GRID_ABS_TOL)
     f_grid = np.maximum.accumulate(np.clip(f_grid, 0.0, 1.0))
-    interp = PchipInterpolator(r_grid, f_grid, extrapolate=False)
+    interp = _pchip(r_grid, f_grid)
 
     def envelope_cdf(r):
         r = np.asarray(r, dtype=float)

@@ -8,9 +8,12 @@ This yields exact Nakagami marginals for integer m and forces the power
 correlation between branches to the square of the Gaussian correlation.
 
 Draws come in blocks of 65 536 rows.  Each block has its own counter-based
-Philox stream keyed by (seed, block) and builds its 2m Gaussian layers one
-at a time: one (rows, L) draw, the Cholesky product, squared and added
-into the block's power array, so a block holds two layers at most.
+Philox stream keyed by (seed, block) and adds its 2m Gaussian layers, one
+at a time, into its one (rows, L) power array.  A layer is drawn,
+multiplied by the Cholesky factor, squared and added in row chunks of at
+most ``_LAYER_CELLS`` cells, split evenly over the block and taken in
+stream order, so a block in flight holds its power array and two chunks,
+and its samples are those of one (rows, L) draw per layer.
 Multi-block calls run their blocks on a thread pool that the call starts
 and joins before it returns (one worker per available CPU, at most four,
 never more than the call has blocks).  The same pool runs the trials of a
@@ -51,8 +54,16 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 1 << 16
+# Cells of a Gaussian layer drawn and multiplied at once.  Up to L = 16 each
+# chunk's (rows, L) @ (L, L) product stays within OpenBLAS's single-thread
+# size, so concurrent blocks do not contend for BLAS threads.
+_LAYER_CELLS = 1 << 14
+# Fewest rows a layer chunk is cut to: OpenBLAS can round a product of a few
+# rows differently from the whole block's (at L = 32-96, up to 37 rows).
+_MIN_CHUNK_ROWS = 64
 _BATCH_MAGIC = b"CNKSUM01"
-# Pool size cap: each block in flight holds about three (rows, L) arrays.
+# Pool size cap: each block in flight holds one (rows, L) array and two
+# layer chunks.
 _MAX_WORKERS = 4
 
 
@@ -129,9 +140,9 @@ def _envelope_block(out: NDArray[np.float64], factors, seed: int,
                     block: int) -> NDArray[np.float64]:
     """Fill out (rows, L) with the envelopes of one block and return it.
 
-    The layers are drawn one (rows, L) array at a time, in the order of a
-    single (layers, rows, L) draw, and their squares are summed layer by
-    layer.
+    The layers are drawn in the order of a single (layers, rows, L) draw,
+    each in an even split of row chunks, and their squares are summed layer
+    by layer.
     """
     chol_t, scale, layers = factors
     rng = _block_generator(seed, block)
@@ -141,12 +152,19 @@ def _envelope_block(out: NDArray[np.float64], factors, seed: int,
         g = rng.standard_normal((layers,) + out.shape) @ chol_t
         out[...] = np.einsum("krl,krl->rl", g, g)
     else:
-        z = np.empty_like(out)
-        g = np.empty_like(out)
+        rows = out.shape[0]
+        # chunk lengths differ by at most one row, so no chunk is a short
+        # remainder whose product rounds differently
+        chunks = max(1, min(-(-out.size // _LAYER_CELLS), rows // _MIN_CHUNK_ROWS))
+        bounds = [rows * k // chunks for k in range(chunks + 1)]
+        z = np.empty((-(-rows // chunks), out.shape[1]))
+        g = np.empty_like(z)
         out[...] = 0.0
         for _ in range(layers):
-            rng.standard_normal(out=z)
-            out += np.square(np.matmul(z, chol_t, out=g), out=g)
+            for lo, hi in zip(bounds, bounds[1:]):
+                zc, gc = z[:hi - lo], g[:hi - lo]
+                rng.standard_normal(out=zc)
+                out[lo:hi] += np.square(np.matmul(zc, chol_t, out=gc), out=gc)
     out *= scale
     return np.sqrt(out, out=out)
 

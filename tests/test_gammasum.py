@@ -2,6 +2,7 @@
 forms, route equivalence, and normalization."""
 import math
 import time
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -412,3 +413,48 @@ class TestContourRoute:
         assert info.value.partial.shape == x.shape
         assert np.all(np.isfinite(info.value.partial))
         assert np.max(np.abs(info.value.partial - fn(model, x, abs_tol=1e-10))) == 0.0
+
+
+class TestArrayMemoryBound:
+    """An array call evaluates its thresholds in chunks of a fixed number
+    of cells: its traced peak stays under a fixed bound, and each value is
+    the one a whole-array evaluation gives."""
+
+    @pytest.mark.parametrize("corr, L, series", [
+        (ExponentialCorrelation(0.8), 8, True),
+        (ExponentialCorrelation(0.97), 4, False),
+    ], ids=["series", "contour"])
+    @pytest.mark.parametrize("fn", [cdf, pdf])
+    def test_peak_bounded(self, corr, L, series, fn):
+        model = balanced_model(corr, 1, L)
+        assert takes_series(model, 1e-10) == series
+        if series:
+            # about 2700 series terms: one (thresholds, terms) array of the
+            # 4000 thresholds would take 86 MB
+            shapes, scales = gammasum._distinct_gammas(model)
+            mix = gammasum._mixture(shapes, scales, gammasum._SERIES_SHARE * 1e-10)
+            assert mix.weights.size > 2500
+        ts = np.linspace(0.01, 4.0, 4000) * model.mean_square
+        x = ts if fn is cdf else np.sqrt(ts)
+        tracemalloc.start()
+        try:
+            got = fn(model, x, abs_tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        pieces = np.split(x, [1, 1500, 2731])
+        assert np.array_equal(got, np.concatenate([fn(model, p, abs_tol=1e-10) for p in pieces]))
+
+    @pytest.mark.parametrize("fn", [cdf, pdf])
+    def test_one_value_chunks_equal_whole_array(self, monkeypatch, fn):
+        models = random_models(6, seed=5) + [balanced_model(ExponentialCorrelation(0.97), 1, 4)]
+        grids = [(np.linspace(0.05, 4.0, 12) * model.mean_square).reshape(3, 4)
+                 for model in models]
+        if fn is pdf:
+            grids = [np.sqrt(ts) for ts in grids]
+        want = [fn(model, x, abs_tol=1e-10) for model, x in zip(models, grids)]
+        monkeypatch.setattr(gammasum, "_CHUNK_CELLS", 1)
+        for model, x, w in zip(models, grids, want):
+            got = fn(model, x, abs_tol=1e-10)
+            assert got.shape == x.shape and np.array_equal(got, w)

@@ -1,6 +1,10 @@
 """Goodness-of-fit machinery: survival functions against scipy oracles,
 null behavior, power, and the campaign protocol."""
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -191,6 +195,78 @@ class TestModelEnvelopeCdf:
             want = exact_cdf(model, float(r) ** 2)
             got = float(fast(np.array([r]))[0])
             assert got == pytest.approx(want, abs=1e-7)
+
+
+# the ten campaign cells of criterion 08b, as (correlation, m_z, L)
+CRITERION_08B_CELLS = [
+    (corr(rho), m_z, L) for corr, rho, m_z, L in [
+        (EqualCorrelation, 0.2, 3, 2), (EqualCorrelation, 0.2, 3, 5),
+        (EqualCorrelation, 0.7, 3, 2), (EqualCorrelation, 0.7, 3, 5),
+        (ExponentialCorrelation, 0.2, 1, 2), (ExponentialCorrelation, 0.2, 1, 5),
+        (ExponentialCorrelation, 0.2, 3, 2), (ExponentialCorrelation, 0.2, 3, 5),
+        (ExponentialCorrelation, 0.7, 3, 2), (ExponentialCorrelation, 0.7, 3, 5)]]
+
+
+def scipy_pchip(x, y):
+    from scipy.interpolate import PchipInterpolator
+    return PchipInterpolator(x, y, extrapolate=False)
+
+
+class TestPchipPort:
+    """``gof._pchip`` gives scipy's ``PchipInterpolator`` values bit for bit."""
+
+    @pytest.mark.parametrize("cell", CRITERION_08B_CELLS,
+                             ids=[f"{type(c).__name__[:5]}-{c.rho}-m{m}-L{L}"
+                                  for c, m, L in CRITERION_08B_CELLS])
+    def test_campaign_grids(self, monkeypatch, cell):
+        corr, m_z, L = cell
+        real, grids = gof._pchip, []
+
+        def recording(x, y):
+            grids.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(gof, "_pchip", recording)
+        model_envelope_cdf(match_parameters(EnsembleSpec(
+            fading_m=m_z, powers=(1.0,) * L, correlation=corr)))
+        ((x, y),) = grids
+        q = np.concatenate([x, np.random.default_rng(L).uniform(x[0], x[-1], 20_000)])
+        assert np.array_equal(real(x, y)(q), scipy_pchip(x, y)(q))
+
+    @pytest.mark.parametrize("y", [
+        [0.0, 0.0, 0.2, 0.2, 0.2, 0.7, 0.9, 0.9],        # flat pieces
+        [0.0, 0.3, 0.8, 0.99, 1.0, 1.0, 1.0, 1.0],       # tail clamped at 1
+        [0.0, 1.0, 5.0, 5.5, 5.6, 9.0, 9.1, 9.15],       # end slope set to 0
+        [0.0, 1.0, -9.0, -8.0, 2.0, -3.0, 7.0, 6.0],     # end slope capped at 3 m0
+        [1.0, 0.2, 0.4, 0.1, 0.3, 0.3, 0.25, 0.0],       # alternating signs
+    ], ids=["flat", "clamped", "end-zero", "end-capped", "alternating"])
+    def test_edge_cases(self, y):
+        y = np.asarray(y)
+        for x in (np.arange(y.size, dtype=float),
+                  np.cumsum(np.random.default_rng(3).uniform(0.1, 2.0, y.size))):
+            q = np.concatenate([x, np.linspace(x[0], x[-1], 5001)])
+            assert np.array_equal(gof._pchip(x, y)(q), scipy_pchip(x, y)(q))
+
+    def test_end_slope_branches(self):
+        # the first pieces of "end-zero" and "end-capped" above, on unit steps
+        assert gof._pchip_end(1.0, 1.0, 1.0, 4.0) == 0.0
+        assert gof._pchip_end(1.0, 1.0, 1.0, -10.0) == 3.0
+
+    def test_package_never_imports_scipy_interpolate(self):
+        code = (
+            "import sys, nakasum\n"
+            "from nakasum.gof import gof_campaign\n"
+            "from nakasum.moments import EnsembleSpec, EqualCorrelation\n"
+            "gof_campaign(EnsembleSpec(fading_m=1, powers=(1.0, 1.0),\n"
+            "             correlation=EqualCorrelation(0.3)), trials=2, per_trial=500)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n")
+        src = str(pathlib.Path(nakasum.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestCampaign:

@@ -278,9 +278,9 @@ def oracle_blocks(spec, n, seed):
         block += 1
 
 
-def oracle_moments(spec, n, seed):
+def oracle_moments(blocks, n):
     s2 = s4 = s8 = 0.0
-    for block in oracle_blocks(spec, n, seed):
+    for block in blocks:
         z2 = block.sum(axis=1) ** 2
         z4 = z2 * z2
         s2 += float(z2.sum())
@@ -346,7 +346,7 @@ class TestPooledSamplerMatchesSerialOracle:
         got = sample_correlated_nakagami(spec, n, 23).data
         assert got.shape == want.shape and np.array_equal(got, want)
         assert np.array_equal(sample_sum(spec, n, 23), want.sum(axis=1))
-        assert estimate_sum_moments(spec, n, 23) == oracle_moments(spec, n, 23)
+        assert estimate_sum_moments(spec, n, 23) == oracle_moments(oracle_blocks(spec, n, 23), n)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("conditional", [True, False])
@@ -392,3 +392,49 @@ class TestWorkerPool:
         monkeypatch.setattr(simkit, "_block_generator", failing)
         with pytest.raises(RuntimeError, match="block 1 failed"):
             sample_sum(self.SPEC, 2 * BLOCK + 1, 7)
+
+
+def chunk_edge_sizes(L):
+    """Draw counts at the edges of the sampler's layer chunks: one chunk's
+    rows minus one, plus one and plus two (where fixed-size chunks would
+    leave a tail of 1 or 2 rows), counts that 4096-row chunks would leave a
+    one-row tail, and a second block of such a count."""
+    chunk = simkit._LAYER_CELLS // L
+    return sorted({chunk - 1, chunk + 1, chunk + 2, 4097, 8193, BLOCK + 4097})
+
+
+class TestLayerChunksMatchSerialOracle:
+    """Each Gaussian layer is drawn and multiplied in row chunks; the
+    samples, sums and moments stay those of the one-shot einsum oracle."""
+
+    @pytest.mark.parametrize("L", [2, 8, 16])
+    @pytest.mark.parametrize("m_z", [1, 5])
+    def test_chunk_edges(self, L, m_z):
+        spec = EnsembleSpec(fading_m=m_z, powers=tuple(1.0 / (1 + 0.3 * k) for k in range(L)),
+                            correlation=ExponentialCorrelation(0.7))
+        for n in chunk_edge_sizes(L):
+            seed = 31 * L + n
+            blocks = list(oracle_blocks(spec, n, seed))
+            want = np.concatenate(blocks)
+            assert np.array_equal(sample_correlated_nakagami(spec, n, seed).data, want), n
+            assert np.array_equal(sample_sum(spec, n, seed), want.sum(axis=1)), n
+            assert estimate_sum_moments(spec, n, seed) == oracle_moments(blocks, n), n
+
+    def test_chunks_split_evenly(self, monkeypatch):
+        # a block's layers are cut into chunks whose lengths differ by at
+        # most one row and hold at most _LAYER_CELLS cells each
+        seen = []
+        real = np.matmul
+
+        def recording(a, b, out=None):
+            seen.append(a.shape)
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(simkit.np, "matmul", recording)
+        L = 8
+        rows = simkit._LAYER_CELLS // L * 3 + 1
+        sample_sum(unit_spec(EqualCorrelation(0.3), 1, L), rows, 3)
+        lengths = {shape[0] for shape in seen}
+        assert len(seen) == 2 * 4 and len(lengths) == 2
+        assert max(lengths) - min(lengths) == 1
+        assert max(lengths) * L <= simkit._LAYER_CELLS
