@@ -48,14 +48,12 @@ class TruncationError(NakasumError):
 class AccuracyError(NakasumError):
     """A quadrature failed to reach the requested tolerance.
 
-    ``partial`` holds the best estimate available; ``estimates`` may hold the
-    competing values that failed to agree.
+    ``partial`` holds the best estimate available.
     """
 
-    def __init__(self, message: str, partial: float, estimates: tuple[float, ...] = ()):
+    def __init__(self, message: str, partial: float):
         super().__init__(message)
         self.partial = partial
-        self.estimates = estimates
 
 
 class FitClampWarning(UserWarning):

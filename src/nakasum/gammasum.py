@@ -324,23 +324,27 @@ def cdf(model: GammaSumModel, t: ArrayLike, *,
     return _scalar_or_array(values, t_arr.ndim == 0)
 
 
-def pdf_equal_corr(model: GammaSumModel, rho: float, r: float) -> float:
+def pdf_equal_corr(model: GammaSumModel, r: float) -> float:
     """Closed-form envelope density for an equal-correlation proxy.
 
-    Only valid when the model spectrum is the equal-correlation one
-    (one dominant eigenvalue, L-1 repeated).  Assembled in log space so
+    The model spectrum must be the equal-correlation one: 1 + (L-1) sqrt(rho)
+    and L-1 repeats of (1 - rho)/(1 + sqrt(rho)) > 0, to the relative 1e-12
+    that merges eigenvalues; any other spectrum, the maximal one included,
+    raises DomainError.  sqrt(rho) is read as 1 minus the repeated
+    eigenvalue, which stays accurate as rho -> 1.  Assembled in log space so
     large confluent-hypergeometric arguments cannot overflow.
     """
-    if not r > 0:
-        raise DomainError(f"pdf requires r > 0, got {r}")
-    if not 0.0 <= rho < 1.0:
-        raise DomainError(f"equal-correlation closed form needs rho in [0,1), got {rho}")
-    L = model.branch_count
-    m = model.m_r
-    om = model.omega_r
-    sr = math.sqrt(rho)
-    lam_small = (1.0 - rho) / (1.0 + sr)  # 1 - sqrt(rho) without cancellation
-    lam_big = 1.0 + (L - 1) * sr
+    if not 0 < r < math.inf:
+        raise DomainError(f"pdf requires a finite r > 0, got {r}")
+    lams = model.spectrum.values
+    L, m, om = len(lams), model.m_r, model.omega_r
+    lam_big, lam_small = lams[0], lams[-1]
+    sr = 1.0 - lam_small
+    tol = _MERGE_RTOL * lam_big
+    if not (lam_small > 0.0 and max(lams[1:], default=lam_small) - lam_small <= tol
+            and abs(1.0 + (L - 1) * sr - lam_big) <= tol):
+        raise DomainError(f"equal-correlation closed form needs a spectrum "
+                          f"1 + (L-1)sqrt(rho), 1 - sqrt(rho) with rho < 1, got {lams}")
     arg = m * L * sr * r * r / (lam_small * lam_big * om)
     log_val = (
         math.log(2.0) + (2.0 * m * L - 1.0) * math.log(r)

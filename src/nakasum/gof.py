@@ -4,11 +4,12 @@ envelope sums against the fitted analytical distribution.
 The campaign protocol draws independent trials, computes both statistics
 per trial against the model CDF (100 equiprobable chi-square bins), with
 the kernels the public tests use, and averages them across trials.  Its
-one significance rule is the upper-tail p-value at the averaged statistic
-(the regularised upper incomplete gamma for chi-square, the Kolmogorov Q
-function for K-S): a small level means misfit was detected, and a level of
-about 0.4-0.5 means the averaged statistic sits at its null mean.  The
-report carries raw numbers without reinterpreting them.
+one significance rule, owned by ``GofReport``, derives each level from the
+report's averaged statistic: the upper-tail p-value there (the regularised
+upper incomplete gamma for chi-square, the Kolmogorov Q function for K-S).
+A small level means misfit was detected, and a level of about 0.4-0.5
+means the averaged statistic sits at its null mean.  The report carries
+raw numbers without reinterpreting them.
 
 The trials run on the ``simkit`` worker pool, one contiguous range of
 trials per worker.  Each trial draws from its own stream, derived from the
@@ -50,14 +51,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GofReport:
-    """Campaign-averaged test statistics and their significance levels."""
+    """Campaign-averaged test statistics, and the significance levels they
+    fix: the single-trial upper tail at each averaged statistic."""
 
     chi2_stat: float
     ks_stat: float
-    alpha_cs: float
-    alpha_ks: float
     n_samples: int
     n_trials: int
+
+    @property
+    def alpha_cs(self) -> float:
+        return float(gammaincc((_N_BINS - 1) / 2.0, self.chi2_stat / 2.0))
+
+    @property
+    def alpha_ks(self) -> float:
+        return float(kolmogorov(math.sqrt(self.n_samples) * self.ks_stat))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -289,13 +297,5 @@ def gof_campaign(spec: EnsembleSpec, trials: int = 100, per_trial: int = 10_000,
                                       for j in range(jobs)])
     chi2, dist = zip(*(pair for part in parts for pair in part))
 
-    chi2_mean = math.fsum(chi2) / trials
-    d_mean = math.fsum(dist) / trials
-    return GofReport(
-        chi2_stat=chi2_mean,
-        ks_stat=d_mean,
-        alpha_cs=float(gammaincc((_N_BINS - 1) / 2.0, chi2_mean / 2.0)),
-        alpha_ks=float(kolmogorov(math.sqrt(per_trial) * d_mean)),
-        n_samples=per_trial,
-        n_trials=trials,
-    )
+    return GofReport(chi2_stat=math.fsum(chi2) / trials, ks_stat=math.fsum(dist) / trials,
+                     n_samples=per_trial, n_trials=trials)

@@ -118,6 +118,8 @@ class EigenSpectrum:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
+        if not all(math.isfinite(v) for v in vals):
+            raise ValidationError("spectrum eigenvalues must be finite")
         if any(v < _PSD_SLACK for v in vals):
             raise ValidationError("spectrum has a significantly negative eigenvalue")
         if list(vals) != sorted(vals, reverse=True):

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ValidationError
 from .linalg import CorrelationMatrix, EigenSpectrum, eigenvalues_sym
 from .moments import (
     EnsembleSpec,
@@ -35,9 +35,9 @@ __all__ = ["GammaSumModel", "match_parameters"]
 
 @dataclass(frozen=True)
 class GammaSumModel:
-    """Fitted proxy distribution for a sum of correlated envelopes."""
+    """Fitted proxy distribution for a sum of correlated envelopes; its
+    branch count is the length of its spectrum."""
 
-    branch_count: int
     omega_r: float
     m_r: float
     spectrum: EigenSpectrum
@@ -47,8 +47,10 @@ class GammaSumModel:
     def __post_init__(self):
         if not (0 < self.omega_r < math.inf and 0 < self.m_r < math.inf):
             raise ConsistencyError("fitted parameters must be finite and positive")
-        if len(self.spectrum) != self.branch_count:
-            raise ConsistencyError("spectrum length must equal branch count")
+
+    @property
+    def branch_count(self) -> int:
+        return len(self.spectrum)
 
     @property
     def mean_square(self) -> float:
@@ -56,14 +58,7 @@ class GammaSumModel:
 
     def scaled(self, omega_r: float) -> "GammaSumModel":
         """Same shape and spectrum at a different power level."""
-        return GammaSumModel(
-            branch_count=self.branch_count,
-            omega_r=omega_r,
-            m_r=self.m_r,
-            spectrum=self.spectrum,
-            source_moments=self.source_moments,
-            flags=self.flags,
-        )
+        return replace(self, omega_r=omega_r)
 
     def to_json(self) -> str:
         doc = {
@@ -80,16 +75,24 @@ class GammaSumModel:
 
     @classmethod
     def from_json(cls, text: str) -> "GammaSumModel":
-        doc = json.loads(text)
-        return cls(
-            branch_count=int(doc["branch_count"]),
-            omega_r=float(doc["omega_r"]),
-            m_r=float(doc["m_r"]),
-            spectrum=EigenSpectrum(tuple(doc["spectrum"])),
-            source_moments=MomentPair(m2=float(doc["source_moments"]["m2"]),
-                                      m4=float(doc["source_moments"]["m4"])),
-            flags=tuple(doc.get("flags", ())),
-        )
+        """The model ``to_json`` wrote; a malformed document, or one whose
+        ``branch_count`` is not its spectrum's length, raises ValidationError."""
+        try:
+            doc = json.loads(text)
+            count, moments = doc["branch_count"], doc["source_moments"]
+            model = cls(
+                omega_r=float(doc["omega_r"]),
+                m_r=float(doc["m_r"]),
+                spectrum=EigenSpectrum(tuple(doc["spectrum"])),
+                source_moments=MomentPair(m2=float(moments["m2"]), m4=float(moments["m4"])),
+                flags=tuple(doc.get("flags", ())),
+            )
+        except (KeyError, TypeError, ValueError) as exc:  # ValidationError included
+            raise ValidationError(f"malformed gamma-sum-model document: {exc}") from exc
+        if count != model.branch_count:
+            raise ValidationError(
+                f"branch_count {count} != spectrum length {model.branch_count}")
+        return model
 
 
 def _proxy_spectrum(spec: EnsembleSpec,
@@ -129,7 +132,6 @@ def match_parameters(spec: EnsembleSpec) -> GammaSumModel:
                 f"moment matching needs E[Z^4] > E[Z^2]^2 (got m2={m2}, m4={m4})")
         m_r = spectrum.sum_squares / L ** 2 * m2 * m2 / variance
     return GammaSumModel(
-        branch_count=L,
         omega_r=m2 / L,
         m_r=m_r,
         spectrum=spectrum,

@@ -117,6 +117,11 @@ class ArbitraryCorrelation:
 
     matrix: CorrelationMatrix
 
+    def __post_init__(self):
+        if not isinstance(self.matrix, CorrelationMatrix):
+            raise ValidationError(
+                f"arbitrary correlation needs a CorrelationMatrix, got {type(self.matrix).__name__}")
+
     def rho_pair(self, i: int, j: int) -> float:
         return float(self.matrix.entries[i, j] ** 2)
 
@@ -130,6 +135,16 @@ class ArbitraryCorrelation:
 CorrelationModel = Union[EqualCorrelation, ExponentialCorrelation, ArbitraryCorrelation]
 
 
+def _is_fading_m(m_z) -> bool:
+    """The one fading-parameter rule: a positive integer, not a bool."""
+    return not isinstance(m_z, bool) and isinstance(m_z, (int, np.integer)) and m_z >= 1
+
+
+def _check_fading_m(m_z) -> None:
+    if not _is_fading_m(m_z):
+        raise DomainError(f"fading parameter must be a positive integer, got {m_z}")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Physical model: branch powers, common integer fading parameter, and
@@ -140,8 +155,7 @@ class EnsembleSpec:
     correlation: CorrelationModel
 
     def __post_init__(self):
-        if isinstance(self.fading_m, bool) or not (
-                isinstance(self.fading_m, (int, np.integer)) and self.fading_m >= 1):
+        if not _is_fading_m(self.fading_m):
             raise ValidationError(
                 f"fading parameter must be a positive integer, got {self.fading_m}")
         powers = tuple(float(p) for p in self.powers)
@@ -253,8 +267,7 @@ def w211_reduced(m_z: int, rho: float) -> float:
 
 
 def _validate_w_args(m_z: int, rho: float) -> None:
-    if not (isinstance(m_z, (int, np.integer)) and m_z >= 1):
-        raise DomainError(f"fading parameter must be a positive integer, got {m_z}")
+    _check_fading_m(m_z)
     if rho == 1.0:
         raise BoundaryError(
             "maximal correlation must be handled analytically upstream")
@@ -543,6 +556,7 @@ def joint_moment_triple(n1: int, n2: int, n3: int, links: NDArray[np.float64],
     """
     if (n1, n2, n3) not in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
         raise DomainError(f"unsupported exponent triple ({n1}, {n2}, {n3})")
+    _check_fading_m(m_z)
     links = _checked_links(links, 2)
     if n2 == 2:
         return float(_joint_series(_triple_lanes(links, m_z), float(m_z))[0])
@@ -553,6 +567,7 @@ def joint_moment_quad(links: NDArray[np.float64], m_z: int) -> float:
     """Unit-power joint moment E[Z_a Z_b Z_c Z_d] for four branches
     a < b < c < d of a Markov-product correlation matrix, whose links
     between neighbours are ``links`` = (c_ab, c_bc, c_cd)."""
+    _check_fading_m(m_z)
     lanes = _quad_lanes(_checked_links(links, 3), m_z)
     return float(_joint_series(lanes, float(m_z))[0])
 

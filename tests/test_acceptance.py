@@ -145,7 +145,7 @@ def test_criterion_04_pdf_route_equivalence():
                 model = match_parameters(balanced(EqualCorrelation(rho), m_z, L))
                 for r in np.linspace(0.1, 5.0, 25):
                     err = abs(pdf(model, float(r), abs_tol=1e-9)
-                              - pdf_equal_corr(model, rho, float(r)))
+                              - pdf_equal_corr(model, float(r)))
                     worst = max(worst, err)
                     assert err <= 1e-6, \
                         f"routes differ by {err:.2e} at (rho={rho}, m_z={m_z}, " \

@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from nakasum import gammasum
 from nakasum.egc import outage
 from nakasum.errors import AccuracyError, DomainError
 from nakasum.gammasum import cdf, mgf, pdf, pdf_equal_corr
+from nakasum.linalg import EigenSpectrum
 from nakasum.matcher import match_parameters
 from nakasum.moments import EnsembleSpec, EqualCorrelation, ExponentialCorrelation
 
@@ -92,7 +94,7 @@ class TestPdf:
         model = balanced_model(EqualCorrelation(rho), 2, 3)
         for r in np.linspace(0.1, 5.0, 15):
             assert pdf(model, float(r)) == pytest.approx(
-                pdf_equal_corr(model, rho, float(r)), abs=1e-6)
+                pdf_equal_corr(model, float(r)), abs=1e-6)
 
     def test_normalization(self):
         model = balanced_model(ExponentialCorrelation(0.4), 1, 3)
@@ -116,13 +118,13 @@ class TestPdfEqualCorr:
         L, m, om = 3, model.m_r, model.omega_r
         for r in np.linspace(0.2, 4.0, 10):
             want = nakagami_pdf(L * m, L * om, float(r))
-            assert pdf_equal_corr(model, 0.0, float(r)) == pytest.approx(
+            assert pdf_equal_corr(model, float(r)) == pytest.approx(
                 want, rel=1e-11)
 
     def test_integrates_to_one(self):
         rho = 0.2
         model = balanced_model(EqualCorrelation(rho), 1, 5)
-        total, err = quad(lambda r: pdf_equal_corr(model, rho, r),
+        total, err = quad(lambda r: pdf_equal_corr(model, r),
                           0.0, np.inf, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -135,15 +137,48 @@ class TestPdfEqualCorr:
         # 1F1 arguments of 690-1380, on both sides of hyp1f1's overflow
         model = balanced_model(EqualCorrelation(rho), m_z, L)
         for r in rs:
-            assert pdf_equal_corr(model, rho, r) == pytest.approx(
+            assert pdf_equal_corr(model, r) == pytest.approx(
                 pdf(model, r), abs=1e-8)
 
     def test_large_argument_no_overflow(self):
         rho = 0.81
         model = balanced_model(EqualCorrelation(rho), 3, 5)
-        val = pdf_equal_corr(model, rho, 40.0)
+        val = pdf_equal_corr(model, 40.0)
         assert math.isfinite(val)
         assert val >= 0.0
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+    def test_domain(self, r):
+        # r = inf used to hang in scipy's hyp1f1
+        model = balanced_model(EqualCorrelation(0.5), 2, 3)
+        with pytest.raises(DomainError, match="finite r > 0"):
+            pdf_equal_corr(model, r)
+
+    def test_single_branch_reads_no_rho(self):
+        # one branch has no repeated eigenvalue: rho drops out of the density
+        model = balanced_model(EqualCorrelation(0.9999), 10, 1)
+        for r in np.linspace(0.05, 2.5, 12):
+            assert pdf_equal_corr(model, float(r)) == pytest.approx(
+                nakagami_pdf(model.m_r, model.omega_r, float(r)), rel=1e-13)
+
+    def test_two_branch_exponential_is_equal_correlation(self):
+        # any two-branch spectrum is 1 + sqrt(rho), 1 - sqrt(rho)
+        model = balanced_model(ExponentialCorrelation(0.5), 2, 2)
+        for r in (0.3, 1.0, 2.2):
+            assert pdf_equal_corr(model, r) == pytest.approx(
+                pdf(model, r, abs_tol=1e-12), rel=1e-10)
+
+    @pytest.mark.parametrize("model", [
+        balanced_model(ExponentialCorrelation(0.5), 2, 3),
+        balanced_model(EqualCorrelation(1.0), 2, 3),
+        replace(balanced_model(EqualCorrelation(0.25), 2, 3),
+                spectrum=EigenSpectrum((3.0, 0.5, 0.5))),
+    ], ids=["exponential-L3", "maximal", "trace-4"])
+    def test_rejects_other_spectra(self, model):
+        # the exponential L=3 model gave 0.01207 at r = 1 with rho = 0.5
+        # passed alongside; its density there is 0.00914
+        with pytest.raises(DomainError, match="equal-correlation"):
+            pdf_equal_corr(model, 1.0)
 
 
 class TestCdf:
@@ -331,7 +366,7 @@ class TestSeriesRoute:
         cdf(model, rs * rs)
         assert time.perf_counter() - start < 2.0
         if isinstance(corr, EqualCorrelation):
-            want = [pdf_equal_corr(model, corr.rho, float(r)) for r in rs]
+            want = [pdf_equal_corr(model, float(r)) for r in rs]
             assert np.max(np.abs(values - want)) <= 1e-8
 
 

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,13 +326,22 @@ class TestCampaign:
             gof_campaign(spec, **{"trials": 2, "per_trial": 2000, **kwargs})
 
     def test_report_json(self):
-        report = GofReport(chi2_stat=101.0, ks_stat=0.01, alpha_cs=0.4,
-                           alpha_ks=0.5, n_samples=1000, n_trials=10)
+        report = GofReport(chi2_stat=101.0, ks_stat=0.01, n_samples=1000, n_trials=10)
         import json
         doc = json.loads(report.to_json())
         assert doc["schema"] == "gof-report/2"
         assert doc["n_trials"] == 10
+        assert doc["alpha_cs"] == report.alpha_cs
+        assert doc["alpha_ks"] == report.alpha_ks
         assert "alpha_mode" not in doc
+
+    def test_levels_derived_from_statistics(self):
+        # the levels follow the statistics they are computed from
+        report = GofReport(chi2_stat=99.0, ks_stat=0.0087, n_samples=10_000, n_trials=100)
+        assert report.alpha_cs == scipy.special.gammaincc(99 / 2, 99.0 / 2)
+        assert report.alpha_ks == scipy.special.kolmogorov(math.sqrt(10_000) * 0.0087)
+        far = replace(report, chi2_stat=200.0, ks_stat=0.03)
+        assert far.alpha_cs < 1e-7 and far.alpha_ks < 1e-7
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nakasum.errors import FitClampWarning, SingularMatrixError, ValidationError
 from nakasum.linalg import (
     CorrelationMatrix,
+    EigenSpectrum,
     cholesky_psd,
     eigenvalues_sym,
     greens_fit,
@@ -153,6 +154,11 @@ class TestEigenvalues:
         assert spec.values[0] == pytest.approx(2.0, abs=1e-13)
         assert spec.values[1] == pytest.approx(0.5, abs=1e-13)
         assert spec.values[2] == pytest.approx(0.5, abs=1e-13)
+
+    @pytest.mark.parametrize("values", [(math.nan,), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_spectrum_rejects_non_finite(self, values):
+        with pytest.raises(ValidationError, match="finite"):
+            EigenSpectrum(values)
 
     def test_maximal_correlation(self):
         spec = eigenvalues_sym(CorrelationMatrix.equal(1.0, 5))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nakasum.errors import ValidationError
 from nakasum.linalg import CorrelationMatrix
 from nakasum.matcher import GammaSumModel, match_parameters
 from nakasum.moments import (
@@ -178,6 +179,31 @@ class TestSerialization:
         model = match_parameters(balanced(ExponentialCorrelation(0.4), 2, 3))
         clone = GammaSumModel.from_json(model.to_json())
         assert clone == model
+
+    def test_branch_count_is_spectrum_length(self):
+        model = match_parameters(balanced(ExponentialCorrelation(0.4), 2, 3))
+        assert model.branch_count == len(model.spectrum) == 3
+        assert model.scaled(2.0).branch_count == 3
+
+    @pytest.mark.parametrize("text", ["{}", "[]", "not json", '{"branch_count": 2}'])
+    def test_from_json_rejects_malformed(self, text):
+        with pytest.raises(ValidationError, match="malformed"):
+            GammaSumModel.from_json(text)
+
+    def test_from_json_rejects_wrong_branch_count(self):
+        import json
+        doc = json.loads(match_parameters(balanced(EqualCorrelation(0.2), 1, 2)).to_json())
+        doc["branch_count"] = 3
+        with pytest.raises(ValidationError, match="branch_count 3 != spectrum length 2"):
+            GammaSumModel.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_from_json_rejects_non_finite_eigenvalue(self, value):
+        import json
+        doc = json.loads(match_parameters(balanced(EqualCorrelation(0.2), 1, 2)).to_json())
+        doc["spectrum"][0] = value
+        with pytest.raises(ValidationError, match="finite"):
+            GammaSumModel.from_json(json.dumps(doc))
 
     def test_json_fields(self):
         import json

@@ -65,6 +65,11 @@ class TestEnsembleSpec:
             EnsembleSpec(fading_m=1, powers=(1.0, 1.0),
                          correlation=ArbitraryCorrelation(CorrelationMatrix.identity(3)))
 
+    def test_arbitrary_needs_correlation_matrix(self):
+        # a raw array used to fail later, with an AttributeError on .dim
+        with pytest.raises(ValidationError, match="CorrelationMatrix"):
+            ArbitraryCorrelation(np.eye(3))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_power_rejected(self, bad):
         with pytest.raises(ValidationError, match="finite"):
@@ -315,6 +320,18 @@ class TestJointMomentSeries:
         with pytest.raises(DomainError):
             joint_moment_triple(3, 1, 1, (0.0, 0.0), 1)
 
+    @pytest.mark.parametrize("m_z", [True, 2.5, 0])
+    @pytest.mark.parametrize("call", [
+        lambda m: w_coefficient((1, 1, 1, 1), m, 0.5),
+        lambda m: joint_moment_triple(2, 1, 1, (0.5, 0.5), m),
+        lambda m: joint_moment_quad((0.5,) * 3, m),
+    ], ids=["w1111", "triple", "quad"])
+    def test_fading_parameter_rule(self, call, m_z):
+        # the EnsembleSpec rule: a positive integer, not a bool
+        with pytest.raises(DomainError, match="fading parameter"):
+            call(m_z)
+        assert math.isfinite(call(np.int64(2)))
+
 
 def mp_joint_moment(rho, idx, m, orders):
     """Joint-moment series of an exponentially correlated subset, summed
@@ -372,6 +389,16 @@ class TestJointMomentOracles:
                     got = joint_moment_triple(*orders, links, m_z)
                 ref = float(mp_joint_moment(rho, idx, m_z, orders))
                 assert got == pytest.approx(ref, rel=rel), (orders, idx)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the quad series loses mass near maximal correlation (-1.02e-5 here); "
+        "ROADMAP item 3 replaces it, and re-records the benchmark's fit/near "
+        "reference, which pins this value"))
+    def test_quad_near_maximal_against_mpmath_series(self):
+        links = exponential_links(0.97, (0, 1, 2, 3))
+        with mp.workdps(30):
+            ref = float(mp_joint_moment(0.97, (0, 1, 2, 3), 1, (1, 1, 1, 1)))
+        assert joint_moment_quad(links, 1) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("rho", [0.999, 1.0 - 1e-6])
     @pytest.mark.parametrize("m_z", [1, 3])
