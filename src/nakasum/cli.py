@@ -153,7 +153,7 @@ def _rows_to_text(rows: list[dict], header: tuple[str, ...], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rows, indent=2)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header)
+    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)

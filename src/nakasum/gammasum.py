@@ -346,6 +346,8 @@ def pdf_equal_corr(model: GammaSumModel, r: float) -> float:
         raise DomainError(f"equal-correlation closed form needs a spectrum "
                           f"1 + (L-1)sqrt(rho), 1 - sqrt(rho) with rho < 1, got {lams}")
     arg = m * L * sr * r * r / (lam_small * lam_big * om)
+    if arg == math.inf:  # e^(-m r^2 / (lam_big om)) underflowed long before
+        return 0.0
     log_val = (
         math.log(2.0) + (2.0 * m * L - 1.0) * math.log(r)
         + m * L * math.log(m / om)

@@ -75,7 +75,8 @@ class GammaSumModel:
 
     @classmethod
     def from_json(cls, text: str) -> "GammaSumModel":
-        """The model ``to_json`` wrote; a malformed document, or one whose
+        """The model ``to_json`` wrote; a malformed document, one whose
+        ``omega_r`` or ``m_r`` is not finite and positive, or one whose
         ``branch_count`` is not its spectrum's length, raises ValidationError."""
         try:
             doc = json.loads(text)
@@ -87,7 +88,7 @@ class GammaSumModel:
                 source_moments=MomentPair(m2=float(moments["m2"]), m4=float(moments["m4"])),
                 flags=tuple(doc.get("flags", ())),
             )
-        except (KeyError, TypeError, ValueError) as exc:  # ValidationError included
+        except (KeyError, TypeError, ValueError, ConsistencyError) as exc:
             raise ValidationError(f"malformed gamma-sum-model document: {exc}") from exc
         if count != model.branch_count:
             raise ValidationError(

@@ -62,7 +62,6 @@ __all__ = [
     "MomentPair",
     "second_moment_Z",
     "fourth_moment_Z",
-    "moment_pair",
     "w_coefficient",
     "w211_reduced",
     "j_identity",
@@ -663,8 +662,3 @@ def _fourth_moment_Z(spec: EnsembleSpec, fitted: CorrelationMatrix | None) -> fl
         else:
             total += _fourth_moment_joint_markov(spec, fitted)
     return total
-
-
-def moment_pair(spec: EnsembleSpec) -> MomentPair:
-    """Second and fourth moments bundled with their consistency check."""
-    return MomentPair(m2=second_moment_Z(spec), m4=fourth_moment_Z(spec))

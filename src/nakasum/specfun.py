@@ -2,13 +2,14 @@
 functions, and the Lauricella F_A function of several variables.
 
 All functions are pure and take and return plain floats.  Kummer's 1F1 is
-``scipy.special.hyp1f1``; its logarithm continues past the float range
-with the large-argument expansion.  The Gauss 2F1 is a scalar series
-with one fixed policy: it is accepted once the current term stays below
-1e-12 times the partial sum for three consecutive terms, which guards
-against premature truncation of oscillating-sign series (negative
-half-integer parameters produce such series), and it raises
-TruncationError past 100 000 terms.  F_A is its Laplace integral.
+``scipy.special.hyp1f1``; its logarithm takes the large-argument expansion
+wherever that is exact in double precision, and past the float range.
+The Gauss 2F1 is a scalar series with one fixed policy: it is accepted
+once the current term stays below 1e-12 times the partial sum for three
+consecutive terms, which guards against premature truncation of
+oscillating-sign series (negative half-integer parameters produce such
+series), and it raises TruncationError past 100 000 terms.  F_A is its
+Laplace integral.
 Semi-infinite integrals here and downstream (F_A, the equal-correlation W
 coefficients, the BPSK error rate) share one exp-sinh trapezoid rule whose
 step halves until two sums agree to a relative tolerance in every lane;
@@ -133,19 +134,22 @@ def kummer_1f1(a: float, c: float, x: float) -> float:
 
 
 def ln_kummer_1f1(a: float, c: float, x: float) -> float:
-    """log(1F1(a; c; x)) for a, c > 0 and x >= 0, safe against overflow.
+    """log(1F1(a; c; x)) for a, c > 0 and x >= 0, overflow-safe, in bounded time.
 
-    Where ``hyp1f1`` overflows, Kummer's transformation
-    1F1(a; c; x) = e^x 1F1(c-a; c; -x) and the large-x expansion
-    (DLMF 13.7.2) give x + (a-c) log x + log(Gamma(c)/Gamma(a)) + log S,
-    S = sum_n (1-a)_n (c-a)_n / (n! x^n) taken to its smallest term.  The
-    other branch is e^-x smaller and lies far below double precision there.
+    Kummer's transformation 1F1(a; c; x) = e^x 1F1(c-a; c; -x) and the
+    large-x expansion (DLMF 13.7.2) give x + (a-c) log x +
+    log(Gamma(c)/Gamma(a)) + log S, S = sum_n (1-a)_n (c-a)_n / (n! x^n).
+    That skips ``hyp1f1``, whose run time grows linearly with x, wherever S
+    reaches 1e-17 of its sum before its smallest term, S > 0, and the
+    dropped branch, Gamma(a)/Gamma(c-a) x^(c-2a) e^-x times the kept one, is
+    below e^-40, with x >= max(a, 1)|c-a-1| so that its series' later terms
+    are no larger.  Elsewhere it is log(hyp1f1), or S to its smallest term
+    where hyp1f1 overflows.
     """
-    if a <= 0 or c <= 0 or x < 0:
+    if not (a > 0 and c > 0 and x >= 0):
         raise DomainError("ln_kummer_1f1 requires a, c > 0 and x >= 0")
-    val = float(hyp1f1(a, c, x))
-    if 0.0 < val < math.inf:
-        return math.log(val)
+    if x == 0.0 or x == math.inf:  # log 1F1 is 0 at x = 0 and grows without bound
+        return x
     total = term = 1.0
     n = 0
     while abs(term) > 1e-17 * abs(total):
@@ -157,6 +161,14 @@ def ln_kummer_1f1(a: float, c: float, x: float) -> float:
         term *= ratio
         total += term
         n += 1
+    # 1/Gamma(c-a) vanishes at its poles, and with it the dropped branch
+    ln_dropped = (-math.inf if _is_nonpositive_integer(c - a) else
+                  math.lgamma(a) - math.lgamma(c - a) + (c - 2.0 * a) * math.log(x) - x)
+    if not (abs(term) <= 1e-17 * abs(total) and total > 0.0 and ln_dropped < -40.0
+            and x >= max(a, 1.0) * abs(c - a - 1.0)):
+        val = float(hyp1f1(a, c, x))
+        if 0.0 < val < math.inf:
+            return math.log(val)
     return x + (a - c) * math.log(x) + math.lgamma(c) - math.lgamma(a) + math.log(total)
 
 

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from nakasum.cli import build_parser, main, read_corr_file, write_corr_file
+from nakasum.egc import ReceiverSpec, ber_curve
 from nakasum.linalg import CorrelationMatrix, greens_fit
-from nakasum.simkit import load_batch
+from nakasum.moments import ArbitraryCorrelation, EnsembleSpec
+from nakasum.simkit import load_batch, simulate_egc_ber
 
 
 SPEC = ["--model", "equal", "--rho", "0.2", "--mz", "1", "--L", "3"]
@@ -223,6 +225,27 @@ class TestValidateAndSample:
         for r in rows:
             assert abs(float(r["simulated"]) - float(r["analytic"])) < 0.5 * float(r["analytic"])
 
+    def test_validate_egc_arbitrary_matrix(self, capsys, tmp_path):
+        # the README's three-antenna matrix, through --corr-file; the rows
+        # are the analytic and simulated curves of the direct library calls
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        text = re.search(r"```\n(# three antennas\n.*?)```", readme.read_text(), re.S).group(1)
+        path = tmp_path / "corr.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "validate", "egc", "--model", "arbitrary",
+                           "--corr-file", str(path), "--mz", "2", "--omega", "1",
+                           "--snr-grid", "0:16:9", "--n-bits", "20000", "--seed", "0")
+        assert code == 0
+        rows = [[float(v) for v in row.values()] for row in csv.DictReader(out.splitlines())]
+        ensemble = EnsembleSpec(fading_m=2, powers=(1.0,) * 3, correlation=ArbitraryCorrelation(
+            CorrelationMatrix(np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.5], [0.2, 0.5, 1.0]]))))
+        rx = ReceiverSpec(ensemble=ensemble, noise_psd=1.0)
+        grid = np.linspace(0.0, 16.0, 9)
+        analytic = ber_curve(rx, grid)
+        simulated = simulate_egc_ber(rx, grid, n_bits=20_000, seed=0)
+        assert rows == [[pa.snr_db, pa.value, ps.value, ps.stderr]
+                        for pa, ps in zip(analytic.points, simulated.points)]
+
     def test_validate_table_mode(self, capsys):
         code, out, _ = run(capsys, "validate", "table", "--model", "equal",
                            "--trials", "2", "--per-trial", "1000", "--seed", "3")
@@ -376,6 +399,19 @@ class TestFlags:
         code, out, _ = run(capsys, "ber", *SPEC, "--snr-grid", "0:10:2")
         assert code == 0
         assert out.splitlines()[0] == "snr_db,value,kind,meta"
+
+    @pytest.mark.parametrize("argv", [
+        ("ber", *SPEC, "--snr-grid", "0:10:3"),
+        ("tables", "--corr", "equal"),
+        ("validate", "egc", *SPEC, "--snr-grid", "0:10:3", "--n-bits", "10000"),
+    ], ids=["ber", "tables", "validate-egc"])
+    def test_csv_rows_end_in_newline(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "\r" not in out
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
 
     def test_readme_examples_parse(self):
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"

@@ -1,5 +1,6 @@
 """Distribution tests: MGF identities, density and CDF against closed
 forms, route equivalence, and normalization."""
+import json
 import math
 import time
 import tracemalloc
@@ -146,6 +147,31 @@ class TestPdfEqualCorr:
         val = pdf_equal_corr(model, 40.0)
         assert math.isfinite(val)
         assert val >= 0.0
+
+    def test_far_tail_is_zero_in_bounded_time(self, run_child):
+        # 1F1's large-x expansion used to wait on hyp1f1, whose run time grows
+        # with its argument: 38.6 s at r = 1e6 sqrt(E[R^2]), out of reach of a
+        # signal, so the calls run in a child process; r^2 overflows at 1e200
+        code = (
+            "import json, math, time, warnings\n"
+            "warnings.simplefilter('error')\n"
+            "from nakasum.gammasum import pdf_equal_corr\n"
+            "from nakasum.matcher import match_parameters\n"
+            "from nakasum.moments import EnsembleSpec, EqualCorrelation\n"
+            "model = match_parameters(EnsembleSpec(\n"
+            "    fading_m=2, powers=(1.0,) * 3, correlation=EqualCorrelation(0.5)))\n"
+            "out = []\n"
+            "for k in (1e6, 1e50, 1e200):\n"
+            "    times = []\n"
+            "    for _ in range(3):\n"
+            "        t = time.perf_counter()\n"
+            "        value = pdf_equal_corr(model, k * math.sqrt(model.mean_square))\n"
+            "        times.append(time.perf_counter() - t)\n"
+            "    out.append((value, min(times)))\n"
+            "print(json.dumps(out))\n")
+        results = json.loads(run_child(code, timeout=60))
+        assert [value for value, _ in results] == [0.0, 0.0, 0.0]
+        assert max(seconds for _, seconds in results) < 10e-3
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
     def test_domain(self, r):

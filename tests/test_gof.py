@@ -1,10 +1,6 @@
 """Goodness-of-fit machinery: survival functions against scipy oracles,
 null behavior, power, and the campaign protocol."""
 import math
-import os
-import pathlib
-import subprocess
-import sys
 import threading
 from dataclasses import replace
 
@@ -253,7 +249,7 @@ class TestPchipPort:
         assert gof._pchip_end(1.0, 1.0, 1.0, 4.0) == 0.0
         assert gof._pchip_end(1.0, 1.0, 1.0, -10.0) == 3.0
 
-    def test_package_never_imports_scipy_interpolate(self):
+    def test_package_never_imports_scipy_interpolate(self, run_child):
         code = (
             "import sys, nakasum\n"
             "from nakasum.gof import gof_campaign\n"
@@ -261,13 +257,7 @@ class TestPchipPort:
             "gof_campaign(EnsembleSpec(fading_m=1, powers=(1.0, 1.0),\n"
             "             correlation=EqualCorrelation(0.3)), trials=2, per_trial=500)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n")
-        src = str(pathlib.Path(nakasum.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert run_child(code, timeout=120).strip() == "[]"
 
 
 class TestCampaign:

@@ -205,6 +205,15 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="finite"):
             GammaSumModel.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value", [
+        ("omega_r", -1.0), ("omega_r", 0.0), ("m_r", math.nan), ("m_r", math.inf)])
+    def test_from_json_rejects_bad_fitted_parameter(self, key, value):
+        import json
+        doc = json.loads(match_parameters(balanced(EqualCorrelation(0.2), 1, 2)).to_json())
+        doc[key] = value
+        with pytest.raises(ValidationError, match="finite and positive"):
+            GammaSumModel.from_json(json.dumps(doc))
+
     def test_json_fields(self):
         import json
         model = match_parameters(balanced(EqualCorrelation(0.2), 1, 2))

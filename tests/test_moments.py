@@ -38,7 +38,6 @@ from nakasum.moments import (
     j_identity,
     joint_moment_quad,
     joint_moment_triple,
-    moment_pair,
     second_moment_Z,
     w211_reduced,
     w_coefficient,
@@ -996,8 +995,8 @@ class TestFourthMoment:
             powers = tuple(rng.uniform(0.2, 3.0, L))
             rho = float(rng.uniform(0.0, 0.95))
             corr = [EqualCorrelation(rho), ExponentialCorrelation(rho)][int(rng.integers(2))]
-            pair = moment_pair(EnsembleSpec(fading_m=m_z, powers=powers,
-                                            correlation=corr))
+            spec = EnsembleSpec(fading_m=m_z, powers=powers, correlation=corr)
+            pair = MomentPair(second_moment_Z(spec), fourth_moment_Z(spec))
             assert pair.m4 > pair.m2 ** 2
 
     @settings(max_examples=20, deadline=None)

@@ -1,4 +1,5 @@
 """Special-function tests against high-precision and brute-force oracles."""
+import json
 import math
 
 import mpmath as mp
@@ -140,9 +141,51 @@ class TestKummer1F1:
                     worst = max(worst, err)
         assert worst < 1e-13
 
+    @pytest.mark.parametrize("a,c,x", [
+        # S converges and is positive, but the dropped branch is e^-16.6 of
+        # the kept one: taken, the expansion is 2.9e-8 off
+        (2.0, 32.0, 60.0),
+        # S stops at its first term, far below x = max(a, 1)|c-a-1|
+        (1.0, 16.0, 1e-6),
+    ])
+    def test_log_variant_expansion_gates(self, a, c, x):
+        ref = float(mp.log(mp.hyp1f1(a, c, mp.mpf(x))))
+        assert ln_kummer_1f1(a, c, x) == pytest.approx(ref, rel=2e-15, abs=2e-15)
+
+    def test_log_variant_far_tail_in_bounded_time(self, run_child):
+        # hyp1f1's run time grows linearly with x (about 0.4 s at x = 1e10,
+        # and out of reach of a signal), so the calls run in a child process
+        code = (
+            "import json, time\n"
+            "from nakasum.specfun import ln_kummer_1f1\n"
+            "out = []\n"
+            "for a in (0.5, 0.95, 2.0, 3.3, 9.8):\n"
+            "    for L in (2, 3, 8, 16):\n"
+            "        for x in (1e6, 1e9, 1e12, 1e50, 1e300, float('inf')):\n"
+            "            times = []\n"
+            "            for _ in range(3):\n"
+            "                t = time.perf_counter()\n"
+            "                value = ln_kummer_1f1(a, a * L, x)\n"
+            "                times.append(time.perf_counter() - t)\n"
+            "            out.append((a, L, x, value, min(times)))\n"
+            "print(json.dumps(out))\n")
+        results = json.loads(run_child(code, timeout=60))
+        assert len(results) == 5 * 4 * 6
+        for a, L, x, value, seconds in results:
+            assert seconds < 5e-3, (a, L, x, seconds)
+            if x == math.inf:
+                assert value == math.inf
+            else:
+                ref = mp.log(mp.hyp1f1(a, a * L, mp.mpf(x)))
+                assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (a, L, x)
+
     def test_log_variant_domain(self):
         with pytest.raises(DomainError):
             ln_kummer_1f1(1.0, 2.0, -1.0)
+
+    def test_log_variant_rejects_nan(self):
+        with pytest.raises(DomainError):
+            ln_kummer_1f1(1.0, 2.0, math.nan)
 
     def test_c_pole(self):
         with pytest.raises(DomainError):
