@@ -122,8 +122,9 @@ def build_spec(args: argparse.Namespace) -> EnsembleSpec:
     if args.model == "arbitrary":
         if args.corr_file is None:
             raise ValidationError("--model arbitrary requires --corr-file")
-        if args.rho is not None:
-            raise ValidationError("--rho cannot be combined with --corr-file")
+        for flag, value in (("--rho", args.rho), ("--L", args.L)):
+            if value is not None:
+                raise ValidationError(f"{flag} cannot be combined with --corr-file")
         matrix = read_corr_file(args.corr_file)
         L = matrix.dim
         correlation = ArbitraryCorrelation(matrix)

@@ -16,11 +16,13 @@ trials per worker.  Each trial draws from its own stream, derived from the
 campaign seed and the trial index, and the statistics are averaged in
 trial order, so a report does not depend on the number of workers.
 
-The model CDF used by both tests is a monotone interpolation of the exact
-CDF, evaluated on its whole grid in one array call; chi-square bin edges
-are model quantiles, found once per campaign by one bisection over all
-of them.  The interpolant is a numpy port of scipy's PCHIP, equal to it
-bit for bit, so the package never imports ``scipy.interpolate``.
+Both statistics are functions of the model CDF values u = F(z) of a sorted
+sample, which each trial evaluates once: K-S is their largest gap from the
+empirical CDF, and equiprobable chi-square bin k holds the samples with u
+in [k/n_bins, (k+1)/n_bins).  The campaign's model CDF interpolates the
+exact one, evaluated on a grid in one array call, with a numpy port of
+scipy's monotone PCHIP, equal to it bit for bit, so the package never
+imports ``scipy.interpolate``.
 """
 from __future__ import annotations
 
@@ -82,14 +84,16 @@ class GofReport:
 _N_BINS = 100  # equiprobable chi-square bins of the campaign; chi_square_test default
 
 
-def _sorted_samples(samples: NDArray[np.float64], minimum: int) -> NDArray[np.float64]:
-    """Sorted copy of a vector of at least ``minimum`` finite samples."""
+def _cdf_values(samples: NDArray[np.float64], cdf_fn: Callable,
+                minimum: int) -> NDArray[np.float64]:
+    """Model CDF values at the order statistics of a vector of at least
+    ``minimum`` finite samples."""
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < minimum:
         raise ValidationError(f"samples must be a vector of length >= {minimum}")
     if not np.isfinite(x).all():
         raise ValidationError("samples must be finite")
-    return np.sort(x)
+    return np.asarray(cdf_fn(np.sort(x)), dtype=float)
 
 
 def _check_binning(n: int, n_bins: int) -> None:
@@ -99,11 +103,10 @@ def _check_binning(n: int, n_bins: int) -> None:
             f"{n} samples give expected bin counts below 5 with {n_bins} bins")
 
 
-def _ks_distance(x_sorted: NDArray[np.float64], cdf_fn: Callable) -> float:
-    """K-S distance of sorted samples from the model CDF: the larger of
-    the two one-sided gaps, taken at every order statistic."""
-    n = x_sorted.size
-    f = np.asarray(cdf_fn(x_sorted), dtype=float)
+def _ks_distance(f: NDArray[np.float64]) -> float:
+    """K-S distance of a sample from the model, given the model CDF values
+    f of its order statistics: the larger of the two one-sided gaps."""
+    n = f.size
     grid = np.arange(1, n + 1) / n
     return max(float(np.max(grid - f)), float(np.max(f - (grid - 1.0 / n))))
 
@@ -116,37 +119,19 @@ def ks_test(samples: NDArray[np.float64],
     Both one-sided gaps are taken at every order statistic.  The input is
     sorted internally if needed.
     """
-    x_sorted = _sorted_samples(samples, 10)
-    d = _ks_distance(x_sorted, cdf_fn)
-    return d, float(kolmogorov(math.sqrt(x_sorted.size) * d))
+    f = _cdf_values(samples, cdf_fn, 10)
+    d = _ks_distance(f)
+    return d, float(kolmogorov(math.sqrt(f.size) * d))
 
 
-def _bin_edges(cdf_fn: Callable, n_bins: int, hi: float) -> NDArray[np.float64]:
-    """Interior edges of n_bins equiprobable bins: model quantiles found by
-    one bisection over all of them on [0, hi], with ``hi`` doubled until it
-    covers the last, to 1e-12 absolute plus 1e-12 relative."""
-    probs = np.arange(1, n_bins) / n_bins
-    while np.asarray(cdf_fn(np.asarray([hi])))[0] < probs[-1]:
-        if hi >= 1e12:
-            raise ValidationError(f"CDF stays below {probs[-1]} up to {hi:.3e}")
-        hi *= 2.0
-    lo, up = np.zeros(probs.size), np.full(probs.size, hi)
-    while np.any(up - lo > 1e-12 * (1.0 + up)):
-        mid = 0.5 * (lo + up)
-        below = np.asarray(cdf_fn(mid)) < probs
-        lo = np.where(below, mid, lo)
-        up = np.where(below, up, mid)
-    return 0.5 * (lo + up)
-
-
-def _chi_square_stat(x_sorted: NDArray[np.float64],
-                     edges: NDArray[np.float64]) -> float:
-    """Chi-square statistic of sorted samples over equiprobable bins with
-    the given interior edges."""
-    n = x_sorted.size
-    counts = np.diff(np.searchsorted(x_sorted, edges, side="right"),
+def _chi_square_stat(f: NDArray[np.float64], n_bins: int) -> float:
+    """Chi-square statistic over n_bins equiprobable model bins, given the
+    sorted model CDF values f of a sample: bin k holds the values in
+    [k/n_bins, (k+1)/n_bins)."""
+    n = f.size
+    counts = np.diff(np.searchsorted(f, np.arange(1, n_bins) / n_bins),
                      prepend=0, append=n)
-    expected = n / (edges.size + 1)
+    expected = n / n_bins
     return float(np.sum((counts - expected) ** 2) / expected)
 
 
@@ -155,15 +140,15 @@ def chi_square_test(samples: NDArray[np.float64],
     """Chi-square statistic over equiprobable model bins and its
     significance level.
 
-    Bin edges are model quantiles, so every expected count is n/n_bins; no
+    A sample falls in the bin of its model CDF value, so every expected
+    count is n/n_bins and ``cdf_fn`` is evaluated at the samples only; no
     parameters are refitted from the data, leaving n_bins - 1 degrees of
     freedom.
     """
     _check_integers(("n_bins", n_bins, 2))
-    x_sorted = _sorted_samples(samples, 1)
-    _check_binning(x_sorted.size, n_bins)
-    edges = _bin_edges(cdf_fn, n_bins, max(float(x_sorted[-1]), 1.0))
-    chi2 = _chi_square_stat(x_sorted, edges)
+    f = _cdf_values(samples, cdf_fn, 1)
+    _check_binning(f.size, n_bins)
+    chi2 = _chi_square_stat(f, n_bins)
     return chi2, float(gammaincc((n_bins - 1) / 2.0, chi2 / 2.0))
 
 
@@ -276,8 +261,6 @@ def gof_campaign(spec: EnsembleSpec, trials: int = 100, per_trial: int = 10_000,
     _check_binning(per_trial, _N_BINS)
     model = match_parameters(spec)
     env_cdf = model_envelope_cdf(model)
-    edges = _bin_edges(env_cdf, _N_BINS, math.sqrt(model.mean_square))
-
     factors = simkit._layer_factors(spec)
 
     def task(indices):
@@ -289,7 +272,8 @@ def gof_campaign(spec: EnsembleSpec, trials: int = 100, per_trial: int = 10_000,
             for block, lo, hi in simkit._blocks(per_trial):
                 simkit._row_sum_block(factors, trial_seed, block, hi - lo, out=z[lo:hi])
             z.sort()
-            stats.append((_chi_square_stat(z, edges), _ks_distance(z, env_cdf)))
+            f = env_cdf(z)
+            stats.append((_chi_square_stat(f, _N_BINS), _ks_distance(f)))
         return stats
 
     jobs = min(simkit._worker_count(), trials)

@@ -2,8 +2,10 @@
 functions, and the Lauricella F_A function of several variables.
 
 All functions are pure and take and return plain floats.  Kummer's 1F1 is
-``scipy.special.hyp1f1``; its logarithm takes the large-argument expansion
-wherever that is exact in double precision, and past the float range.
+``scipy.special.hyp1f1``, except where that is not finite and a series of
+positive terms, summed in log space, gives the value; its logarithm takes
+the large-argument expansion wherever that is exact in double precision,
+and that series where hyp1f1 overflows short of it.
 The Gauss 2F1 is a scalar series with one fixed policy: it is accepted
 once the current term stays below 1e-12 times the partial sum for three
 consecutive terms, which guards against premature truncation of
@@ -21,7 +23,8 @@ import math
 from collections import Counter
 
 import numpy as np
-from scipy.special import gammasgn, hyp1f1
+from numpy.typing import NDArray
+from scipy.special import gammaln, gammasgn, hyp1f1
 
 from .errors import DivergenceError, DomainError, TruncationError
 
@@ -122,15 +125,79 @@ def _lgamma_abs(x: float) -> float:
     return math.lgamma(x)
 
 
+# Term budget of the positive 1F1 series summed in log space.
+_SERIES_MAX_TERMS = 1 << 18
+
+
+def _ln_series(a: float, c: float, x) -> NDArray[np.float64]:
+    """log 1F1(a; c; x) for a, c > 0 and an array of x > 0, from the
+    Maclaurin terms t_n, all positive, summed in log space over a window
+    around the largest.
+
+    The term ratio r_n = x(a+n)/((c+n)(n+1)) is at least 1 exactly between
+    the roots of n^2 + (c+1-x)n + c - ax, so the terms fall, rise to their
+    largest at the upper root and fall again.  The log of each term comes
+    from ``gammaln``.  The window [lo, hi] doubles from 64 terms until, in
+    every lane, both tails are below e^-40 of the largest term: the head at
+    most lo max(t_0, t_lo), and the tail at most t_hi R/(1 - R), with R the
+    largest ratio past hi (r_n falls with n for a >= 1, and stays below
+    x/(c+n) for a < 1).  Past _SERIES_MAX_TERMS terms TruncationError
+    carries the largest partial log-sum.
+    """
+    x = np.asarray(x, dtype=float)[..., None]
+    b = c + 1.0 - x
+    root = 0.5 * (np.sqrt(np.maximum(b * b - 4.0 * (c - a * x), 0.0)) - b)
+    peak = np.floor(np.maximum(root, 0.0))
+    half = 32
+    while True:
+        n = np.maximum(peak - half, 0.0) + np.arange(2.0 * half)
+        ln_t = (gammaln(a + n) - gammaln(c + n) - gammaln(n + 1.0)
+                + (gammaln(c) - gammaln(a))) + n * np.log(x)
+        top = ln_t.max(axis=-1, keepdims=True)
+        ln_sum = (top + np.log(np.sum(np.exp(ln_t - top), axis=-1, keepdims=True)))[..., 0]
+        lo, hi = n[..., :1], n[..., -1:]
+        r_max = x * np.maximum((a + hi) / (hi + 1.0), 1.0) / (c + hi)
+        if np.all(r_max < 1.0):
+            ln_head = np.log(np.maximum(lo, 1.0)) + np.maximum(ln_t[..., :1], 0.0)
+            ln_tail = ln_t[..., -1:] + np.log(r_max / (1.0 - r_max))
+            if np.all(((lo == 0.0) | (ln_head < top - 40.0)) & (ln_tail < top - 40.0)):
+                return ln_sum
+        if 2 * half >= _SERIES_MAX_TERMS:
+            raise TruncationError(
+                f"1F1({a}; {c}; x) series did not converge in {2 * half} terms "
+                f"at x = {np.max(x)}", partial=float(np.max(ln_sum)))
+        half *= 2
+
+
+def _hyp1f1(a: float, c: float, z) -> NDArray[np.float64]:
+    """``scipy.special.hyp1f1`` on an array, with the values it leaves
+    non-finite at z < 0 < c - a, c > 0 taken from Kummer's transformation
+    1F1(a; c; z) = e^z 1F1(c - a; c; -z) and ``_ln_series``.
+
+    hyp1f1(-1/2, c, z) is inf on a band of z from -37.7 down to about
+    -1.3c once c >= 50, where the value is of order one.  Every finite
+    hyp1f1 value is kept as it is.
+    """
+    z = np.asarray(z, dtype=float)
+    val = hyp1f1(a, c, z)
+    if np.isfinite(val).all() or not (c > 0.0 and c - a > 0.0):
+        return val
+    val = np.array(val)
+    bad = ~np.isfinite(val) & (z < 0.0)
+    val[bad] = np.exp(z[bad] + _ln_series(c - a, c, -z[bad]))
+    return val
+
+
 def kummer_1f1(a: float, c: float, x: float) -> float:
     """Kummer confluent hypergeometric function 1F1(a; c; x).
 
-    ``scipy.special.hyp1f1``; values that exceed float range come back as
-    inf.
+    ``scipy.special.hyp1f1``, or, where that is not finite at x < 0 < c - a,
+    Kummer's transformation with its positive series summed in log space;
+    values that exceed float range come back as inf.
     """
     if _is_nonpositive_integer(c):
         raise DomainError(f"1F1 undefined for non-positive integer c={c}")
-    return float(hyp1f1(a, c, x))
+    return float(_hyp1f1(a, c, x))
 
 
 def ln_kummer_1f1(a: float, c: float, x: float) -> float:
@@ -143,8 +210,9 @@ def ln_kummer_1f1(a: float, c: float, x: float) -> float:
     reaches 1e-17 of its sum before its smallest term, S > 0, and the
     dropped branch, Gamma(a)/Gamma(c-a) x^(c-2a) e^-x times the kept one, is
     below e^-40, with x >= max(a, 1)|c-a-1| so that its series' later terms
-    are no larger.  Elsewhere it is log(hyp1f1), or S to its smallest term
-    where hyp1f1 overflows.
+    are no larger.  Elsewhere it is log(hyp1f1), or, where hyp1f1
+    overflows, the log-space sum of the Maclaurin series (``_ln_series``),
+    which raises TruncationError past its term budget.
     """
     if not (a > 0 and c > 0 and x >= 0):
         raise DomainError("ln_kummer_1f1 requires a, c > 0 and x >= 0")
@@ -169,6 +237,7 @@ def ln_kummer_1f1(a: float, c: float, x: float) -> float:
         val = float(hyp1f1(a, c, x))
         if 0.0 < val < math.inf:
             return math.log(val)
+        return float(_ln_series(a, c, x))
     return x + (a - c) * math.log(x) + math.lgamma(c) - math.lgamma(a) + math.log(total)
 
 
@@ -223,12 +292,12 @@ def _kummer_laplace(a: float, factors: Counter) -> float:
     ``factors`` mapping (p, c, scale) -> count, by the exp-sinh rule from
     where the weight u^a falls to e^-40 up to u = 700, past which e^-u
     underflows, to a relative 1e-12; each distinct factor is evaluated
-    once."""
+    once, by ``_hyp1f1``."""
     def integrand(ln_u):
         u = np.exp(ln_u)
         g = np.exp(a * ln_u - u)
         for (p, c, scale), count in factors.items():
-            g *= hyp1f1(p, c, -scale * u) ** count
+            g *= _hyp1f1(p, c, -scale * u) ** count
         return g
 
     return float(_exp_sinh(integrand, -40.0 / a, math.log(700.0), _REL_TOL))

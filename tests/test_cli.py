@@ -77,6 +77,15 @@ class TestMatch:
                            "--mz", "1", "--omega", "1")
         assert code == 2
 
+    def test_branch_count_with_corr_file_rejected(self, capsys, tmp_path):
+        # the matrix fixes the branch count
+        path = tmp_path / "m.txt"
+        write_corr_file(CorrelationMatrix.identity(3), str(path))
+        code, _, err = run(capsys, "match", "--model", "arbitrary",
+                           "--corr-file", str(path), "--mz", "2", "--L", "5")
+        assert code == 2
+        assert "--L" in err
+
 
 class TestTables:
     def test_full_tables(self, capsys):

@@ -173,6 +173,25 @@ class TestPdfEqualCorr:
         assert [value for value, _ in results] == [0.0, 0.0, 0.0]
         assert max(seconds for _, seconds in results) < 10e-3
 
+    def test_large_shape_against_mpmath(self):
+        # m_r 47.76: the 1F1 arguments, 1e3 to 4e4, are where hyp1f1
+        # overflows and the large-x expansion has not converged, which
+        # raised ValueError at some r.  The closed form adds logs of size
+        # 1e4, so doubles hold the density to about 1e-11.
+        model = balanced_model(EqualCorrelation(0.3), 48, 44)
+        lams = model.spectrum.values
+        with mp.workdps(40):
+            L, m, om = len(lams), mp.mpf(model.m_r), mp.mpf(model.omega_r)
+            lam_big, lam_small = mp.mpf(lams[0]), mp.mpf(lams[-1])
+            for r in (np.linspace(0.2, 3.0, 20) * math.sqrt(model.mean_square)).tolist():
+                rr = mp.mpf(r)
+                want = (2 * rr ** (2 * m * L - 1) * (m / om) ** (m * L) / mp.gamma(m * L)
+                        / lam_small ** (m * (L - 1)) / lam_big ** m
+                        * mp.exp(-m * rr * rr / (lam_small * om))
+                        * mp.hyp1f1(m, m * L, m * L * (1 - lam_small) * rr * rr
+                                    / (lam_small * lam_big * om)))
+                assert pdf_equal_corr(model, r) == pytest.approx(float(want), rel=1e-10)
+
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
     def test_domain(self, r):
         # r = inf used to hang in scipy's hyp1f1

@@ -53,6 +53,28 @@ class TestKolmogorovSf:
         assert np.all(np.diff(vals) <= 0.0)
 
 
+def cubic(x):
+    """A strictly increasing transform of the samples."""
+    return x ** 3 + 2.0 * x
+
+
+def cdf_after_cubic(cdf):
+    """The CDF of ``cubic`` of a variable with CDF ``cdf``: the transform
+    inverted by bisection, then ``cdf``."""
+    def composed(y):
+        y = np.asarray(y, dtype=float)
+        lo = np.zeros_like(y)
+        hi = np.full_like(y, max(1.0, float(np.max(y))))
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            too_low = cubic(mid) < y
+            lo = np.where(too_low, mid, lo)
+            hi = np.where(too_low, hi, mid)
+        return cdf(0.5 * (lo + hi))
+
+    return composed
+
+
 class TestKsTest:
     def test_empirical_vs_itself(self):
         rng = np.random.default_rng(0)
@@ -88,21 +110,7 @@ class TestKsTest:
         gamma = scipy.stats.gamma(a=1.5)
         samples = gamma.rvs(2000, random_state=rng)
         d0, a0 = ks_test(samples, gamma.cdf)
-        transform = lambda x: x ** 3 + 2.0 * x
-
-        def composed_cdf(y):
-            # invert the transform by bisection, then apply the model cdf
-            y = np.asarray(y, dtype=float)
-            lo = np.zeros_like(y)
-            hi = np.full_like(y, max(1.0, float(np.max(y))))
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                too_low = transform(mid) < y
-                lo = np.where(too_low, mid, lo)
-                hi = np.where(too_low, hi, mid)
-            return gamma.cdf(0.5 * (lo + hi))
-
-        d1, a1 = ks_test(transform(samples), composed_cdf)
+        d1, a1 = ks_test(cubic(samples), cdf_after_cubic(gamma.cdf))
         assert d1 == pytest.approx(d0, abs=1e-12)
         assert a1 == pytest.approx(a0, abs=1e-10)
 
@@ -155,23 +163,38 @@ class TestChiSquare:
             chi_square_test(np.arange(1000.0), scipy.stats.uniform(scale=1000).cdf,
                             n_bins=n_bins)
 
-    def test_bin_edges_are_quantiles_from_one_bisection(self):
-        # hi = 1 is doubled until it covers the 0.99 quantile (about 6.6)
+    @pytest.mark.parametrize("n_bins", [10, 50, 100])
+    def test_counts_over_quantile_edges(self, n_bins):
+        # the statistic of a direct count over scipy's quantiles as edges
         gamma = scipy.stats.gamma(a=2.0)
-        calls = []
+        samples = gamma.rvs(5000, random_state=np.random.default_rng(n_bins))
+        edges = gamma.ppf(np.arange(1, n_bins) / n_bins)
+        counts = np.bincount(np.searchsorted(edges, samples), minlength=n_bins)
+        expected = samples.size / n_bins
+        want = float(np.sum((counts - expected) ** 2) / expected)
+        assert chi_square_test(samples, gamma.cdf, n_bins=n_bins)[0] == pytest.approx(
+            want, rel=1e-12)
 
-        def counted(r):
-            calls.append(np.size(r))
-            return gamma.cdf(r)
+    def test_invariant_under_monotone_transform(self):
+        rng = np.random.default_rng(7)
+        gamma = scipy.stats.gamma(a=1.5)
+        samples = gamma.rvs(2000, random_state=rng)
+        chi0 = chi_square_test(samples, gamma.cdf, n_bins=40)
+        chi1 = chi_square_test(cubic(samples), cdf_after_cubic(gamma.cdf), n_bins=40)
+        assert chi1 == chi0
 
-        edges = gof._bin_edges(counted, 100, 1.0)
-        probs = np.arange(1, 100) / 100
-        assert np.max(np.abs(edges - gamma.ppf(probs)) / (1.0 + edges)) <= 2e-12
-        assert len(calls) < 50 and max(calls) == probs.size
+    def test_cdf_below_last_edge(self):
+        # a CDF that never reaches 0.99 leaves the top bin empty; every
+        # sample lands in the bin its CDF value falls in
+        samples = np.random.default_rng(8).uniform(0.0, 1.0, 1000)
 
-    def test_bin_edges_need_the_last_quantile(self):
-        with pytest.raises(ValidationError, match="CDF stays below"):
-            gof._bin_edges(lambda r: np.full(np.shape(r), 0.5), 10, 1.0)
+        def low_cdf(x):
+            return 0.985 * np.asarray(x)
+
+        chi2, _ = chi_square_test(samples, low_cdf)
+        counts = np.bincount(np.floor(100 * low_cdf(samples)).astype(int), minlength=100)
+        assert counts[-1] == 0 and counts.size == 100
+        assert chi2 == pytest.approx(float(np.sum((counts - 10.0) ** 2) / 10.0), rel=1e-12)
 
     @settings(max_examples=10, deadline=None)
     @given(shift=st.floats(0.1, 3.0))
@@ -279,21 +302,17 @@ class TestCampaign:
 
     def test_statistics_from_public_tests(self):
         # the campaign's averages equal a recomputation from the same draws
-        # through ks_test and a direct count over the same bin edges, and
-        # each alpha is the single-trial upper tail at the averaged statistic
+        # through chi_square_test and ks_test, and each alpha is the
+        # single-trial upper tail at the averaged statistic
         spec = EnsembleSpec(fading_m=1, powers=(1.0, 1.0),
                             correlation=EqualCorrelation(0.3))
         trials, per_trial, seed = 3, 2000, 8
         report = gof_campaign(spec, trials=trials, per_trial=per_trial, seed=seed)
-        model = match_parameters(spec)
-        env_cdf = model_envelope_cdf(model)
-        edges = gof._bin_edges(env_cdf, 100, math.sqrt(model.mean_square))
-        expected = per_trial / 100
+        env_cdf = model_envelope_cdf(match_parameters(spec))
         chi2, dist = [], []
         for idx in range(trials):
             z = sample_sum(spec, per_trial, derive_seed(seed, 0x60F, idx))
-            counts = np.bincount(np.searchsorted(edges, z), minlength=100)
-            chi2.append(float(np.sum((counts - expected) ** 2) / expected))
+            chi2.append(chi_square_test(z, env_cdf)[0])
             dist.append(ks_test(z, env_cdf)[0])
         assert report.chi2_stat == math.fsum(chi2) / trials
         assert report.ks_stat == math.fsum(dist) / trials
@@ -345,15 +364,14 @@ def fresh_pool(monkeypatch):
 
 def serial_campaign_means(spec, trials, per_trial, seed):
     """Mean chi-square and K-S distance of the campaign's trials drawn one
-    after another through the public sampler."""
-    model = match_parameters(spec)
-    env_cdf = model_envelope_cdf(model)
-    edges = gof._bin_edges(env_cdf, 100, math.sqrt(model.mean_square))
+    after another through the public sampler and tested through the public
+    tests."""
+    env_cdf = model_envelope_cdf(match_parameters(spec))
     chi2, dist = [], []
     for idx in range(trials):
-        z = np.sort(sample_sum(spec, per_trial, derive_seed(seed, 0x60F, idx)))
-        chi2.append(gof._chi_square_stat(z, edges))
-        dist.append(gof._ks_distance(z, env_cdf))
+        z = sample_sum(spec, per_trial, derive_seed(seed, 0x60F, idx))
+        chi2.append(chi_square_test(z, env_cdf)[0])
+        dist.append(ks_test(z, env_cdf)[0])
     return math.fsum(chi2) / trials, math.fsum(dist) / trials
 
 

@@ -164,6 +164,20 @@ class TestNearMaximalCorrelation:
             match_parameters(balanced(ExponentialCorrelation(0.995), 1, 3))
 
 
+class TestLargeFadingParameter:
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_equal_fits_past_m_z_50(self, L):
+        # E[Z^4] was inf at m_z >= 50, L >= 4, where scipy's hyp1f1 overflows
+        # in its W integrals; m_z - m_r varies slowly and smoothly in m_z
+        gap = {}
+        for m_z in (48, 49, 50, 64):
+            model = match_parameters(balanced(EqualCorrelation(0.3), m_z, L))
+            assert model.flags == ()
+            gap[m_z] = m_z - model.m_r
+        assert abs((gap[50] - gap[49]) - (gap[49] - gap[48])) < 1e-6
+        assert gap[49] < gap[50] < gap[64] < gap[49] + 2e-4
+
+
 class TestModelChecks:
     # an infinite power made cdf(model, 1.0) run for minutes
     @pytest.mark.parametrize("omega_r", [math.nan, math.inf])

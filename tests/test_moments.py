@@ -222,6 +222,22 @@ class TestWCoefficients:
                 want = float(pref * integral)
                 assert w_coefficient((1, 1, 1, 1), m_z, rho) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("m_z", [50, 64])
+    def test_w1111_where_hyp1f1_overflows(self, m_z):
+        # scipy's hyp1f1(-1/2, m, -x) is inf for x from 37.7 to about 1.3m
+        # once m >= 50, across the bulk of the weight u^(m-1) e^-u
+        with mp.workdps(30):
+            m = mp.mpf(m_z)
+            pref = (mp.gamma(m + 0.5) / mp.gamma(m)) ** 4 / mp.gamma(m)
+            for rho in (0.3, 0.9, 0.9999):
+                sr = mp.sqrt(mp.mpf(rho))
+                alpha = sr / (1 - sr)
+                integral = mp.quad(
+                    lambda u: u ** (m - 1) * mp.exp(-u) * mp.hyp1f1(-0.5, m, -alpha * u) ** 4,
+                    [0, 1 / alpha, 1, m / 2, m, 2 * m, mp.inf])
+                want = float(pref * integral)
+                assert w_coefficient((1, 1, 1, 1), m_z, rho) == pytest.approx(want, rel=1e-12)
+
     def test_w211_monotone_in_rho(self):
         vals = [w211_reduced(3, rho) for rho in np.arange(0.0, 0.95, 0.1)]
         assert all(v > 0 for v in vals)

@@ -1,10 +1,12 @@
 """Special-function tests against high-precision and brute-force oracles."""
 import json
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -178,6 +180,38 @@ class TestKummer1F1:
             else:
                 ref = mp.log(mp.hyp1f1(a, a * L, mp.mpf(x)))
                 assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (a, L, x)
+
+    @pytest.mark.parametrize("c", [50.0, 51.0, 64.0, 100.0, 200.0])
+    def test_where_hyp1f1_overflows(self, c):
+        # scipy's hyp1f1(-1/2, c, -x) is inf for x from 37.7 to about 1.3c
+        # once c >= 50, where the value is of order one
+        for x in np.linspace(38.0, 1.25 * c, 9).tolist():
+            ref = float(mp.hyp1f1(-0.5, c, -x))
+            assert kummer_1f1(-0.5, c, -x) == pytest.approx(ref, rel=1e-12)
+
+    def test_finite_hyp1f1_values_kept(self):
+        for a, c in ((-0.5, 49.5), (-1.5, 10.0), (2.0, 6.0), (-0.5, 200.0)):
+            for x in np.concatenate([-np.logspace(-3, 3, 25), np.logspace(-3, 2.5, 25)]):
+                want = float(scipy.special.hyp1f1(a, c, x))
+                if math.isfinite(want):
+                    assert kummer_1f1(a, c, float(x)) == want
+
+    @pytest.mark.parametrize("a,c,x", [(45.4, 2043.7, 3826.5), (57.6, 3570.9, 6361.4)])
+    def test_log_variant_where_expansion_has_not_converged(self, a, c, x):
+        # hyp1f1 overflows, and the large-x expansion cut at its smallest
+        # term was not positive (ValueError) or 3e-2 off
+        times = []
+        for _ in range(3):
+            t = time.perf_counter()
+            value = ln_kummer_1f1(a, c, x)
+            times.append(time.perf_counter() - t)
+        assert value == pytest.approx(float(mp.log(mp.hyp1f1(a, c, x))), rel=1e-14)
+        assert min(times) < 5e-3
+
+    def test_log_variant_series_budget(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 256)
+        with pytest.raises(TruncationError, match="did not converge in 256 terms"):
+            ln_kummer_1f1(45.4, 2043.7, 3826.5)
 
     def test_log_variant_domain(self):
         with pytest.raises(DomainError):
