@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 from numpy.typing import NDArray
@@ -81,11 +82,14 @@ class CorrelationMatrix:
 
     @classmethod
     def exponential(cls, rho: float, dim: int) -> "CorrelationMatrix":
+        """The Markov chain with every link sqrt(rho): PSD by construction,
+        so only rho and dim are validated."""
         if not 0.0 <= rho <= 1.0:
             raise ValidationError(f"rho must lie in [0, 1], got {rho}")
+        if dim < 1:
+            raise ValidationError("correlation matrix must be at least 1x1")
         idx = np.arange(dim)
-        m = math.sqrt(rho) ** np.abs(idx[:, None] - idx[None, :])
-        return cls(m)
+        return cls._trusted(math.sqrt(rho) ** np.abs(idx[:, None] - idx[None, :]))
 
     @classmethod
     def from_markov_links(cls, links: NDArray[np.float64]) -> "CorrelationMatrix":
@@ -104,6 +108,11 @@ class CorrelationMatrix:
         m = np.eye(dim)
         for i in range(dim - 1):
             m[i, i + 1:] = m[i + 1:, i] = np.cumprod(t[i:])
+        return cls._trusted(m)
+
+    @classmethod
+    def _trusted(cls, m: NDArray[np.float64]) -> "CorrelationMatrix":
+        """Wrap entries that are a correlation matrix by construction."""
         m.flags.writeable = False
         built = object.__new__(cls)
         object.__setattr__(built, "entries", m)
@@ -199,8 +208,8 @@ def greens_fit(m: CorrelationMatrix) -> CorrelationMatrix:
     The fitted matrix has c_ij = prod(t_k, k=i..j-1) with link weights
     t_k in [0, 1], chosen by coordinate descent on the Frobenius misfit,
     initialized at the first superdiagonal.  Exact Markov-product inputs
-    (exponential correlation in particular) are returned unchanged, which
-    makes the fit idempotent.
+    are returned unchanged to within rounding, so the fit is idempotent to
+    within rounding.
     """
     n = m.dim
     if n <= 2:
@@ -236,9 +245,8 @@ def greens_fit(m: CorrelationMatrix) -> CorrelationMatrix:
                 right.append(right[-1] * t[j])
             num = 0.0
             for a, la in enumerate(left):
-                row = target[k - a]
-                num += la * sum(rb * row[k + 1 + b] for b, rb in enumerate(right))
-            tk = num / (sum(la * la for la in left) * sum(rb * rb for rb in right))
+                num += la * sum(map(mul, right, target[k - a][k + 1:]))
+            tk = num / (sum(map(mul, left, left)) * sum(map(mul, right, right)))
             if tk < 0.0 or tk > 1.0:
                 clamped = True
                 tk = min(1.0, max(0.0, tk))

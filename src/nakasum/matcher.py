@@ -106,8 +106,8 @@ def _proxy_spectrum(spec: EnsembleSpec,
         sr = math.sqrt(rho)
         # 1 - sqrt(rho) without its cancellation as rho -> 1
         return EigenSpectrum((1.0 + (L - 1) * sr,) + ((1.0 - rho) / (1.0 + sr),) * (L - 1))
-    # One matrix defines both the joint moments and the proxy spectrum;
-    # the fit is an identity for exponential correlation.
+    # One matrix defines both the joint moments and the proxy spectrum:
+    # exponential correlation's own chain or an arbitrary matrix's fit.
     return eigenvalues_sym(fitted)
 
 

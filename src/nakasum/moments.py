@@ -12,7 +12,8 @@ and four envelopes:
   its relative precision as rho -> 1;
 * Markov-structured correlation (exponential, or an arbitrary matrix after
   its Markov-product fit) keys each subset by the links c between its
-  neighbours.  The outer branches of a chain a - b - c are independent
+  neighbours; exponential correlation is its own chain and takes no fit.
+  The outer branches of a chain a - b - c are independent
   given the middle one, and E[Z_a^2 | Z_b] = (1 - c_ab^2) + c_ab^2 Z_b^2, so
   E[Z_a^2 Z_b Z_c] and E[Z_a Z_b Z_c^2] are sums of pair moments, one 2F1
   each.  E[Z_a Z_b^2 Z_c] and the quadruples are single series whose
@@ -189,9 +190,8 @@ class EnsembleSpec:
             return False
         if isinstance(self.correlation, (EqualCorrelation, ExponentialCorrelation)):
             return self.correlation.rho == 1.0
-        off = self.correlation.matrix.entries[
-            ~np.eye(self.branch_count, dtype=bool)]
-        return bool(np.all(off == 1.0))
+        # entries lie in [0, 1] and the diagonal is 1
+        return bool(self.correlation.matrix.entries.min() == 1.0)
 
 
 @dataclass(frozen=True)
@@ -380,10 +380,13 @@ def _factor_block(cur: NDArray[np.float64], nxt: NDArray[np.float64], a0: NDArra
     f = np.empty((rows + 2,) + x.shape)
     f[0], f[1] = cur, nxt
     tmp = np.empty(x.shape)
-    for j in range(rows):
-        np.multiply(fwd[j], f[j + 1], out=f[j + 2])
-        f[j + 2] += np.multiply(back[j], f[j], out=tmp)
-        f[j + 2] /= den[j]
+    row = list(f)
+    for j, (fw, bk, dn) in enumerate(zip(fwd, back, den)):
+        out = row[j + 2]
+        np.multiply(fw, row[j + 1], out=out)
+        np.multiply(bk, row[j], out=tmp)
+        np.add(out, tmp, out=out)
+        np.divide(out, dn, out=out)
     return f
 
 
@@ -633,19 +636,22 @@ def fourth_moment_Z(spec: EnsembleSpec) -> float:
 
     Pairwise contributions use the exact correlation coefficients of the
     input model; the three- and four-branch joint moments use the equal
-    correlation coefficients for the equal model and otherwise the
-    Markov-product fit of the correlation matrix (an identity operation
-    for exponential correlation).
+    correlation coefficients for the equal model, the exponential model's
+    own Markov chain, and otherwise the Markov-product fit of the
+    correlation matrix.
     """
     return _fourth_moment_Z(spec, _markov_fit(spec))
 
 
 def _markov_fit(spec: EnsembleSpec) -> CorrelationMatrix | None:
-    """The Markov-product fit that drives the joint moments, or None when
-    the equal-correlation coefficients or maximal correlation apply."""
+    """The Markov-product matrix that drives the joint moments: exponential
+    correlation's own chain, taken with no fit, or an arbitrary matrix's
+    fit; None when the equal-correlation coefficients or maximal
+    correlation apply."""
     if spec.is_maximal() or isinstance(spec.correlation, EqualCorrelation):
         return None
-    return greens_fit(spec.sqrt_corr_matrix())
+    matrix = spec.sqrt_corr_matrix()
+    return matrix if isinstance(spec.correlation, ExponentialCorrelation) else greens_fit(matrix)
 
 
 def _fourth_moment_Z(spec: EnsembleSpec, fitted: CorrelationMatrix | None) -> float:

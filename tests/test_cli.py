@@ -55,6 +55,14 @@ class TestMatch:
         assert code == 0
         assert json.loads(out)["m_r"] == 2.0
 
+    def test_ratio_within_guard_of_one_exits_3(self, capsys):
+        # exponential rho = 1 - 2^-53 puts the joint series' ratio within
+        # 1e-9 of 1: TruncationError, an accuracy error
+        code, out, err = run(capsys, "match", "--model", "exp", "--rho", repr(1.0 - 2.0 ** -53),
+                             "--mz", "1", "--L", "4", "--omega", "1")
+        assert code == 3
+        assert out == "" and "ratio at or above 1" in err
+
     def test_bad_spec_exits_2(self, capsys):
         code, _, err = run(capsys, "match", "--model", "equal", "--rho", "1.5",
                            "--mz", "1", "--L", "2", "--omega", "1")

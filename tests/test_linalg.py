@@ -92,6 +92,48 @@ def greens_fit_oracle(target):
     return markov_links_loop(t), clamped
 
 
+def greens_fit_generators(target):
+    """greens_fit's links with its inner sums as generator expressions,
+    the reference that its map(mul) sums must match bit for bit (same
+    terms, same order); returns (links, clamped)."""
+    n = len(target)
+    t = [target[k][k + 1] for k in range(n - 1)]
+    clamped = False
+
+    def objective():
+        total = 0.0
+        for i in range(n):
+            acc = 1.0
+            for j in range(i + 1, n):
+                acc *= t[j - 1]
+                total += (acc - target[i][j]) ** 2
+        return total
+
+    prev_obj = objective()
+    for _ in range(100):
+        for k in range(n - 1):
+            left = [1.0]
+            for i in range(k - 1, -1, -1):
+                left.append(left[-1] * t[i])
+            right = [1.0]
+            for j in range(k + 1, n - 1):
+                right.append(right[-1] * t[j])
+            num = 0.0
+            for a, la in enumerate(left):
+                row = target[k - a]
+                num += la * sum(rb * row[k + 1 + b] for b, rb in enumerate(right))
+            tk = num / (sum(la * la for la in left) * sum(rb * rb for rb in right))
+            if tk < 0.0 or tk > 1.0:
+                clamped = True
+                tk = min(1.0, max(0.0, tk))
+            t[k] = tk
+        obj = objective()
+        if prev_obj - obj <= 1e-10 * max(prev_obj, 1e-300):
+            break
+        prev_obj = obj
+    return t, clamped
+
+
 class TestCorrelationMatrix:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -127,6 +169,25 @@ class TestCorrelationMatrix:
                 got = CorrelationMatrix.from_markov_links(links).entries
                 assert np.array_equal(got, CorrelationMatrix(markov_links_loop(links)).entries)
                 assert not got.flags.writeable
+
+    @pytest.mark.parametrize("rho, dim", [(-0.1, 3), (1.0 + 1e-12, 3), (math.nan, 3),
+                                          (0.5, 0), (0.5, -2)])
+    def test_exponential_rejects(self, rho, dim):
+        with pytest.raises(ValidationError):
+            CorrelationMatrix.exponential(rho, dim)
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-300, 0.5, 1.0 - 1e-12, 1.0])
+    def test_exponential_is_a_psd_chain(self, rho):
+        # built without the eigenvalue check, it must still be the matrix
+        # that check would pass
+        for dim in (1, 2, 16, 64):
+            got = CorrelationMatrix.exponential(rho, dim).entries
+            idx = np.arange(dim)
+            want = math.sqrt(rho) ** np.abs(idx[:, None] - idx[None, :])
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == CorrelationMatrix(want).entries.tobytes()
+            assert not got.flags.writeable
+            assert np.linalg.eigvalsh(got).min() >= -1e-12 * dim
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.0 + 1e-12])
     def test_markov_links_validated(self, bad):
@@ -277,6 +338,22 @@ class TestGreensFit:
                 assert [w.category for w in caught] == [FitClampWarning] * clamped
                 clamps.append(clamped)
         # both outcomes are exercised
+        assert 0 < sum(clamps) < len(clamps)
+
+    def test_links_match_generator_sums_bit_for_bit(self):
+        clamps = []
+        for dim in (5, 6):
+            rng = np.random.default_rng((dim, 23))
+            for diag in (0.02, 0.05, 0.5, 2.0) * 4:
+                m = latent_factor_corr(rng, dim, diag)
+                links, clamped = greens_fit_generators(m.entries.tolist())
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    fit = greens_fit(m)
+                assert [v.hex() for v in np.diag(fit.entries, 1)] == [v.hex() for v in links]
+                assert [w.category for w in caught] == [FitClampWarning] * clamped
+                clamps.append(clamped)
+        # clamped and unclamped fits are both exercised
         assert 0 < sum(clamps) < len(clamps)
 
     @settings(max_examples=20, deadline=None)

@@ -1,5 +1,6 @@
 """Moment-matching tests: published shape-parameter cells, closure
 identities, and scale invariance."""
+import json
 import math
 
 import numpy as np
@@ -176,6 +177,25 @@ class TestLargeFadingParameter:
             gap[m_z] = m_z - model.m_r
         assert abs((gap[50] - gap[49]) - (gap[49] - gap[48])) < 1e-6
         assert gap[49] < gap[50] < gap[64] < gap[49] + 2e-4
+
+
+class TestBoundedTime:
+    def test_exponential_fit_at_l32(self, run_child):
+        # 4960 triple and 35 960 quad lanes; the fit runs in a child
+        # process, so that a crawl inside C is stopped by the timeout
+        code = (
+            "import json, time\n"
+            "from nakasum.egc import power_profile\n"
+            "from nakasum.matcher import match_parameters\n"
+            "from nakasum.moments import EnsembleSpec, ExponentialCorrelation\n"
+            "spec = EnsembleSpec(fading_m=2, powers=power_profile(1.0, 0.3, 32),\n"
+            "                    correlation=ExponentialCorrelation(0.7))\n"
+            "t = time.perf_counter()\n"
+            "model = match_parameters(spec)\n"
+            "print(json.dumps([model.m_r, time.perf_counter() - t]))\n")
+        m_r, seconds = json.loads(run_child(code, timeout=60))
+        assert 0.0 < m_r < math.inf
+        assert seconds < 2.0
 
 
 class TestModelChecks:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from nakasum.egc import power_profile
 from nakasum.errors import (
     BoundaryError,
     DomainError,
@@ -495,6 +496,14 @@ class TestJointMomentOracles:
         with pytest.raises(TruncationError):
             match_parameters(unit_exponential_spec(m_z, rho, L))
 
+    @pytest.mark.parametrize("L", [3, 4, 8])
+    def test_ratio_within_guard_of_one_raises(self, L):
+        # rho = 1 - 2^-53 is not maximal, but it puts the joint series'
+        # ratio within the 1e-9 guard of 1
+        rho = 1.0 - 2.0 ** -53
+        with pytest.raises(TruncationError, match="ratio at or above 1"):
+            match_parameters(unit_exponential_spec(1, rho, L))
+
 
 # -- the joint-moment series summed one k at a time --------------------------
 #
@@ -682,6 +691,75 @@ class TestBlockedSeries:
                             got = scipy.special.hyp2f1(a, b, float(m), x)
                             worst = max(worst, float(abs(got - ref) / ref))
         assert worst < 1e-13
+
+
+# -- exponential correlation as its own Markov chain ---------------------------
+#
+# An exponential matrix is a Markov chain, so the joint moments read its
+# links directly instead of through greens_fit, whose coordinate descent
+# returns the same chain to within rounding.  The series kernels are
+# checked bit for bit against step-by-step references kept here.
+
+def factor_block_stepwise(cur, nxt, a0, b, c, x, k0, rows):
+    """``_factor_block`` with each step's row updated through ``f[j + 2]``
+    by in-place operators: the same operations in the same order."""
+    a = a0 + np.arange(k0, k0 + rows, dtype=float)[:, None] + 1.0
+    fwd = (b - a)[:, None] * x
+    fwd += (2.0 * a - c)[:, None]
+    back = (c - a)[:, None]
+    den = a[:, None] * (1.0 - x)
+    f = np.empty((rows + 2,) + x.shape)
+    f[0], f[1] = cur, nxt
+    tmp = np.empty(x.shape)
+    for j in range(rows):
+        np.multiply(fwd[j], f[j + 1], out=f[j + 2])
+        f[j + 2] += np.multiply(back[j], f[j], out=tmp)
+        f[j + 2] /= den[j]
+    return f
+
+
+def fourth_moment_or_overflow(spec, fitted):
+    try:
+        return moments._fourth_moment_Z(spec, fitted)
+    except TruncationError:
+        return None
+
+
+class TestExponentialChain:
+    @pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.9, 0.97])
+    @pytest.mark.parametrize("m_z", [1, 2, 5])
+    def test_matches_greens_fit_route(self, rho, m_z):
+        for L in (2, 3, 4, 8, 16):
+            for powers in ((1.0,) * L, power_profile(1.0, 0.3, L)):
+                spec = EnsembleSpec(fading_m=m_z, powers=powers,
+                                    correlation=ExponentialCorrelation(rho))
+                chain = moments._markov_fit(spec)
+                assert np.array_equal(chain.entries, spec.sqrt_corr_matrix().entries)
+                want = fourth_moment_or_overflow(spec, greens_fit(spec.sqrt_corr_matrix()))
+                got = fourth_moment_or_overflow(spec, chain)
+                if want is None:
+                    # rho = 0.97 overflows the series at m_z >= 2 (ROADMAP item 3)
+                    assert got is None and rho == 0.97 and m_z > 1
+                else:
+                    assert got == pytest.approx(want, rel=1e-13)
+
+    def test_factor_block_matches_stepwise_form(self):
+        rng = np.random.default_rng(23)
+        lanes = _concat_lanes([
+            _triple_lanes(np.vstack([rng.uniform(0.0, 0.95, (12, 2)),
+                                     exponential_links(0.97, (0, 1, 2))]), 2),
+            _quad_lanes(np.vstack([rng.uniform(0.0, 0.95, (12, 3)),
+                                   exponential_links(0.97, (0, 1, 2, 3))]), 2)])
+        # the triples' second factor is the x = 0 row
+        assert not lanes.x[1, :13].any()
+        # the exponential lanes' asymptotic term ratio is the link power 0.97
+        assert np.max(lanes.q / np.prod(1.0 - lanes.x, axis=0)) == pytest.approx(0.97)
+        cur = scipy.special.hyp2f1(lanes.a0, lanes.b, 2.0, lanes.x)
+        nxt = scipy.special.hyp2f1(lanes.a0 + 1.0, lanes.b, 2.0, lanes.x)
+        for k0, rows in ((0, 1), (0, 40), (37, 8), (500, 3)):
+            got = moments._factor_block(cur, nxt, lanes.a0, lanes.b, 2.0, lanes.x, k0, rows)
+            want = factor_block_stepwise(cur, nxt, lanes.a0, lanes.b, 2.0, lanes.x, k0, rows)
+            assert got.tobytes() == want.tobytes()
 
 
 # -- the lanes from link products against the inverse-based construction ----
