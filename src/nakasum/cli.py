@@ -32,10 +32,10 @@ import numpy as np
 from . import egc, gof, simkit
 from .errors import (
     AccuracyError,
-    DomainError,
     NakasumError,
     TruncationError,
     ValidationError,
+    _check_count,
 )
 from .gammasum import mgf as model_mgf
 from .gammasum import pdf as model_pdf
@@ -100,8 +100,7 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
                           for convert, tok in zip((float, float, int), parts))
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValidationError(f"{flag} bounds must be finite, got {text!r}")
-    if count < 1:
-        raise ValidationError(f"{flag} count must be at least 1")
+    _check_count(count, f"{flag} count", ValidationError)
     return np.linspace(start, stop, count)
 
 
@@ -143,8 +142,9 @@ def build_spec(args: argparse.Namespace) -> EnsembleSpec:
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -278,7 +278,7 @@ def cmd_validate_table(args) -> int:
                                        per_trial=args.per_trial, seed=args.seed)
                 lines.append(f"{rho:>4} {mz:>3} {L:>3} "
                              f"{rep.alpha_cs:>10.4f} {rep.alpha_ks:>10.4f}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -402,9 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (ValidationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (AccuracyError, TruncationError) as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, TruncationError, ValidationError
+from .errors import (AccuracyError, DomainError, TruncationError, ValidationError, _check_count,
+                     _check_positive)
 from .gammasum import cdf, mgf
 from .matcher import GammaSumModel, match_parameters
 from .moments import EnsembleSpec
@@ -57,8 +57,7 @@ class ReceiverSpec:
     modulation: str = "bpsk"
 
     def __post_init__(self):
-        if not 0.0 < self.noise_psd < math.inf:
-            raise ValidationError(f"noise psd must be positive and finite, got {self.noise_psd}")
+        _check_positive(self.noise_psd, "noise psd", ValidationError)
         if self.modulation not in MODULATIONS:
             raise ValidationError(
                 f"modulation must be one of {MODULATIONS}, got {self.modulation!r}")
@@ -152,12 +151,10 @@ def ber_bfsk_noncoherent(model: GammaSumModel) -> float:
 
 def power_profile(omega1: float, mu: float, L: int) -> tuple[float, ...]:
     """Exponentially decaying branch powers omega1 * exp(-mu * (k-1))."""
-    if not 0.0 < omega1 < math.inf:
-        raise DomainError(f"omega1 must be positive and finite, got {omega1}")
+    _check_positive(omega1, "omega1", DomainError)
     if not 0.0 <= mu < math.inf:
         raise DomainError(f"decay exponent must be nonnegative and finite, got {mu}")
-    if isinstance(L, bool) or not isinstance(L, numbers.Integral) or L < 1:
-        raise DomainError(f"branch count must be an integer >= 1, got {L!r}")
+    _check_count(L, "branch count", DomainError)
     return tuple(omega1 * math.exp(-mu * k) for k in range(L))
 
 
@@ -213,8 +210,7 @@ def ber_curve(rx: ReceiverSpec, snr_db_grid) -> PerfCurve:
 
 def outage_curve(rx: ReceiverSpec, snr_db_grid, threshold: float) -> PerfCurve:
     """Analytic outage probability versus per-branch average SNR (dB)."""
-    if not 0.0 < threshold < math.inf:
-        raise DomainError(f"outage threshold must be positive and finite, got {threshold}")
+    _check_positive(threshold, "outage threshold", DomainError)
     grid, base, scale = _sweep(rx, snr_db_grid, threshold)
     return _curve(grid, cdf(base, threshold / scale), "outage",
                   threshold=threshold, branches=rx.ensemble.branch_count)

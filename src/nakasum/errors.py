@@ -1,5 +1,12 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the three
+input rules every layer checks, each raising the error class its caller
+names: a count (an int or numpy integer of at least ``low``), rho (a real
+number in [0, 1]) and a positive scalar (a real number in (0, inf)).  A
+bool is none of these."""
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class NakasumError(Exception):
@@ -58,3 +65,18 @@ class AccuracyError(NakasumError):
 
 class FitClampWarning(UserWarning):
     """An optimized parameter was clamped back into its feasible range."""
+
+
+def _check_count(value, what: str, error: type[NakasumError], low: int = 1) -> None:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
+        raise error(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def _check_rho(rho) -> None:
+    if isinstance(rho, bool) or not (isinstance(rho, numbers.Real) and 0.0 <= rho <= 1.0):
+        raise ValidationError(f"rho must lie in [0, 1], got {rho!r}")
+
+
+def _check_positive(value, what: str, error: type[NakasumError]) -> None:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise error(f"{what} must be positive and finite, got {value!r}")

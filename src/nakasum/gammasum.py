@@ -47,7 +47,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 from scipy.special import gammainc, gammaln
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _check_positive
 from .matcher import GammaSumModel
 from .specfun import ln_gamma, ln_kummer_1f1
 
@@ -285,8 +285,7 @@ def pdf(model: GammaSumModel, r: ArrayLike, *,
         abs_tol: float = 1e-8) -> float | NDArray[np.float64]:
     """Probability density of the proxy envelope at r > 0 (scalar or array),
     to absolute error ``abs_tol``."""
-    if not 0 < abs_tol < math.inf:
-        raise DomainError(f"abs_tol must be positive and finite, got {abs_tol}")
+    _check_positive(abs_tol, "abs_tol", DomainError)
     r_arr = _positive(r, "pdf requires a finite r > 0")
     # Each mixture term's envelope density is at most 2/sqrt(pi*beta1) once
     # its shape is at least 1/2, so weights are held to abs_tol scaled by the
@@ -311,8 +310,7 @@ def cdf(model: GammaSumModel, t: ArrayLike, *,
     The threshold is in power (SNR) units and may be a scalar or an array;
     the envelope-domain CDF at r is ``cdf(model, r*r)``.
     """
-    if not 0 < abs_tol < math.inf:
-        raise DomainError(f"abs_tol must be positive and finite, got {abs_tol}")
+    _check_positive(abs_tol, "abs_tol", DomainError)
     t_arr = _positive(t, "cdf requires a finite positive threshold")
     shapes, scales = _distinct_gammas(model)
     mix = _mixture(shapes, scales, _SERIES_SHARE * abs_tol)

@@ -35,12 +35,12 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import gammaincc, kolmogorov
 
-from .errors import BinningError, ValidationError
+from .errors import BinningError, ValidationError, _check_count
 from .gammasum import cdf
 from .matcher import GammaSumModel, match_parameters
 from .moments import EnsembleSpec
 from . import simkit
-from .simkit import _check_integers, derive_seed
+from .simkit import derive_seed
 
 __all__ = [
     "GofReport",
@@ -145,7 +145,7 @@ def chi_square_test(samples: NDArray[np.float64],
     parameters are refitted from the data, leaving n_bins - 1 degrees of
     freedom.
     """
-    _check_integers(("n_bins", n_bins, 2))
+    _check_count(n_bins, "n_bins", ValidationError, 2)
     f = _cdf_values(samples, cdf_fn, 1)
     _check_binning(f.size, n_bins)
     chi2 = _chi_square_stat(f, n_bins)
@@ -256,8 +256,9 @@ def gof_campaign(spec: EnsembleSpec, trials: int = 100, per_trial: int = 10_000,
     (ValidationError), and ``per_trial`` at least 500, five draws per bin
     (BinningError).
     """
-    _check_integers(("trials", trials, 1), ("per_trial", per_trial, 1),
-                    ("seed", seed, 0))
+    _check_count(trials, "trials", ValidationError)
+    _check_count(per_trial, "per_trial", ValidationError)
+    _check_count(seed, "seed", ValidationError, 0)
     _check_binning(per_trial, _N_BINS)
     model = match_parameters(spec)
     env_cdf = model_envelope_cdf(model)

@@ -20,7 +20,7 @@ from operator import mul
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import FitClampWarning, SingularMatrixError, ValidationError
+from .errors import FitClampWarning, SingularMatrixError, ValidationError, _check_count, _check_rho
 
 __all__ = [
     "CorrelationMatrix",
@@ -36,6 +36,14 @@ _PSD_SLACK = -1e-10
 _SYM_TOL = 1e-12
 
 
+def _float_array(values, what: str) -> NDArray[np.float64]:
+    """``values`` as a new float array, or ValidationError naming ``what``."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must form a numeric array") from None
+
+
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Symmetric PSD matrix of sqrt power-correlation coefficients."""
@@ -43,11 +51,9 @@ class CorrelationMatrix:
     entries: NDArray[np.float64]
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"correlation matrix must be square, got {m.shape}")
-        if m.shape[0] < 1:
-            raise ValidationError("correlation matrix must be at least 1x1")
+        m = _float_array(self.entries, "correlation matrix entries")
+        if m.ndim != 2 or not 1 <= m.shape[0] == m.shape[1]:
+            raise ValidationError(f"correlation matrix must be non-empty square, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValidationError("correlation matrix entries must be finite")
         if not np.all(np.abs(m - m.T) <= _SYM_TOL):
@@ -70,24 +76,24 @@ class CorrelationMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "CorrelationMatrix":
-        return cls(np.eye(dim))
+        return cls.exponential(0.0, dim)
 
     @classmethod
     def equal(cls, rho: float, dim: int) -> "CorrelationMatrix":
-        if not 0.0 <= rho <= 1.0:
-            raise ValidationError(f"rho must lie in [0, 1], got {rho}")
+        """Every entry sqrt(rho), PSD by construction (eigenvalues
+        1 + (dim - 1) sqrt(rho) and 1 - sqrt(rho))."""
+        _check_rho(rho)
+        _check_count(dim, "correlation matrix dimension", ValidationError)
         m = np.full((dim, dim), math.sqrt(rho))
         np.fill_diagonal(m, 1.0)
-        return cls(m)
+        return cls._trusted(m)
 
     @classmethod
     def exponential(cls, rho: float, dim: int) -> "CorrelationMatrix":
-        """The Markov chain with every link sqrt(rho): PSD by construction,
-        so only rho and dim are validated."""
-        if not 0.0 <= rho <= 1.0:
-            raise ValidationError(f"rho must lie in [0, 1], got {rho}")
-        if dim < 1:
-            raise ValidationError("correlation matrix must be at least 1x1")
+        """The Markov chain with every link sqrt(rho), PSD by construction;
+        rho = 0 is the identity."""
+        _check_rho(rho)
+        _check_count(dim, "correlation matrix dimension", ValidationError)
         idx = np.arange(dim)
         return cls._trusted(math.sqrt(rho) ** np.abs(idx[:, None] - idx[None, :]))
 
@@ -99,7 +105,7 @@ class CorrelationMatrix:
         is the correlation of a Gauss-Markov chain, so it is symmetric,
         PSD and within [0, 1] by construction.
         """
-        t = np.asarray(links, dtype=float)
+        t = _float_array(links, "Markov links")
         if t.ndim != 1:
             raise ValidationError(f"Markov links must be a vector, got shape {t.shape}")
         if not np.all((t >= 0.0) & (t <= 1.0)):

@@ -50,7 +50,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import hyp2f1
 
-from .errors import BoundaryError, DomainError, TruncationError, ValidationError
+from .errors import (BoundaryError, DomainError, TruncationError, ValidationError, _check_count,
+                     _check_positive, _check_rho)
 from .linalg import CorrelationMatrix, greens_fit, subset_links
 from .specfun import _kummer_laplace, gauss_2f1, ln_gamma
 
@@ -84,8 +85,7 @@ class EqualCorrelation:
     rho: float
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValidationError(f"rho must lie in [0, 1], got {self.rho}")
+        _check_rho(self.rho)
 
     def rho_pair(self, i: int, j: int) -> float:
         return self.rho if i != j else 1.0
@@ -101,8 +101,7 @@ class ExponentialCorrelation:
     rho: float
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValidationError(f"rho must lie in [0, 1], got {self.rho}")
+        _check_rho(self.rho)
 
     def rho_pair(self, i: int, j: int) -> float:
         return self.rho ** abs(i - j)
@@ -135,16 +134,6 @@ class ArbitraryCorrelation:
 CorrelationModel = Union[EqualCorrelation, ExponentialCorrelation, ArbitraryCorrelation]
 
 
-def _is_fading_m(m_z) -> bool:
-    """The one fading-parameter rule: a positive integer, not a bool."""
-    return not isinstance(m_z, bool) and isinstance(m_z, (int, np.integer)) and m_z >= 1
-
-
-def _check_fading_m(m_z) -> None:
-    if not _is_fading_m(m_z):
-        raise DomainError(f"fading parameter must be a positive integer, got {m_z}")
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Physical model: branch powers, common integer fading parameter, and
@@ -155,20 +144,16 @@ class EnsembleSpec:
     correlation: CorrelationModel
 
     def __post_init__(self):
-        if not _is_fading_m(self.fading_m):
-            raise ValidationError(
-                f"fading parameter must be a positive integer, got {self.fading_m}")
-        powers = tuple(float(p) for p in self.powers)
-        if len(powers) < 1:
-            raise ValidationError("at least one branch is required")
-        if not all(0 < p < math.inf for p in powers):
-            raise ValidationError("branch powers must be finite and positive")
+        _check_count(self.fading_m, "fading parameter", ValidationError)
+        powers = tuple(self.powers) if np.iterable(self.powers) else ()
+        if not powers:
+            raise ValidationError(f"need one or more branch powers, got {self.powers!r}")
+        for p in powers:
+            _check_positive(p, "branch power", ValidationError)
         object.__setattr__(self, "fading_m", int(self.fading_m))
-        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "powers", tuple(map(float, powers)))
         if isinstance(self.correlation, ArbitraryCorrelation):
-            if self.correlation.matrix.dim != len(powers):
-                raise ValidationError(
-                    "correlation matrix dimension does not match branch count")
+            self.correlation.sqrt_matrix(len(powers))
         elif not isinstance(self.correlation,
                             (EqualCorrelation, ExponentialCorrelation)):
             raise ValidationError(
@@ -266,7 +251,7 @@ def w211_reduced(m_z: int, rho: float) -> float:
 
 
 def _validate_w_args(m_z: int, rho: float) -> None:
-    _check_fading_m(m_z)
+    _check_count(m_z, "fading parameter", DomainError)
     if rho == 1.0:
         raise BoundaryError(
             "maximal correlation must be handled analytically upstream")
@@ -558,7 +543,7 @@ def joint_moment_triple(n1: int, n2: int, n3: int, links: NDArray[np.float64],
     """
     if (n1, n2, n3) not in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
         raise DomainError(f"unsupported exponent triple ({n1}, {n2}, {n3})")
-    _check_fading_m(m_z)
+    _check_count(m_z, "fading parameter", DomainError)
     links = _checked_links(links, 2)
     if n2 == 2:
         return float(_joint_series(_triple_lanes(links, m_z), float(m_z))[0])
@@ -569,7 +554,7 @@ def joint_moment_quad(links: NDArray[np.float64], m_z: int) -> float:
     """Unit-power joint moment E[Z_a Z_b Z_c Z_d] for four branches
     a < b < c < d of a Markov-product correlation matrix, whose links
     between neighbours are ``links`` = (c_ab, c_bc, c_cd)."""
-    _check_fading_m(m_z)
+    _check_count(m_z, "fading parameter", DomainError)
     lanes = _quad_lanes(_checked_links(links, 3), m_z)
     return float(_joint_series(lanes, float(m_z))[0])
 

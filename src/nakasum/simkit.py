@@ -28,7 +28,6 @@ A simulated EGC curve evaluates all its SNR points on one envelope draw
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +38,7 @@ from numpy.typing import NDArray
 from scipy.special import erfc
 
 from .egc import PerfCurve, PerfPoint, ReceiverSpec, _snr_scale
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 from .linalg import cholesky_psd
 from .moments import EnsembleSpec
 
@@ -80,16 +79,6 @@ def derive_seed(seed: int, tag: int, index: int) -> int:
     """Deterministic 63-bit child seed for an independent substream."""
     ss = np.random.SeedSequence((int(seed), int(tag), int(index)))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
-
-
-def _check_integers(*checks) -> None:
-    """Reject each (name, value, low) whose value is not an integer (a bool
-    included) or is below ``low``; the error names the argument."""
-    for name, value, low in checks:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValidationError(f"{name} must be at least {low}, got {value}")
 
 
 # -- worker pool ------------------------------------------------------------
@@ -178,7 +167,8 @@ def _row_sum_block(factors, seed: int, block: int, rows: int,
 
 def sample_correlated_nakagami(spec: EnsembleSpec, n: int, seed: int) -> SampleBatch:
     """Draw n correlated Nakagami envelope vectors."""
-    _check_integers(("draw count", n, 1), ("seed", seed, 0))
+    _check_count(n, "draw count", ValidationError)
+    _check_count(seed, "seed", ValidationError, 0)
     factors = _layer_factors(spec)
     data = np.empty((n, spec.branch_count))
 
@@ -192,7 +182,8 @@ def sample_correlated_nakagami(spec: EnsembleSpec, n: int, seed: int) -> SampleB
 
 def sample_sum(spec: EnsembleSpec, n: int, seed: int) -> NDArray[np.float64]:
     """Row sums of a correlated Nakagami batch."""
-    _check_integers(("draw count", n, 1), ("seed", seed, 0))
+    _check_count(n, "draw count", ValidationError)
+    _check_count(seed, "seed", ValidationError, 0)
     factors = _layer_factors(spec)
     z = np.empty(n)
 
@@ -217,7 +208,8 @@ def _reduce_blocks(reduce, factors, seed: int, n: int) -> NDArray[np.float64]:
 
 def estimate_sum_moments(spec: EnsembleSpec, n: int, seed: int) -> dict:
     """Streaming estimates of E[Z^2] and E[Z^4] with standard errors."""
-    _check_integers(("draw count", n, 1), ("seed", seed, 0))
+    _check_count(n, "draw count", ValidationError)
+    _check_count(seed, "seed", ValidationError, 0)
 
     def reduce(block, z2):
         z4 = z2 * z2
@@ -245,7 +237,8 @@ def simulate_egc_ber(rx: ReceiverSpec, snr_db_grid, n_bits: int, seed: int,
     share one draw of n_bits envelopes, scaled to each point's combiner SNR
     by the rule of ``ber_curve``, which rejects a point before any draw.
     """
-    _check_integers(("draw count", n_bits, 10_000), ("seed", seed, 0))
+    _check_count(n_bits, "draw count", ValidationError, 10_000)
+    _check_count(seed, "seed", ValidationError, 0)
     grid, scale = _snr_scale(rx, snr_db_grid)
     bit_seeds = [derive_seed(seed, 0xB17, idx) for idx in range(len(grid))]
 

@@ -430,6 +430,19 @@ class TestFlags:
         assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
         assert path.read_bytes() == out.encode()
 
+    @pytest.mark.parametrize("argv", [
+        ("match", *SPEC),
+        ("mgf", *SPEC, "--s", "-0.5"),
+        ("validate", "gof", *SPEC, "--trials", "2", "--per-trial", "500"),
+    ], ids=["match", "mgf", "validate-gof"])
+    def test_json_out_file_matches_stdout(self, capsys, tmp_path, argv):
+        # a file gets the bytes stdout gets, the final newline included
+        path = tmp_path / "out.json"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.endswith("}\n")
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
     def test_readme_examples_parse(self):
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
         block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme.read_text(), re.S)
