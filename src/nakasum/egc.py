@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, TruncationError, ValidationError, _check_count,
-                     _check_positive)
+                     _check_positive, _real_array)
 from .gammasum import cdf, mgf
 from .matcher import GammaSumModel, match_parameters
 from .moments import EnsembleSpec
@@ -152,8 +152,7 @@ def ber_bfsk_noncoherent(model: GammaSumModel) -> float:
 def power_profile(omega1: float, mu: float, L: int) -> tuple[float, ...]:
     """Exponentially decaying branch powers omega1 * exp(-mu * (k-1))."""
     _check_positive(omega1, "omega1", DomainError)
-    if not 0.0 <= mu < math.inf:
-        raise DomainError(f"decay exponent must be nonnegative and finite, got {mu}")
+    _check_positive(mu, "decay exponent", DomainError, zero_ok=True)
     _check_count(L, "branch count", DomainError)
     return tuple(omega1 * math.exp(-mu * k) for k in range(L))
 
@@ -167,17 +166,14 @@ def _out_of_range(grid, what: str, values) -> None:
 
 
 def _snr_scale(rx: ReceiverSpec, snr_db_grid):
-    """The grid as floats and each point's combiner SNR per unit squared
-    envelope sum, 10^(snr/10) / (L omega_1).  A point that is not finite or
-    puts this scale outside (0, inf) raises DomainError."""
-    grid = [float(snr_db) for snr_db in snr_db_grid]
-    for snr_db in grid:
-        if not math.isfinite(snr_db):
-            raise DomainError(f"SNR grid points must be finite, got {snr_db}")
+    """The grid as a list of floats and each point's combiner SNR per unit
+    squared envelope sum, 10^(snr/10) / (L omega_1); DomainError unless the
+    grid is a vector of finite numbers that keeps this scale in (0, inf)."""
+    grid = _real_array(snr_db_grid, "SNR grid points", DomainError, -math.inf, 1)
     with np.errstate(all="ignore"):
-        scale = 10.0 ** np.divide(grid, 10.0) / (rx.ensemble.branch_count * rx.ensemble.powers[0])
+        scale = 10.0 ** (grid / 10.0) / (rx.ensemble.branch_count * rx.ensemble.powers[0])
     _out_of_range(grid, "combiner SNR scale", scale)
-    return grid, scale
+    return grid.tolist(), scale
 
 
 def _sweep(rx: ReceiverSpec, snr_db_grid, threshold: float | None = None):

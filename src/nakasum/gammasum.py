@@ -47,7 +47,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 from scipy.special import gammainc, gammaln
 
-from .errors import AccuracyError, DomainError, _check_positive
+from .errors import AccuracyError, DomainError, _check_positive, _real_array
 from .matcher import GammaSumModel
 from .specfun import ln_gamma, ln_kummer_1f1
 
@@ -90,16 +90,11 @@ def mgf(model: GammaSumModel, s: ArrayLike) -> float | NDArray[np.float64]:
     (zero eigenvalues contribute unit factors and are skipped).  ``s`` is a
     scalar or an array.
     """
-    if np.ndim(s) == 0 and s == 0.0:
-        return 1.0
-    s_arr = np.asarray(s, dtype=float)
-    if np.isnan(s_arr).any():
-        raise DomainError("mgf requires s to be a number, got nan")
+    s_arr = _real_array(s, "mgf s", DomainError)
     shapes, scales = _distinct_gammas(model)
-    beyond = s_arr * scales[-1] >= 1.0
-    if np.any(beyond):
-        raise DomainError(
-            f"mgf pole at s={1.0 / scales[-1]}; got s={s_arr[beyond].flat[0]}")
+    bad = ~(s_arr * scales[-1] < 1.0)  # nan or at or beyond the pole
+    if np.any(bad):
+        raise DomainError(f"mgf needs s < {1.0 / scales[-1]} (its pole), got {s_arr[bad].flat[0]}")
     log_terms = np.sum(shapes * np.log1p(-s_arr[..., None] * scales), axis=-1)
     return _scalar_or_array(np.exp(-log_terms), s_arr.ndim == 0)
 
@@ -118,7 +113,7 @@ class _Mixture:
 def _distinct_gammas(model: GammaSumModel):
     """Shapes and scales of the independent Gamma terms, equal eigenvalues
     merged with their multiplicity folded into the shape."""
-    lams = np.sort(np.asarray(model.spectrum.values, dtype=float))
+    lams = np.sort(model.spectrum.values)
     lams = lams[lams > 0.0]
     if lams.size == 0:
         raise DomainError("model has no positive eigenvalues")
@@ -271,14 +266,6 @@ def _bromwich(shapes, scales, log_t: NDArray[np.float64], density: bool,
     return fine
 
 
-def _positive(x: ArrayLike, what: str) -> NDArray[np.float64]:
-    arr = np.asarray(x, dtype=float)
-    bad = ~((arr > 0) & np.isfinite(arr))
-    if np.any(bad):
-        raise DomainError(f"{what}, got {arr[bad].flat[0]}")
-    return arr
-
-
 # -- public distribution functions -------------------------------------------
 
 def pdf(model: GammaSumModel, r: ArrayLike, *,
@@ -286,7 +273,7 @@ def pdf(model: GammaSumModel, r: ArrayLike, *,
     """Probability density of the proxy envelope at r > 0 (scalar or array),
     to absolute error ``abs_tol``."""
     _check_positive(abs_tol, "abs_tol", DomainError)
-    r_arr = _positive(r, "pdf requires a finite r > 0")
+    r_arr = _real_array(r, "pdf r", DomainError, 0.0)
     # Each mixture term's envelope density is at most 2/sqrt(pi*beta1) once
     # its shape is at least 1/2, so weights are held to abs_tol scaled by the
     # reciprocal (never looser than for the CDF).
@@ -311,7 +298,7 @@ def cdf(model: GammaSumModel, t: ArrayLike, *,
     the envelope-domain CDF at r is ``cdf(model, r*r)``.
     """
     _check_positive(abs_tol, "abs_tol", DomainError)
-    t_arr = _positive(t, "cdf requires a finite positive threshold")
+    t_arr = _real_array(t, "cdf threshold", DomainError, 0.0)
     shapes, scales = _distinct_gammas(model)
     mix = _mixture(shapes, scales, _SERIES_SHARE * abs_tol)
     if mix is not None:
@@ -332,8 +319,7 @@ def pdf_equal_corr(model: GammaSumModel, r: float) -> float:
     eigenvalue, which stays accurate as rho -> 1.  Assembled in log space so
     large confluent-hypergeometric arguments cannot overflow.
     """
-    if not 0 < r < math.inf:
-        raise DomainError(f"pdf requires a finite r > 0, got {r}")
+    _check_positive(r, "pdf r", DomainError)
     lams = model.spectrum.values
     L, m, om = len(lams), model.m_r, model.omega_r
     lam_big, lam_small = lams[0], lams[-1]

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import gammaincc, kolmogorov
 
-from .errors import BinningError, ValidationError, _check_count
+from .errors import BinningError, ValidationError, _check_count, _real_array
 from .gammasum import cdf
 from .matcher import GammaSumModel, match_parameters
 from .moments import EnsembleSpec
@@ -88,12 +88,11 @@ def _cdf_values(samples: NDArray[np.float64], cdf_fn: Callable,
                 minimum: int) -> NDArray[np.float64]:
     """Model CDF values at the order statistics of a vector of at least
     ``minimum`` finite samples."""
-    x = np.asarray(samples, dtype=float)
+    x = _real_array(samples, "samples", ValidationError, -math.inf)
     if x.ndim != 1 or x.size < minimum:
         raise ValidationError(f"samples must be a vector of length >= {minimum}")
-    if not np.isfinite(x).all():
-        raise ValidationError("samples must be finite")
-    return np.asarray(cdf_fn(np.sort(x)), dtype=float)
+    x.sort()  # in place: the rule returned a new array, not the caller's samples
+    return _real_array(cdf_fn(x), "model CDF values", ValidationError)
 
 
 def _check_binning(n: int, n_bins: int) -> None:
@@ -232,7 +231,7 @@ def model_envelope_cdf(model: GammaSumModel) -> Callable:
     interp = _pchip(r_grid, f_grid)
 
     def envelope_cdf(r):
-        r = np.asarray(r, dtype=float)
+        r = _real_array(r, "envelope radii", ValidationError)
         out = np.where(r >= r_hi, 1.0, np.where(r <= 0.0, 0.0, interp(np.clip(r, 0.0, r_hi))))
         return np.clip(out, 0.0, 1.0)
 

@@ -20,7 +20,8 @@ from operator import mul
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import FitClampWarning, SingularMatrixError, ValidationError, _check_count, _check_rho
+from .errors import (FitClampWarning, SingularMatrixError, ValidationError, _check_count,
+                     _check_rho, _real_array)
 
 __all__ = [
     "CorrelationMatrix",
@@ -36,14 +37,6 @@ _PSD_SLACK = -1e-10
 _SYM_TOL = 1e-12
 
 
-def _float_array(values, what: str) -> NDArray[np.float64]:
-    """``values`` as a new float array, or ValidationError naming ``what``."""
-    try:
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must form a numeric array") from None
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Symmetric PSD matrix of sqrt power-correlation coefficients."""
@@ -51,11 +44,9 @@ class CorrelationMatrix:
     entries: NDArray[np.float64]
 
     def __post_init__(self):
-        m = _float_array(self.entries, "correlation matrix entries")
+        m = _real_array(self.entries, "correlation matrix entries", ValidationError, -math.inf)
         if m.ndim != 2 or not 1 <= m.shape[0] == m.shape[1]:
             raise ValidationError(f"correlation matrix must be non-empty square, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValidationError("correlation matrix entries must be finite")
         if not np.all(np.abs(m - m.T) <= _SYM_TOL):
             raise ValidationError("correlation matrix must be symmetric")
         if not np.allclose(np.diag(m), 1.0, rtol=0, atol=_SYM_TOL):
@@ -82,7 +73,7 @@ class CorrelationMatrix:
     def equal(cls, rho: float, dim: int) -> "CorrelationMatrix":
         """Every entry sqrt(rho), PSD by construction (eigenvalues
         1 + (dim - 1) sqrt(rho) and 1 - sqrt(rho))."""
-        _check_rho(rho)
+        _check_rho(rho, ValidationError)
         _check_count(dim, "correlation matrix dimension", ValidationError)
         m = np.full((dim, dim), math.sqrt(rho))
         np.fill_diagonal(m, 1.0)
@@ -92,7 +83,7 @@ class CorrelationMatrix:
     def exponential(cls, rho: float, dim: int) -> "CorrelationMatrix":
         """The Markov chain with every link sqrt(rho), PSD by construction;
         rho = 0 is the identity."""
-        _check_rho(rho)
+        _check_rho(rho, ValidationError)
         _check_count(dim, "correlation matrix dimension", ValidationError)
         idx = np.arange(dim)
         return cls._trusted(math.sqrt(rho) ** np.abs(idx[:, None] - idx[None, :]))
@@ -105,9 +96,7 @@ class CorrelationMatrix:
         is the correlation of a Gauss-Markov chain, so it is symmetric,
         PSD and within [0, 1] by construction.
         """
-        t = _float_array(links, "Markov links")
-        if t.ndim != 1:
-            raise ValidationError(f"Markov links must be a vector, got shape {t.shape}")
+        t = _real_array(links, "Markov links", ValidationError, ndim=1)
         if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ValidationError("Markov links must be finite and lie in [0, 1]")
         dim = t.size + 1
@@ -132,14 +121,12 @@ class EigenSpectrum:
     values: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError("spectrum eigenvalues must be finite")
+        vals = _real_array(self.values, "eigenvalues", ValidationError, -math.inf, 1).tolist()
         if any(v < _PSD_SLACK for v in vals):
             raise ValidationError("spectrum has a significantly negative eigenvalue")
-        if list(vals) != sorted(vals, reverse=True):
+        if vals != sorted(vals, reverse=True):
             raise ValidationError("spectrum must be sorted descending")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(vals))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -170,12 +157,13 @@ def principal_submatrix_inverse(m: CorrelationMatrix,
     When the source matrix carries the Markov product structure the result
     is tridiagonal to within roundoff.
     """
-    idx = tuple(int(i) for i in idx)
+    for i in idx:
+        _check_count(i, "submatrix index", ValidationError, 0)
     if len(idx) not in (3, 4):
         raise ValidationError(f"index set must have size 3 or 4, got {len(idx)}")
     if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
         raise ValidationError("index set must be strictly increasing")
-    if idx[0] < 0 or idx[-1] >= m.dim:
+    if idx[-1] >= m.dim:
         raise ValidationError(f"index set {idx} out of range for dim {m.dim}")
     sub = m.entries[np.ix_(idx, idx)]
     try:

@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, _check_positive
 from .linalg import CorrelationMatrix, EigenSpectrum, eigenvalues_sym
 from .moments import (
     EnsembleSpec,
@@ -45,8 +45,8 @@ class GammaSumModel:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if not (0 < self.omega_r < math.inf and 0 < self.m_r < math.inf):
-            raise ConsistencyError("fitted parameters must be finite and positive")
+        _check_positive(self.omega_r, "fitted omega_r", ConsistencyError)
+        _check_positive(self.m_r, "fitted m_r", ConsistencyError)
 
     @property
     def branch_count(self) -> int:

@@ -51,7 +51,7 @@ from numpy.typing import NDArray
 from scipy.special import hyp2f1
 
 from .errors import (BoundaryError, DomainError, TruncationError, ValidationError, _check_count,
-                     _check_positive, _check_rho)
+                     _check_positive, _check_rho, _real_array)
 from .linalg import CorrelationMatrix, greens_fit, subset_links
 from .specfun import _kummer_laplace, gauss_2f1, ln_gamma
 
@@ -85,7 +85,7 @@ class EqualCorrelation:
     rho: float
 
     def __post_init__(self):
-        _check_rho(self.rho)
+        _check_rho(self.rho, ValidationError)
 
     def rho_pair(self, i: int, j: int) -> float:
         return self.rho if i != j else 1.0
@@ -101,7 +101,7 @@ class ExponentialCorrelation:
     rho: float
 
     def __post_init__(self):
-        _check_rho(self.rho)
+        _check_rho(self.rho, ValidationError)
 
     def rho_pair(self, i: int, j: int) -> float:
         return self.rho ** abs(i - j)
@@ -187,8 +187,8 @@ class MomentPair:
     m4: float
 
     def __post_init__(self):
-        if not (self.m2 > 0 and self.m4 > 0):
-            raise ValidationError("moments must be positive")
+        _check_positive(self.m2, "second moment", ValidationError)
+        _check_positive(self.m4, "fourth moment", ValidationError)
         if not self.m4 > self.m2 ** 2:
             raise ValidationError(
                 f"fourth moment {self.m4} must exceed squared second moment "
@@ -219,8 +219,7 @@ def second_moment_Z(spec: EnsembleSpec) -> float:
 def j_identity(m: float, a: float, p: float, q: float) -> float:
     """Closed form of (1/Gamma(m)) int_0^inf u^(m-1) e^-u
     1F1(-p/2; m; -a u) 1F1(-q/2; m; -a u) du."""
-    if m <= 0:
-        raise DomainError(f"j_identity requires m > 0, got {m}")
+    _check_positive(m, "j_identity m", DomainError)
     if a <= -0.5:
         raise DomainError(f"j_identity requires a > -1/2, got {a}")
     x = -a * a / (1.0 + 2.0 * a)
@@ -252,11 +251,10 @@ def w211_reduced(m_z: int, rho: float) -> float:
 
 def _validate_w_args(m_z: int, rho: float) -> None:
     _check_count(m_z, "fading parameter", DomainError)
+    _check_rho(rho, DomainError)
     if rho == 1.0:
         raise BoundaryError(
             "maximal correlation must be handled analytically upstream")
-    if not 0.0 <= rho < 1.0:
-        raise DomainError(f"rho must lie in [0, 1), got {rho}")
 
 
 def _w_via_fa(orders: tuple[int, ...], m_z: int, rho: float) -> float:
@@ -283,11 +281,11 @@ def w_coefficient(orders: tuple[int, ...], m_z: int, rho: float) -> float:
     other orders evaluate the Laplace integral of the Lauricella F_A
     function.
     """
-    orders = tuple(int(k) for k in orders)
+    orders = tuple(orders)
     if len(orders) < 2:
         raise DomainError(f"need at least two orders, got {len(orders)}")
-    if any(k < 1 for k in orders):
-        raise DomainError("orders must be positive integers")
+    for k in orders:
+        _check_count(k, "order", DomainError)
     _validate_w_args(m_z, rho)
     if sorted(orders) == [1, 1, 2]:
         return w211_reduced(m_z, rho)
@@ -526,7 +524,7 @@ def _concat_lanes(lanes: list[_Lanes]) -> _Lanes:
 
 def _checked_links(links: NDArray[np.float64], count: int) -> NDArray[np.float64]:
     """The links of one subset as a one-row array, or ValidationError."""
-    links = np.asarray(links, dtype=float)
+    links = _real_array(links, "links", ValidationError)
     if links.shape != (count,) or not np.all((links >= 0.0) & (links < 1.0)):
         raise ValidationError(f"need {count} links in [0, 1), got {links.tolist()}")
     return links[None]

@@ -64,3 +64,50 @@ def test_all_exports_resolve():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class _RaiseFinder(ast.NodeVisitor):
+    """Every raise statement of a module, with the names it may use
+    without being a class: the enclosing functions' parameters annotated
+    ``type[NakasumError]`` and the names bound by enclosing except clauses."""
+
+    def __init__(self):
+        self.scope = [set()]
+        self.raises = []
+
+    def visit_FunctionDef(self, node):
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        typed = {a.arg for a in args
+                 if a.annotation is not None and ast.unparse(a.annotation) == "type[NakasumError]"}
+        self.scope.append(self.scope[-1] | typed)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_ExceptHandler(self, node):
+        self.scope.append(self.scope[-1] | ({node.name} if node.name else set()))
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Raise(self, node):
+        self.raises.append((node, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def test_every_raise_is_a_package_error():
+    # no bare builtin error can come back: each raise re-raises, or raises
+    # a NakasumError subclass by name or through an error-class parameter
+    package = pathlib.Path(nakasum.__file__).parent
+    bad = []
+    for path in sorted(package.glob("*.py")):
+        module = nakasum if path.stem == "__init__" else importlib.import_module(
+            f"nakasum.{path.stem}")
+        finder = _RaiseFinder()
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        for node, allowed in finder.raises:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if exc is None or isinstance(exc, ast.Name) and exc.id in allowed:
+                continue
+            raised = getattr(module, ast.unparse(exc), None)
+            if not (isinstance(raised, type) and issubclass(raised, nakasum.NakasumError)):
+                bad.append(f"{path.name}:{node.lineno} raises {ast.unparse(exc)}")
+    assert not bad, bad

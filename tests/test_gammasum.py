@@ -196,7 +196,7 @@ class TestPdfEqualCorr:
     def test_domain(self, r):
         # r = inf used to hang in scipy's hyp1f1
         model = balanced_model(EqualCorrelation(0.5), 2, 3)
-        with pytest.raises(DomainError, match="finite r > 0"):
+        with pytest.raises(DomainError, match="r must be positive and finite"):
             pdf_equal_corr(model, r)
 
     def test_single_branch_reads_no_rho(self):

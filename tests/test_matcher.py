@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakasum.errors import ValidationError
+from nakasum.errors import FitClampWarning, ValidationError
 from nakasum.linalg import CorrelationMatrix
 from nakasum.matcher import GammaSumModel, match_parameters
 from nakasum.moments import (
@@ -208,6 +208,23 @@ class TestModelChecks:
             model.scaled(omega_r)
 
 
+class TestFitClamp:
+    def test_clamped_fit_fills_flags(self):
+        # a matrix whose Markov fit clamps a link: the fit re-emits the
+        # captured warning once and copies it into the model's flags
+        a = np.abs(np.random.default_rng(5).standard_normal((5, 3)))
+        c = a @ a.T + 0.5 * np.eye(5)
+        d = np.sqrt(np.diag(c))
+        spec = balanced(ArbitraryCorrelation(CorrelationMatrix(c / np.outer(d, d))), 1, 5)
+        with pytest.warns(FitClampWarning) as record:
+            model = match_parameters(spec)
+        assert len(record) == 1
+        assert model.m_r == pytest.approx(0.84932, abs=1e-5)
+        assert model.flags == (
+            "FitClampWarning: Markov link weights were clamped into [0, 1] during the fit",)
+        assert GammaSumModel.from_json(model.to_json()).flags == model.flags
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         model = match_parameters(balanced(ExponentialCorrelation(0.4), 2, 3))
@@ -245,7 +262,7 @@ class TestSerialization:
         import json
         doc = json.loads(match_parameters(balanced(EqualCorrelation(0.2), 1, 2)).to_json())
         doc[key] = value
-        with pytest.raises(ValidationError, match="finite and positive"):
+        with pytest.raises(ValidationError, match=f"{key} must be positive and finite"):
             GammaSumModel.from_json(json.dumps(doc))
 
     def test_json_fields(self):

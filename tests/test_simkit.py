@@ -1,5 +1,6 @@
 """Sampler tests: determinism, marginals, correlation fidelity, batch
 round-trips, the semi-analytic error simulation, and the worker pool."""
+import json
 import math
 import threading
 
@@ -189,6 +190,16 @@ class TestEgcSimulation:
         assert pc.value > 1e-3
         combined = math.hypot(pc.stderr, ph.stderr)
         assert abs(pc.value - ph.value) < 3.0 * combined
+
+    def test_rows_carry_stderr(self):
+        rx = ReceiverSpec(ensemble=unit_spec(EqualCorrelation(0.5), 1, 3), noise_psd=1.0)
+        curve = simulate_egc_ber(rx, [2.0, 8.0], n_bits=20_000, seed=43)
+        rows = curve.to_rows()
+        assert len(rows) == 2
+        for row, point in zip(rows, curve.points):
+            meta = json.loads(row["meta"])
+            assert meta["stderr"] == point.stderr > 0.0
+            assert meta["method"] == "conditional-error"
 
     def test_deterministic(self):
         rx = ReceiverSpec(ensemble=unit_spec(EqualCorrelation(0.5), 1, 3),
