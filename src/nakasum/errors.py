@@ -4,7 +4,8 @@ a count (an int or numpy integer of at least ``low``), rho (a real number
 in [0, 1]), a positive scalar (a real number in (0, inf), or [0, inf) with
 ``zero_ok``) and a real array (a number or array of numbers whose numpy
 dtype is an integer or float one, returned as a new float64 array, finite
-and above ``low`` if given).  A bool, a string or None is none of these."""
+and above ``low`` if given).  A bool, a string or None is none of these,
+nor is a list or tuple that holds one."""
 from __future__ import annotations
 
 import math
@@ -93,13 +94,21 @@ def _check_positive(value, what: str, error: type[NakasumError], zero_ok: bool =
                     f"got {value!r}")
 
 
+def _holds_bool(values) -> bool:
+    """True when a (nested) list or tuple holds a bool, which numpy would
+    promote to a number."""
+    return not {bool, np.bool_}.isdisjoint(map(type, np.array(values, dtype=object).flat))
+
+
 def _real_array(values, what: str, error: type[NakasumError], low: float | None = None,
                 ndim: int | None = None) -> np.ndarray:
     try:
         arr = np.array(values)
     except (TypeError, ValueError):  # ragged nesting
         arr = np.array(None)
-    if arr.dtype.kind not in "iuf":
+    # an array carries its dtype and a scalar is judged by it; only a Python
+    # sequence is scanned
+    if arr.dtype.kind not in "iuf" or isinstance(values, (list, tuple)) and _holds_bool(values):
         raise error(f"{what} must be real numbers, got {values!r:.80}")
     if ndim is not None and arr.ndim != ndim:
         raise error(f"{what} must form a {ndim}-d array, got shape {arr.shape}")

@@ -146,7 +146,7 @@ def eigenvalues_sym(m: CorrelationMatrix) -> EigenSpectrum:
     """
     vals = np.linalg.eigvalsh(m.entries)
     vals[(vals < 0.0) & (vals >= _PSD_SLACK * max(1.0, m.dim))] = 0.0
-    return EigenSpectrum(tuple(vals[::-1]))
+    return EigenSpectrum(vals[::-1])
 
 
 def principal_submatrix_inverse(m: CorrelationMatrix,
@@ -256,7 +256,8 @@ def greens_fit(m: CorrelationMatrix) -> CorrelationMatrix:
             FitClampWarning,
             stacklevel=2,
         )
-    return CorrelationMatrix.from_markov_links(t)
+    # an array skips the array rule's scan of a Python list for bools
+    return CorrelationMatrix.from_markov_links(np.array(t))
 
 
 def cholesky_psd(m: CorrelationMatrix) -> NDArray[np.float64]:

@@ -76,19 +76,25 @@ class GammaSumModel:
     @classmethod
     def from_json(cls, text: str) -> "GammaSumModel":
         """The model ``to_json`` wrote; a malformed document, one whose
-        ``omega_r`` or ``m_r`` is not finite and positive, or one whose
+        ``omega_r``, ``m_r`` or source moments are not finite positive
+        numbers (a bool or a numeric string included), or one whose
         ``branch_count`` is not its spectrum's length, raises ValidationError."""
         try:
             doc = json.loads(text)
             count, moments = doc["branch_count"], doc["source_moments"]
+            values = {"omega_r": doc["omega_r"], "m_r": doc["m_r"],
+                      "m2": moments["m2"], "m4": moments["m4"]}
+            for name, value in values.items():
+                _check_positive(value, name, ValidationError)
+            omega_r, m_r, m2, m4 = map(float, values.values())
             model = cls(
-                omega_r=float(doc["omega_r"]),
-                m_r=float(doc["m_r"]),
+                omega_r=omega_r,
+                m_r=m_r,
                 spectrum=EigenSpectrum(tuple(doc["spectrum"])),
-                source_moments=MomentPair(m2=float(moments["m2"]), m4=float(moments["m4"])),
+                source_moments=MomentPair(m2=m2, m4=m4),
                 flags=tuple(doc.get("flags", ())),
             )
-        except (KeyError, TypeError, ValueError, ConsistencyError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ConsistencyError) as exc:
             raise ValidationError(f"malformed gamma-sum-model document: {exc}") from exc
         if count != model.branch_count:
             raise ValidationError(

@@ -21,7 +21,12 @@ and four envelopes:
   u = c^2 and w = 1 - c^2; no submatrix is inverted.
 
 A fit sums its Markov series in one call whose lanes are all C(L,3)
-(1, 2, 1) triples and all C(L,4) quadruples.  Term k of a lane is
+(1, 2, 1) triples and all C(L,4) quadruples.  On a Toeplitz chain, which
+every exponential one is, a subset's links depend only on its gaps, so from
+L = 5 on the call takes one lane per gap pattern, C(L-1,2) + C(L-1,3) in
+all, on the pattern's translate that starts at branch 0; the values are
+expanded back to the subsets by index, and the sums over subsets are the
+per-subset ones bit for bit.  Term k of a lane is
 exp(k log q + log-gamma terms) times two factors 2F1(a0 + k, b; c; x) with
 a0, b, c and x fixed per lane; a triple's second factor has x = 0 and
 stays exactly 1.  Each factor starts from two values of one
@@ -218,10 +223,18 @@ def second_moment_Z(spec: EnsembleSpec) -> float:
 
 def j_identity(m: float, a: float, p: float, q: float) -> float:
     """Closed form of (1/Gamma(m)) int_0^inf u^(m-1) e^-u
-    1F1(-p/2; m; -a u) 1F1(-q/2; m; -a u) du."""
+    1F1(-p/2; m; -a u) 1F1(-q/2; m; -a u) du, for m > 0, a > -1/2 and
+    real p and q."""
     _check_positive(m, "j_identity m", DomainError)
+    for name, value in (("a", a), ("p", p), ("q", q)):
+        _real_array(value, f"j_identity {name}", DomainError, -math.inf, 0)
     if a <= -0.5:
         raise DomainError(f"j_identity requires a > -1/2, got {a}")
+    return _j_identity(m, a, p, q)
+
+
+def _j_identity(m: float, a: float, p: float, q: float) -> float:
+    """j_identity without its argument checks."""
     x = -a * a / (1.0 + 2.0 * a)
     f = float(hyp2f1(m + p / 2.0, -q / 2.0, m, x))
     return (1.0 + a) ** (p / 2.0) * ((1.0 + 2.0 * a) / (1.0 + a)) ** (q / 2.0) * f
@@ -241,10 +254,10 @@ def w211_reduced(m_z: int, rho: float) -> float:
     ap = sr * (1.0 + sr) / (1.0 - rho)
     g = _gamma_ratio(m + 0.5, m)
     bracket = (
-        j_identity(m, ap, 1, 1)
-        + ap * ((m + 0.5) ** 2 / m ** 2 * j_identity(m + 1.0, ap, 1, 1)
-                - (m + 0.5) / m ** 2 * j_identity(m + 1.0, ap, 1, -1)
-                + 1.0 / (4.0 * m ** 2) * j_identity(m + 1.0, ap, -1, -1))
+        _j_identity(m, ap, 1, 1)
+        + ap * ((m + 0.5) ** 2 / m ** 2 * _j_identity(m + 1.0, ap, 1, 1)
+                - (m + 0.5) / m ** 2 * _j_identity(m + 1.0, ap, 1, -1)
+                + 1.0 / (4.0 * m ** 2) * _j_identity(m + 1.0, ap, -1, -1))
     )
     return m * g * g * bracket
 
@@ -326,12 +339,14 @@ _BLOCK_CELLS = 2 ** 13
 
 
 def _joint_lgam(m: float, k0: int, rows: int) -> NDArray[np.float64]:
-    """Log-gamma part of terms k0 .. k0 + rows - 1, one column per group."""
-    ks = range(k0, k0 + rows)
-    g0 = np.array([math.lgamma(m + k) for k in ks])
-    gh = np.array([math.lgamma(m + k + 0.5) for k in ks])
-    g1 = np.array([math.lgamma(m + k + 1.0) for k in ks])
-    gk = np.array([math.lgamma(k + 1.0) for k in ks])
+    """Log-gamma part of terms k0 .. k0 + rows - 1, one column per group.
+
+    m is an integer, so lgamma(k + 1), lgamma(m + k) and lgamma(m + k + 1)
+    are read from one run over the integers k0 + 1 .. k0 + m + rows."""
+    n = int(m)
+    ints = np.array([math.lgamma(j) for j in range(k0 + 1, k0 + n + rows + 1)])
+    gk, g0, g1 = ints[:rows], ints[n - 1:n - 1 + rows], ints[n:n + rows]
+    gh = np.array([math.lgamma(m + k + 0.5) for k in range(k0, k0 + rows)])
     return np.stack([g1 + gh - g0 - gk, 2.0 * gh - gk - g0], axis=1)
 
 
@@ -590,27 +605,66 @@ def _fourth_moment_joint_equal(spec: EnsembleSpec) -> float:
     return p_max * p_max * total
 
 
+def _is_toeplitz(chain: CorrelationMatrix) -> bool:
+    """True when every diagonal of the matrix holds one value, bit for bit;
+    a chain whose first two links differ is refused at once."""
+    e = chain.entries
+    return bool(e[0, 1] == e[1, 2] and (e[1:, 1:] == e[:-1, :-1]).all())
+
+
+def _gap_patterns(subsets: NDArray[np.intp], L: int) -> tuple[int, NDArray[np.intp]]:
+    """Representatives of the gap patterns among ``subsets``, all k-subsets
+    of range(L) in lexicographic order: their count R and, per subset, the
+    row of its pattern's representative.
+
+    The representative is the pattern's translate that starts at branch 0;
+    these translates are the first R = C(L - 1, k - 1) rows.  A subset is
+    keyed by its offsets from its first member, read as digits base L, and
+    found by a dense lookup on that key."""
+    k = subsets.shape[1]
+    reps = math.comb(L - 1, k - 1)
+    key = (subsets[:, 1:] - subsets[:, :1]) @ L ** np.arange(k - 2, -1, -1)
+    lookup = np.empty(L ** (k - 1), dtype=np.intp)
+    lookup[key[:reps]] = np.arange(reps)
+    return reps, lookup[key]
+
+
+def _subsets(L: int, k: int) -> NDArray[np.intp]:
+    """All k-subsets of range(L), one row each, in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(L), k))
+    return np.fromiter(flat, dtype=np.intp, count=math.comb(L, k) * k).reshape(-1, k)
+
+
 def _fourth_moment_joint_markov(spec: EnsembleSpec,
                                 fitted: CorrelationMatrix) -> float:
     m = spec.fading_m
     p = np.asarray(spec.powers)
     L = spec.branch_count
-    triples = np.array(list(itertools.combinations(range(L), 3)))
-    links = subset_links(fitted, triples)
-    lanes = [_triple_lanes(links, m)]
-    if L >= 4:
-        quads = np.array(list(itertools.combinations(range(L), 4)))
-        lanes.append(_quad_lanes(subset_links(fitted, quads), m))
+    # the triples, then the quads
+    subsets = [_subsets(L, k) for k in range(3, min(L, 4) + 1)]
+    # On a Toeplitz chain a subset's links depend only on its gaps: each gap
+    # pattern is evaluated on its representative and expanded back to every
+    # subset by index, so the sums below are the per-subset sums bit for
+    # bit.  At L = 4 the patterns save one lane of five, less than the
+    # lookup costs.
+    if L >= 5 and _is_toeplitz(fitted):
+        groups = [_gap_patterns(s, L) for s in subsets]
+    else:
+        groups = [(len(s), slice(None)) for s in subsets]
+    links = [subset_links(fitted, s[:reps]) for s, (reps, _) in zip(subsets, groups)]
+    lanes = [_triple_lanes(links[0], m)] + [_quad_lanes(q, m) for q in links[1:]]
     # one series call: the (1, 2, 1) triples, then the quads
     series = _joint_series(_concat_lanes(lanes), float(m))
-    t121, tquad = series[:len(triples)], series[len(triples):]
-    t211, t112 = _outer_square_triples(links, m)
-    pa, pb, pc = p[triples].T
+    n3, at3 = groups[0]
+    t121 = series[:n3][at3]
+    t211, t112 = _outer_square_triples(links[0], m)[:, at3]
+    pa, pb, pc = p[subsets[0]].T
     total = 12.0 * np.sum(pa * np.sqrt(pb * pc) * t211
                           + np.sqrt(pa) * pb * np.sqrt(pc) * t121
                           + np.sqrt(pa * pb) * pc * t112)
     if L >= 4:
-        total += 24.0 * np.sum(np.sqrt(np.prod(p[quads], axis=1)) * tquad)
+        tquad = series[n3:][groups[1][1]]
+        total += 24.0 * np.sum(np.sqrt(np.prod(p[subsets[1]], axis=1)) * tquad)
     return float(total)
 
 

@@ -1,9 +1,10 @@
 """The input rules (a count, a correlation coefficient rho, a positive
-scalar and a real array) at every entry point that applies them: each
-malformed value raises that entry point's error class, numpy scalars give
-the same result as Python ones, and an int list or a float32 array the
-same result as a float list."""
+scalar, a finite real scalar and a real array) at every entry point that
+applies them: each malformed value raises that entry point's error class,
+numpy scalars give the same result as Python ones, and an int list or a
+float32 array the same result as a float list."""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from nakasum.errors import ConsistencyError, DomainError, ValidationError
 from nakasum.gammasum import cdf, mgf, pdf, pdf_equal_corr
 from nakasum.gof import chi_square_test, gof_campaign, ks_test
 from nakasum.linalg import CorrelationMatrix, EigenSpectrum, principal_submatrix_inverse
-from nakasum.matcher import match_parameters
+from nakasum.matcher import GammaSumModel, match_parameters
 from nakasum.moments import (
     EnsembleSpec,
     EqualCorrelation,
@@ -41,6 +42,14 @@ EQUAL_MODEL = match_parameters(EnsembleSpec(2, (1.0,) * 3, EqualCorrelation(0.3)
 UNIFORM = np.linspace(0.001, 0.999, 500)
 SAMPLES = [float(k) for k in range(1, 16)]
 MATRIX = CorrelationMatrix.exponential(0.5, 4)
+
+
+def model_with(key, value):
+    """MODEL read back from its JSON document with one fitted parameter or
+    source moment replaced."""
+    doc = json.loads(MODEL.to_json())
+    (doc["source_moments"] if key in ("m2", "m4") else doc)[key] = value
+    return GammaSumModel.from_json(json.dumps(doc))
 
 
 def spec_with(m_z=2, power=0.5, corr=EqualCorrelation(0.3)):
@@ -126,6 +135,11 @@ ENTRY_POINTS = [
     ("pdf-equal-corr-r", "positive", None, 1.0, lambda v: pdf_equal_corr(EQUAL_MODEL, v),
      DomainError),
     ("j-identity-m", "positive", None, 2.0, lambda v: j_identity(v, 0.5, 1, 1), DomainError),
+    ("j-identity-a", "real", [-0.5, -1.0], 0.5, lambda v: j_identity(2.0, v, 1, 1),
+     DomainError),
+    # a bool p or q must not be read as 1 or 0
+    ("j-identity-p", "real", [], 1.0, lambda v: j_identity(2.0, 0.5, v, 1), DomainError),
+    ("j-identity-q", "real", [], -1.0, lambda v: j_identity(2.0, 0.5, 1, v), DomainError),
     ("moment-pair-m2", "positive", None, 2.0, lambda v: MomentPair(v, 100.0).m2,
      ValidationError),
     ("moment-pair-m4", "positive", None, 3.0, lambda v: MomentPair(1.0, v).m4,
@@ -134,10 +148,20 @@ ENTRY_POINTS = [
      ConsistencyError),
     ("model-m-r", "positive", None, 2.0, lambda v: dataclasses.replace(MODEL, m_r=v).m_r,
      ConsistencyError),
+    # a numeric string or a bool in a document must not load as a number
+    ("from-json-omega-r", "positive", None, MODEL.omega_r,
+     lambda v: model_with("omega_r", v).omega_r, ValidationError),
+    ("from-json-m-r", "positive", None, MODEL.m_r, lambda v: model_with("m_r", v).m_r,
+     ValidationError),
+    ("from-json-m2", "positive", None, MODEL.source_moments.m2,
+     lambda v: model_with("m2", v).source_moments.m2, ValidationError),
+    ("from-json-m4", "positive", None, MODEL.source_moments.m4,
+     lambda v: model_with("m4", v).source_moments.m4, ValidationError),
     # 0 (equal powers) is a valid decay exponent
     ("power-profile-mu", "nonnegative", None, 0.0, lambda v: power_profile(1.0, v, 3),
      DomainError),
-    ("matrix-entries", "array", [[[1.0, math.nan], [math.nan, 1.0]], [[1.0, math.inf]] * 2],
+    ("matrix-entries", "array", [[[1.0, math.nan], [math.nan, 1.0]], [[1.0, math.inf]] * 2,
+                                 [[1, True], [True, 1]]],
      [[1.0, 0.0], [0.0, 1.0]], lambda v: CorrelationMatrix(v).entries, ValidationError),
     ("markov-links", "array", [[math.nan], [math.inf], [1.5]], [1.0, 0.0],
      lambda v: CorrelationMatrix.from_markov_links(v).entries, ValidationError),
@@ -174,7 +198,10 @@ def malformed(rule, low):
     if rule == "nonnegative":
         return [True, False, "3", math.nan, math.inf, -1.0]
     if rule == "array":
-        return [["1"], [True], ["a"], [None], "1"] + low
+        # numpy would promote the bool in [1.0, True] to 1.0
+        return [["1"], [True], [1.0, True], ["a"], [None], "1"] + low
+    if rule == "real":
+        return [True, "3", None, math.nan, math.inf, -math.inf] + low
     return [True, "3", 0.0, math.nan, math.inf, -1.0]
 
 

@@ -180,22 +180,38 @@ class TestLargeFadingParameter:
 
 
 class TestBoundedTime:
-    def test_exponential_fit_at_l32(self, run_child):
-        # 4960 triple and 35 960 quad lanes; the fit runs in a child
-        # process, so that a crawl inside C is stopped by the timeout
+    # Each fit runs in a child process, so that a crawl inside C is stopped
+    # by the timeout.  An exponential chain sums one lane per gap pattern:
+    # C(L - 1, 2) triple and C(L - 1, 3) quad lanes for the C(L, 3) triples
+    # and C(L, 4) quadruples.
+    @staticmethod
+    def exponential_fit(run_child, m_z, rho, L):
         code = (
             "import json, time\n"
             "from nakasum.egc import power_profile\n"
             "from nakasum.matcher import match_parameters\n"
             "from nakasum.moments import EnsembleSpec, ExponentialCorrelation\n"
-            "spec = EnsembleSpec(fading_m=2, powers=power_profile(1.0, 0.3, 32),\n"
-            "                    correlation=ExponentialCorrelation(0.7))\n"
+            f"spec = EnsembleSpec(fading_m={m_z}, powers=power_profile(1.0, 0.3, {L}),\n"
+            f"                    correlation=ExponentialCorrelation({rho}))\n"
             "t = time.perf_counter()\n"
             "model = match_parameters(spec)\n"
             "print(json.dumps([model.m_r, time.perf_counter() - t]))\n")
         m_r, seconds = json.loads(run_child(code, timeout=60))
         assert 0.0 < m_r < math.inf
-        assert seconds < 2.0
+        return seconds
+
+    def test_exponential_fit_at_l32(self, run_child):
+        # 465 triple and 4495 quad lanes for 4960 triples and 35 960 quads
+        assert self.exponential_fit(run_child, 2, 0.7, 32) < 2.0
+
+    def test_exponential_fit_at_l64(self, run_child):
+        # 1953 triple and 39 711 quad lanes for 41 664 triples and 635 376
+        # quads
+        assert self.exponential_fit(run_child, 2, 0.7, 64) < 3.0
+
+    def test_slow_exponential_fit_at_l32(self, run_child):
+        # the lanes of adjacent branches fall only like 0.95^k
+        assert self.exponential_fit(run_child, 1, 0.95, 32) < 1.0
 
 
 class TestModelChecks:

@@ -677,6 +677,16 @@ class TestBlockedSeries:
             per_k_series(_triple_lanes(links[None], 1), (1, 2, 1), 1.0)
         assert got.value.partial == pytest.approx(want.value.partial, rel=1e-13)
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 64])
+    def test_lgam_rows_match_per_k_lgamma(self, m):
+        # the rows read from one lgamma run over the integers are the per-k
+        # sums bit for bit
+        triple, quad = per_k_lgam((1, 2, 1), float(m)), per_k_lgam("quad", float(m))
+        for k0, rows in ((0, 1), (0, 40), (37, 8), (500, 3)):
+            got = moments._joint_lgam(float(m), k0, rows)
+            want = [[triple(k), quad(k)] for k in range(k0, k0 + rows)]
+            assert got[:, [moments._TRIPLE_GROUP, moments._QUAD_GROUP]].tolist() == want
+
     def test_hyp2f1_starting_values_against_mpmath(self):
         xs = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999, 0.9999]
         worst = 0.0
@@ -760,6 +770,106 @@ class TestExponentialChain:
             got = moments._factor_block(cur, nxt, lanes.a0, lanes.b, 2.0, lanes.x, k0, rows)
             want = factor_block_stepwise(cur, nxt, lanes.a0, lanes.b, 2.0, lanes.x, k0, rows)
             assert got.tobytes() == want.tobytes()
+
+
+# -- one lane per gap pattern on a Toeplitz chain ------------------------------
+#
+# On an exponential chain a subset's links depend only on its gaps, so the
+# fit sums one series lane per gap pattern and expands the values back to
+# the subsets.  `per_subset_fourth_moment` is the assembly with one lane per
+# subset, in the same order and with the same arithmetic; the grouped fit
+# must equal it bit for bit.
+
+def per_subset_fourth_moment(spec, chain):
+    m = spec.fading_m
+    p = np.asarray(spec.powers)
+    L = len(p)
+    triples = np.array(list(itertools.combinations(range(L), 3)))
+    links = subset_links(chain, triples)
+    lanes = [_triple_lanes(links, m)]
+    if L >= 4:
+        quads = np.array(list(itertools.combinations(range(L), 4)))
+        lanes.append(_quad_lanes(subset_links(chain, quads), m))
+    series = moments._joint_series(_concat_lanes(lanes), float(m))
+    t121, tquad = series[:len(triples)], series[len(triples):]
+    t211, t112 = moments._outer_square_triples(links, m)
+    pa, pb, pc = p[triples].T
+    joint = 12.0 * np.sum(pa * np.sqrt(pb * pc) * t211 + np.sqrt(pa) * pb * np.sqrt(pc) * t121
+                          + np.sqrt(pa * pb) * pc * t112)
+    if L >= 4:
+        joint += 24.0 * np.sum(np.sqrt(np.prod(p[quads], axis=1)) * tquad)
+    total = (m + 1.0) / m * math.fsum(w * w for w in spec.powers)
+    total += _fourth_moment_pair_terms(spec)
+    return total + float(joint)
+
+
+def count_lanes(monkeypatch):
+    """Patch the joint series to record the lane count of each call."""
+    series, lanes = moments._joint_series, []
+
+    def counted(lane, m):
+        lanes.append(lane.q.size)
+        return series(lane, m)
+
+    monkeypatch.setattr(moments, "_joint_series", counted)
+    return lanes
+
+
+class TestGapPatterns:
+    @pytest.mark.parametrize("L", [5, 8, 16])
+    @pytest.mark.parametrize("rho, m_z", [(0.3, 1), (0.7, 2), (0.95, 3)])
+    def test_fourth_moment_equals_per_subset_assembly(self, monkeypatch, L, rho, m_z):
+        spec = EnsembleSpec(fading_m=m_z, powers=power_profile(1.0, 0.3, L),
+                            correlation=ExponentialCorrelation(rho))
+        want = per_subset_fourth_moment(spec, spec.sqrt_corr_matrix())
+        lanes = count_lanes(monkeypatch)
+        assert fourth_moment_Z(spec) == want
+        # C(L - 1, 2) triple and C(L - 1, 3) quad patterns, not C(L, 3) + C(L, 4)
+        assert lanes == [math.comb(L - 1, 2) + math.comb(L - 1, 3)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(rho=st.floats(0.0, 0.95), m_z=st.integers(1, 5), L=st.integers(3, 12),
+           data=st.data())
+    def test_fourth_moment_equals_per_subset_assembly_property(self, rho, m_z, L, data):
+        powers = data.draw(st.lists(st.floats(0.01, 10.0), min_size=L, max_size=L))
+        spec = EnsembleSpec(fading_m=m_z, powers=tuple(powers),
+                            correlation=ExponentialCorrelation(rho))
+        want = outcome(lambda: per_subset_fourth_moment(spec, spec.sqrt_corr_matrix()))
+        assert outcome(lambda: fourth_moment_Z(spec)) == want
+
+    @pytest.mark.parametrize("rho, m_z", [(0.98, 1), (0.99, 1), (0.999, 1), (0.97, 2),
+                                          (0.97, 3), (0.97, 5)])
+    @pytest.mark.parametrize("L", [5, 8, 16])
+    def test_near_maximal_still_raises(self, rho, m_z, L):
+        # the series overflows on the representatives as on every subset
+        # (ROADMAP item 3)
+        spec = EnsembleSpec(fading_m=m_z, powers=power_profile(1.0, 0.3, L),
+                            correlation=ExponentialCorrelation(rho))
+        with pytest.raises(TruncationError, match="overflowed"):
+            match_parameters(spec)
+
+    def test_patterns_map_subsets_to_their_translate_from_branch_zero(self):
+        for L in (4, 5, 9):
+            for k in (3, 4):
+                subsets = moments._subsets(L, k)
+                assert np.array_equal(subsets,
+                                      np.array(list(itertools.combinations(range(L), k))))
+                reps, at = moments._gap_patterns(subsets, L)
+                assert reps == math.comb(L - 1, k - 1)
+                assert not subsets[:reps, 0].any() and subsets[reps:, 0].all()
+                assert np.array_equal(subsets[at], subsets - subsets[:, :1])
+
+    def test_non_toeplitz_chain_takes_every_subset(self, monkeypatch):
+        # the arbitrary fit's links differ, and one lane serves each subset
+        spec = latent_factor_spec(2, 6, 2)
+        chain = moments._markov_fit(spec)
+        assert not moments._is_toeplitz(chain)
+        assert moments._is_toeplitz(CorrelationMatrix.exponential(0.4, 6))
+        assert moments._is_toeplitz(CorrelationMatrix.from_markov_links([0.4] * 5))
+        want = per_subset_fourth_moment(spec, chain)
+        lanes = count_lanes(monkeypatch)
+        assert moments._fourth_moment_Z(spec, chain) == want
+        assert lanes == [20 + 15]
 
 
 # -- the lanes from link products against the inverse-based construction ----
