@@ -383,13 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_grid_values(argv: list[str]) -> list[str]:
-    """Join a grid flag and a separate value that starts with one '-' (a
-    negative start such as -5:20:6, which argparse would read as an option)
-    into one '--flag=value' token."""
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join a flag that takes a number or a grid and a separate value that
+    starts with one '-' (a negative grid start such as -5:20:6, or a number
+    in exponent notation such as -1e-3, which argparse would read as an
+    option) into one '--flag=value' token."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in ("--snr-grid", "--r-grid") and (
+        if out and out[-1] in ("--snr-grid", "--r-grid", "--s", "--threshold-db") and (
                 tok.startswith("-") and not tok.startswith("--")):
             out[-1] += "=" + tok
         else:
@@ -399,7 +400,7 @@ def _join_grid_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (AccuracyError, TruncationError) as exc:

@@ -92,10 +92,12 @@ def mgf(model: GammaSumModel, s: ArrayLike) -> float | NDArray[np.float64]:
     """
     s_arr = _real_array(s, "mgf s", DomainError)
     shapes, scales = _distinct_gammas(model)
-    bad = ~(s_arr * scales[-1] < 1.0)  # nan or at or beyond the pole
-    if np.any(bad):
-        raise DomainError(f"mgf needs s < {1.0 / scales[-1]} (its pole), got {s_arr[bad].flat[0]}")
-    log_terms = np.sum(shapes * np.log1p(-s_arr[..., None] * scales), axis=-1)
+    with np.errstate(over="ignore"):  # s * scale -> -inf, where the MGF is 0
+        bad = ~(s_arr * scales[-1] < 1.0)  # nan or at or beyond the pole
+        if np.any(bad):
+            raise DomainError(
+                f"mgf needs s < {1.0 / scales[-1]} (its pole), got {s_arr[bad].flat[0]}")
+        log_terms = np.sum(shapes * np.log1p(-s_arr[..., None] * scales), axis=-1)
     return _scalar_or_array(np.exp(-log_terms), s_arr.ndim == 0)
 
 
@@ -285,7 +287,8 @@ def pdf(model: GammaSumModel, r: ArrayLike, *,
     if mix is not None:
         values = _series_pdf(mix, r_arr)
     else:
-        values = _bromwich(shapes, scales, 2.0 * np.log(r_arr), True, abs_tol)
+        # the contour sum's error may take a vanishing density below 0
+        values = np.maximum(_bromwich(shapes, scales, 2.0 * np.log(r_arr), True, abs_tol), 0.0)
     return _scalar_or_array(values, r_arr.ndim == 0)
 
 

@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
-from .errors import ConsistencyError, ValidationError, _check_positive
+from .errors import ConsistencyError, ValidationError, _check_count, _check_positive
 from .linalg import CorrelationMatrix, EigenSpectrum, eigenvalues_sym
 from .moments import (
     EnsembleSpec,
@@ -78,10 +78,12 @@ class GammaSumModel:
         """The model ``to_json`` wrote; a malformed document, one whose
         ``omega_r``, ``m_r`` or source moments are not finite positive
         numbers (a bool or a numeric string included), or one whose
-        ``branch_count`` is not its spectrum's length, raises ValidationError."""
+        ``branch_count`` is not an integer equal to its spectrum's length,
+        raises ValidationError."""
         try:
             doc = json.loads(text)
             count, moments = doc["branch_count"], doc["source_moments"]
+            _check_count(count, "branch_count", ValidationError)
             values = {"omega_r": doc["omega_r"], "m_r": doc["m_r"],
                       "m2": moments["m2"], "m4": moments["m4"]}
             for name, value in values.items():

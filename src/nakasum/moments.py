@@ -70,8 +70,6 @@ __all__ = [
     "second_moment_Z",
     "fourth_moment_Z",
     "w_coefficient",
-    "w211_reduced",
-    "j_identity",
     "joint_moment_triple",
     "joint_moment_quad",
 ]
@@ -221,34 +219,23 @@ def second_moment_Z(spec: EnsembleSpec) -> float:
     return math.fsum(powers) + coeff * cross
 
 
-def j_identity(m: float, a: float, p: float, q: float) -> float:
+def _j_identity(m: float, a: float, p: float, q: float) -> float:
     """Closed form of (1/Gamma(m)) int_0^inf u^(m-1) e^-u
     1F1(-p/2; m; -a u) 1F1(-q/2; m; -a u) du, for m > 0, a > -1/2 and
     real p and q."""
-    _check_positive(m, "j_identity m", DomainError)
-    for name, value in (("a", a), ("p", p), ("q", q)):
-        _real_array(value, f"j_identity {name}", DomainError, -math.inf, 0)
-    if a <= -0.5:
-        raise DomainError(f"j_identity requires a > -1/2, got {a}")
-    return _j_identity(m, a, p, q)
-
-
-def _j_identity(m: float, a: float, p: float, q: float) -> float:
-    """j_identity without its argument checks."""
     x = -a * a / (1.0 + 2.0 * a)
     f = float(hyp2f1(m + p / 2.0, -q / 2.0, m, x))
     return (1.0 + a) ** (p / 2.0) * ((1.0 + 2.0 * a) / (1.0 + a)) ** (q / 2.0) * f
 
 
-def w211_reduced(m_z: int, rho: float) -> float:
+def _w211(m_z: int, rho: float) -> float:
     """W(2,1,1) reduced to four Gauss-hypergeometric terms.
 
     Contiguous relations on the Kummer factors of the Laplace integral
-    collapse the three-variable F_A to a bracket of j_identity values at
-    the rescaled argument sqrt(rho)/(1 - sqrt(rho)); the apparent
+    collapse the three-variable F_A to a bracket of ``_j_identity`` values
+    at the rescaled argument sqrt(rho)/(1 - sqrt(rho)); the apparent
     dependence on the variable count cancels identically.
     """
-    _validate_w_args(m_z, rho)
     m = float(m_z)
     sr = math.sqrt(rho)
     ap = sr * (1.0 + sr) / (1.0 - rho)
@@ -260,14 +247,6 @@ def w211_reduced(m_z: int, rho: float) -> float:
                 + 1.0 / (4.0 * m ** 2) * _j_identity(m + 1.0, ap, -1, -1))
     )
     return m * g * g * bracket
-
-
-def _validate_w_args(m_z: int, rho: float) -> None:
-    _check_count(m_z, "fading parameter", DomainError)
-    _check_rho(rho, DomainError)
-    if rho == 1.0:
-        raise BoundaryError(
-            "maximal correlation must be handled analytically upstream")
 
 
 def _w_via_fa(orders: tuple[int, ...], m_z: int, rho: float) -> float:
@@ -299,9 +278,12 @@ def w_coefficient(orders: tuple[int, ...], m_z: int, rho: float) -> float:
         raise DomainError(f"need at least two orders, got {len(orders)}")
     for k in orders:
         _check_count(k, "order", DomainError)
-    _validate_w_args(m_z, rho)
+    _check_count(m_z, "fading parameter", DomainError)
+    _check_rho(rho, DomainError)
+    if rho == 1.0:
+        raise BoundaryError("maximal correlation must be handled analytically upstream")
     if sorted(orders) == [1, 1, 2]:
-        return w211_reduced(m_z, rho)
+        return _w211(m_z, rho)
     return _w_via_fa(orders, m_z, rho)
 
 

@@ -211,6 +211,28 @@ class TestNegativeGridStart:
                            "--snr-grid")
 
 
+# argparse reads a separate token such as -1e-3 as an option, though not -0.5
+NEGATIVE_EXPONENT_CALLS = {
+    "mgf": ("--s", ["mgf", *SPEC, "--s", "-1e-3"]),
+    "outage": ("--threshold-db", ["outage", *SPEC, "--threshold-db", "-1e1",
+                                  "--snr-grid", "0:10:3"]),
+}
+
+
+class TestNegativeExponentValue:
+    @pytest.mark.parametrize("name", NEGATIVE_EXPONENT_CALLS)
+    def test_separate_token_equals_joined_flag(self, capsys, name):
+        flag, argv = NEGATIVE_EXPONENT_CALLS[name]
+        at = argv.index(flag)
+        joined = argv[:at] + [f"{flag}={argv[at + 1]}"] + argv[at + 2:]
+        got = run(capsys, *argv)
+        assert got == run(capsys, *joined)
+        assert got[0] == 0
+
+    def test_option_after_value_flag_still_an_option(self, capsys):
+        assert_usage_error(capsys, ["mgf", *SPEC, "--s", "--out", "x.json"], "--s")
+
+
 class TestValidateAndSample:
     def test_validate_gof_deterministic(self, capsys, tmp_path):
         args = ("validate", "gof", "--model", "equal", "--rho", "1", "--mz", "1",

@@ -63,6 +63,24 @@ class TestMgf:
         with pytest.raises(DomainError, match="nan"):
             mgf(model, s)
 
+    @pytest.mark.parametrize("s", [-1e308, [-1e308, -1.0]], ids=["scalar", "array"])
+    def test_far_negative_s_is_zero_without_warning(self, s):
+        # s * scale overflows to -inf, where the MGF is 0
+        model = balanced_model(EqualCorrelation(0.3), 2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.atleast_1d(mgf(model, s))
+        assert values[0] == 0.0
+        assert values[1:].tolist() == [mgf(model, -1.0)] * (values.size - 1)
+
+    @pytest.mark.parametrize("s", [1e308, [-1.0, 1e308]], ids=["scalar", "array"])
+    def test_far_beyond_pole_rejected_without_warning(self, s):
+        model = balanced_model(EqualCorrelation(0.3), 2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="pole"):
+                mgf(model, s)
+
     def test_first_derivative_is_mean_square(self):
         model = balanced_model(ExponentialCorrelation(0.5), 1, 4)
         h = 1e-5
@@ -478,6 +496,15 @@ class TestContourRoute:
                     continue
                 assert abs(value - mp_inverse(model, t, density)) <= tol
         assert raised < 14
+
+    def test_density_is_nonnegative(self):
+        # the contour sum's error took 36 of these densities below 0, the
+        # lowest to -1.2e-72
+        model = balanced_model(ExponentialCorrelation(0.97), 1, 4)
+        assert not takes_series(model)
+        values = pdf(model, np.geomspace(1e-3, 1e154, 60))
+        assert values.min() == 0.0
+        assert values[0] > 0.0
 
     @pytest.mark.parametrize("fn", [cdf, pdf])
     def test_below_floor_raises_at_once(self, fn):

@@ -1,8 +1,8 @@
 """The input rules (a count, a correlation coefficient rho, a positive
-scalar, a finite real scalar and a real array) at every entry point that
-applies them: each malformed value raises that entry point's error class,
-numpy scalars give the same result as Python ones, and an int list or a
-float32 array the same result as a float list."""
+scalar and a real array) at every entry point that applies them: each
+malformed value raises that entry point's error class, numpy scalars give
+the same result as Python ones, and an int list or a float32 array the
+same result as a float list."""
 import dataclasses
 import json
 import math
@@ -21,11 +21,9 @@ from nakasum.moments import (
     EqualCorrelation,
     ExponentialCorrelation,
     MomentPair,
-    j_identity,
     joint_moment_quad,
     joint_moment_triple,
     second_moment_Z,
-    w211_reduced,
     w_coefficient,
 )
 from nakasum.simkit import (
@@ -39,17 +37,20 @@ SPEC = EnsembleSpec(fading_m=2, powers=(1.0, 0.5), correlation=ExponentialCorrel
 RX = ReceiverSpec(SPEC, noise_psd=1.0)
 MODEL = match_parameters(SPEC)
 EQUAL_MODEL = match_parameters(EnsembleSpec(2, (1.0,) * 3, EqualCorrelation(0.3)))
+ONE_BRANCH_MODEL = match_parameters(EnsembleSpec(2, (1.0,), EqualCorrelation(0.0)))
+FOUR_BRANCH_MODEL = match_parameters(EnsembleSpec(2, (1.0,) * 4, ExponentialCorrelation(0.5)))
 UNIFORM = np.linspace(0.001, 0.999, 500)
 SAMPLES = [float(k) for k in range(1, 16)]
 MATRIX = CorrelationMatrix.exponential(0.5, 4)
 
 
-def model_with(key, value):
-    """MODEL read back from its JSON document with one fitted parameter or
-    source moment replaced."""
-    doc = json.loads(MODEL.to_json())
+def model_with(key, value, model=MODEL):
+    """``model`` read back from its JSON document with one field or source
+    moment replaced."""
+    doc = json.loads(model.to_json())
     (doc["source_moments"] if key in ("m2", "m4") else doc)[key] = value
-    return GammaSumModel.from_json(json.dumps(doc))
+    # a numpy integer is written as the int it holds
+    return GammaSumModel.from_json(json.dumps(doc, default=int))
 
 
 def spec_with(m_z=2, power=0.5, corr=EqualCorrelation(0.3)):
@@ -72,7 +73,8 @@ ENTRY_POINTS = [
      ValidationError),
     ("w-coefficient", "count", 1, 2, lambda v: w_coefficient((1, 1, 1, 1), v, 0.5),
      DomainError),
-    ("w211-reduced", "count", 1, 2, lambda v: w211_reduced(v, 0.5), DomainError),
+    # W(2,1,1), in any order, takes its four-term reduction after the same checks
+    ("w211-reduced", "count", 1, 2, lambda v: w_coefficient((2, 1, 1), v, 0.5), DomainError),
     ("joint-triple", "count", 1, 2, lambda v: joint_moment_triple(1, 2, 1, (0.5, 0.5), v),
      DomainError),
     ("joint-quad", "count", 1, 2, lambda v: joint_moment_quad((0.5,) * 3, v), DomainError),
@@ -119,7 +121,8 @@ ENTRY_POINTS = [
      lambda v: CorrelationMatrix.exponential(v, 3).entries, ValidationError),
     ("w-coefficient-rho", "rho", None, 0.3, lambda v: w_coefficient((1, 1, 1, 1), 1, v),
      DomainError),
-    ("w211-reduced-rho", "rho", None, 0.3, lambda v: w211_reduced(2, v), DomainError),
+    ("w211-reduced-rho", "rho", None, 0.3, lambda v: w_coefficient((1, 2, 1), 2, v),
+     DomainError),
     ("branch-power", "positive", None, 0.5, lambda v: second_moment_Z(spec_with(power=v)),
      ValidationError),
     ("power-profile-omega1", "positive", None, 2.0, lambda v: power_profile(v, 0.3, 3),
@@ -134,12 +137,6 @@ ENTRY_POINTS = [
      lambda v: cdf(MODEL, [0.5, 1.0], abs_tol=v), DomainError),
     ("pdf-equal-corr-r", "positive", None, 1.0, lambda v: pdf_equal_corr(EQUAL_MODEL, v),
      DomainError),
-    ("j-identity-m", "positive", None, 2.0, lambda v: j_identity(v, 0.5, 1, 1), DomainError),
-    ("j-identity-a", "real", [-0.5, -1.0], 0.5, lambda v: j_identity(2.0, v, 1, 1),
-     DomainError),
-    # a bool p or q must not be read as 1 or 0
-    ("j-identity-p", "real", [], 1.0, lambda v: j_identity(2.0, 0.5, v, 1), DomainError),
-    ("j-identity-q", "real", [], -1.0, lambda v: j_identity(2.0, 0.5, 1, v), DomainError),
     ("moment-pair-m2", "positive", None, 2.0, lambda v: MomentPair(v, 100.0).m2,
      ValidationError),
     ("moment-pair-m4", "positive", None, 3.0, lambda v: MomentPair(1.0, v).m4,
@@ -148,6 +145,11 @@ ENTRY_POINTS = [
      ConsistencyError),
     ("model-m-r", "positive", None, 2.0, lambda v: dataclasses.replace(MODEL, m_r=v).m_r,
      ConsistencyError),
+    # a bool, a float or a string must not pass for the spectrum's length
+    ("from-json-branch-count", "count", 1, 1,
+     lambda v: model_with("branch_count", v, ONE_BRANCH_MODEL).m_r, ValidationError),
+    ("from-json-branch-count-4", "count", 4, 4,
+     lambda v: model_with("branch_count", v, FOUR_BRANCH_MODEL).m_r, ValidationError),
     # a numeric string or a bool in a document must not load as a number
     ("from-json-omega-r", "positive", None, MODEL.omega_r,
      lambda v: model_with("omega_r", v).omega_r, ValidationError),
@@ -192,7 +194,7 @@ ENTRY_POINTS = [
 
 def malformed(rule, low):
     if rule == "count":
-        return [2.5, True, "3", low - 1, math.nan, math.inf, -1]
+        return [2.5, True, "3", low - 1, float(low), str(low), math.nan, math.inf, -1]
     if rule == "rho":
         return [2.5, True, "0.5", None, math.nan, math.inf, -0.5]
     if rule == "nonnegative":
@@ -200,8 +202,6 @@ def malformed(rule, low):
     if rule == "array":
         # numpy would promote the bool in [1.0, True] to 1.0
         return [["1"], [True], [1.0, True], ["a"], [None], "1"] + low
-    if rule == "real":
-        return [True, "3", None, math.nan, math.inf, -math.inf] + low
     return [True, "3", 0.0, math.nan, math.inf, -1.0]
 
 
@@ -256,10 +256,9 @@ def test_non_numeric_input_is_validation_error(call):
 
 @pytest.mark.parametrize("call", [
     lambda: w_coefficient((1, 1, 1, 1), 1, "0.5"),
-    lambda: w211_reduced(1, "a"),
+    lambda: w_coefficient((1, 1, 2), 1, "a"),
     lambda: power_profile(1.0, "1", 2),
     lambda: pdf_equal_corr(EQUAL_MODEL, "1"),
-    lambda: j_identity("1", 0.5, 1, 1),
     lambda: pdf(MODEL, "1"),
     lambda: cdf(MODEL, ["1"]),
     lambda: mgf(MODEL, "-0.5"),
@@ -267,7 +266,7 @@ def test_non_numeric_input_is_validation_error(call):
     lambda: simulate_egc_ber(RX, [True], 10_000, 0),
     lambda: ber_curve(RX, 5.0),
 ], ids=["w-rho-string", "w211-rho-string", "mu-string", "pdf-equal-corr-string",
-        "j-identity-string", "pdf-string", "cdf-string", "mgf-string", "grid-string",
+        "pdf-string", "cdf-string", "mgf-string", "grid-string",
         "grid-bool", "grid-scalar"])
 def test_non_numeric_input_is_domain_error(call):
     with pytest.raises(DomainError) as exc:

@@ -32,15 +32,15 @@ from nakasum.moments import (
     MomentPair,
     _concat_lanes,
     _fourth_moment_pair_terms,
+    _j_identity,
     _quad_lanes,
     _triple_lanes,
+    _w211,
     _w_via_fa,
     fourth_moment_Z,
-    j_identity,
     joint_moment_quad,
     joint_moment_triple,
     second_moment_Z,
-    w211_reduced,
     w_coefficient,
 )
 from nakasum.simkit import estimate_sum_moments, sample_correlated_nakagami
@@ -123,11 +123,11 @@ class TestSecondMoment:
 
 class TestJIdentity:
     def test_a_zero(self):
-        assert j_identity(1.0, 0.0, 1, 1) == 1.0
-        assert j_identity(2.5, 0.0, -1, 1) == 1.0
+        assert _j_identity(1.0, 0.0, 1, 1) == 1.0
+        assert _j_identity(2.5, 0.0, -1, 1) == 1.0
 
     def test_p_q_zero(self):
-        assert j_identity(2.0, 0.7, 0, 0) == 1.0
+        assert _j_identity(2.0, 0.7, 0, 0) == 1.0
 
     @pytest.mark.parametrize("m,a,p,q", [
         (1.0, 0.5, 1, 1),
@@ -146,17 +146,11 @@ class TestJIdentity:
         ref, err = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12)
         ref /= gamma(m)
         assert err < 1e-9
-        assert j_identity(m, a, p, q) == pytest.approx(ref, abs=2e-8, rel=1e-9)
+        assert _j_identity(m, a, p, q) == pytest.approx(ref, abs=2e-8, rel=1e-9)
 
     def test_symmetric_in_p_q(self):
-        assert j_identity(2.0, 0.8, 1, -1) == pytest.approx(
-            j_identity(2.0, 0.8, -1, 1), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            j_identity(0.0, 0.5, 1, 1)
-        with pytest.raises(DomainError):
-            j_identity(1.0, -0.6, 1, 1)
+        assert _j_identity(2.0, 0.8, 1, -1) == pytest.approx(
+            _j_identity(2.0, 0.8, -1, 1), rel=1e-12)
 
 
 class TestWCoefficients:
@@ -169,7 +163,7 @@ class TestWCoefficients:
     def test_w211_matches_fa_route(self):
         for m in (1, 2, 3):
             for rho in (0.1, 0.25, 0.49, 0.64):
-                red = w211_reduced(m, rho)
+                red = _w211(m, rho)
                 fa = _w_via_fa((2, 1, 1), m, rho)
                 assert red == pytest.approx(fa, rel=1e-8)
 
@@ -186,17 +180,18 @@ class TestWCoefficients:
 
     def test_w211_against_mpmath_near_maximal(self):
         # the four-term reduction summed in 50-digit mpmath from the exact
-        # sqrt(rho) of the float rho, against the float reduction and the
-        # integral route
+        # sqrt(rho) of the float rho, against w_coefficient in every order
+        # of (2, 1, 1) and against the integral route
         def j_mp(m, a, p, q):
             x = -a * a / (1 + 2 * a)
             return ((1 + a) ** (mp.mpf(p) / 2) * ((1 + 2 * a) / (1 + a)) ** (mp.mpf(q) / 2)
                     * mp.hyp2f1(m + mp.mpf(p) / 2, -mp.mpf(q) / 2, m, x))
 
         with mp.workdps(50):
-            for m_z in (1, 2, 5, 10):
+            for m_z in (1, 2, 5, 10, 20, 50, 64):
                 m = mp.mpf(m_z)
-                for rho in (0.25, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6, 1.0 - 1e-8):
+                for rho in (0.25, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6, 1.0 - 1e-8,
+                            1.0 - 1e-10, 1.0 - 1e-12):
                     sr = mp.sqrt(mp.mpf(rho))
                     ap = sr / (1 - sr)
                     bracket = j_mp(m, ap, 1, 1) + ap * (
@@ -204,7 +199,8 @@ class TestWCoefficients:
                         - (m + 0.5) / m ** 2 * j_mp(m + 1, ap, 1, -1)
                         + 1 / (4 * m ** 2) * j_mp(m + 1, ap, -1, -1))
                     want = float(m * (mp.gamma(m + 0.5) / mp.gamma(m)) ** 2 * bracket)
-                    assert w211_reduced(m_z, rho) == pytest.approx(want, rel=1e-13)
+                    for orders in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
+                        assert w_coefficient(orders, m_z, rho) == pytest.approx(want, rel=1e-13)
                     assert _w_via_fa((2, 1, 1), m_z, rho) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("m_z", [1, 2, 5, 10])
@@ -240,7 +236,7 @@ class TestWCoefficients:
                 assert w_coefficient((1, 1, 1, 1), m_z, rho) == pytest.approx(want, rel=1e-12)
 
     def test_w211_monotone_in_rho(self):
-        vals = [w211_reduced(3, rho) for rho in np.arange(0.0, 0.95, 0.1)]
+        vals = [w_coefficient((2, 1, 1), 3, rho) for rho in np.arange(0.0, 0.95, 0.1)]
         assert all(v > 0 for v in vals)
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
