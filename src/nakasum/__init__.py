@@ -7,7 +7,6 @@ from .errors import (
     BinningError,
     BoundaryError,
     ConsistencyError,
-    DivergenceError,
     DomainError,
     FitClampWarning,
     NakasumError,
@@ -46,7 +45,7 @@ from .simkit import (
     sample_sum,
     simulate_egc_ber,
 )
-from .specfun import gauss_2f1, kummer_1f1, lauricella_fa, ln_gamma
+from .specfun import ln_gamma
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "BoundaryError",
     "ConsistencyError",
     "CorrelationMatrix",
-    "DivergenceError",
     "DomainError",
     "EigenSpectrum",
     "EnsembleSpec",
@@ -82,11 +80,8 @@ __all__ = [
     "chi_square_test",
     "egc_model",
     "fourth_moment_Z",
-    "gauss_2f1",
     "gof_campaign",
-    "kummer_1f1",
     "ks_test",
-    "lauricella_fa",
     "ln_gamma",
     "match_parameters",
     "mgf",

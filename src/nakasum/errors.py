@@ -22,10 +22,6 @@ class DomainError(NakasumError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class DivergenceError(DomainError):
-    """A series or integral diverges for the requested arguments."""
-
-
 class BoundaryError(DomainError):
     """A parameter sits on a boundary that must be handled analytically upstream."""
 

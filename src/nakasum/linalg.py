@@ -7,8 +7,8 @@ Cholesky factorization used by the sampler, and a Markov-product ("Green's
 matrix") approximation of an arbitrary correlation matrix, under which
 every principal submatrix is determined by the links between the subset's
 neighbours.  The joint moments read those links through ``subset_links``;
-``principal_submatrix_inverse`` inverts one principal submatrix and has no
-library caller.
+``principal_submatrix_inverse`` inverts one principal submatrix, has no
+library caller and is not public.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ __all__ = [
     "CorrelationMatrix",
     "EigenSpectrum",
     "eigenvalues_sym",
-    "principal_submatrix_inverse",
     "subset_links",
     "greens_fit",
     "cholesky_psd",
@@ -149,6 +148,7 @@ def eigenvalues_sym(m: CorrelationMatrix) -> EigenSpectrum:
     return EigenSpectrum(vals[::-1])
 
 
+# perfbench/tracer.py wraps this by name until ROADMAP item 1
 def principal_submatrix_inverse(m: CorrelationMatrix,
                                 idx: tuple[int, ...]) -> NDArray[np.float64]:
     """Inverse of the principal submatrix selected by a strictly increasing

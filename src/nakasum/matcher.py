@@ -32,6 +32,8 @@ from .moments import (
 
 __all__ = ["GammaSumModel", "match_parameters"]
 
+_SCHEMA = "gamma-sum-model/1"
+
 
 @dataclass(frozen=True)
 class GammaSumModel:
@@ -62,7 +64,7 @@ class GammaSumModel:
 
     def to_json(self) -> str:
         doc = {
-            "schema": "gamma-sum-model/1",
+            "schema": _SCHEMA,
             "branch_count": self.branch_count,
             "omega_r": self.omega_r,
             "m_r": self.m_r,
@@ -75,14 +77,19 @@ class GammaSumModel:
 
     @classmethod
     def from_json(cls, text: str) -> "GammaSumModel":
-        """The model ``to_json`` wrote; a malformed document, one whose
-        ``omega_r``, ``m_r`` or source moments are not finite positive
-        numbers (a bool or a numeric string included), or one whose
-        ``branch_count`` is not an integer equal to its spectrum's length,
-        raises ValidationError."""
+        """The model ``to_json`` wrote; a malformed document, one of another
+        schema, one whose ``omega_r``, ``m_r`` or source moments are not
+        finite positive numbers (a bool or a numeric string included), whose
+        ``flags`` are not a list of strings, or whose ``branch_count`` is not
+        an integer equal to its spectrum's length, raises ValidationError."""
         try:
             doc = json.loads(text)
             count, moments = doc["branch_count"], doc["source_moments"]
+            flags = doc.get("flags", [])
+            if doc["schema"] != _SCHEMA:
+                raise ValidationError(f"schema must be {_SCHEMA!r}, got {doc['schema']!r}")
+            if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+                raise ValidationError(f"flags must be a list of strings, got {flags!r}")
             _check_count(count, "branch_count", ValidationError)
             values = {"omega_r": doc["omega_r"], "m_r": doc["m_r"],
                       "m2": moments["m2"], "m4": moments["m4"]}
@@ -94,7 +101,7 @@ class GammaSumModel:
                 m_r=m_r,
                 spectrum=EigenSpectrum(tuple(doc["spectrum"])),
                 source_moments=MomentPair(m2=m2, m4=m4),
-                flags=tuple(doc.get("flags", ())),
+                flags=tuple(flags),
             )
         except (KeyError, TypeError, ValueError, OverflowError, ConsistencyError) as exc:
             raise ValidationError(f"malformed gamma-sum-model document: {exc}") from exc

@@ -148,15 +148,13 @@ class EnsembleSpec:
 
     def __post_init__(self):
         _check_count(self.fading_m, "fading parameter", ValidationError)
-        powers = tuple(self.powers) if np.iterable(self.powers) else ()
-        if not powers:
+        powers = _real_array(self.powers, "branch powers", ValidationError, 0.0, ndim=1)
+        if not powers.size:
             raise ValidationError(f"need one or more branch powers, got {self.powers!r}")
-        for p in powers:
-            _check_positive(p, "branch power", ValidationError)
         object.__setattr__(self, "fading_m", int(self.fading_m))
-        object.__setattr__(self, "powers", tuple(map(float, powers)))
+        object.__setattr__(self, "powers", tuple(powers.tolist()))
         if isinstance(self.correlation, ArbitraryCorrelation):
-            self.correlation.sqrt_matrix(len(powers))
+            self.correlation.sqrt_matrix(powers.size)
         elif not isinstance(self.correlation,
                             (EqualCorrelation, ExponentialCorrelation)):
             raise ValidationError(

@@ -135,25 +135,19 @@ def _envelope_block(out: NDArray[np.float64], factors, seed: int,
     """
     chol_t, scale, layers = factors
     rng = _block_generator(seed, block)
-    if out.size == 1:
-        # a one-value block keeps the summation order einsum gives a lone
-        # reduction axis, so that a seed's samples stay what they have been
-        g = rng.standard_normal((layers,) + out.shape) @ chol_t
-        out[...] = np.einsum("krl,krl->rl", g, g)
-    else:
-        rows = out.shape[0]
-        # chunk lengths differ by at most one row, so no chunk is a short
-        # remainder whose product rounds differently
-        chunks = max(1, min(-(-out.size // _LAYER_CELLS), rows // _MIN_CHUNK_ROWS))
-        bounds = [rows * k // chunks for k in range(chunks + 1)]
-        z = np.empty((-(-rows // chunks), out.shape[1]))
-        g = np.empty_like(z)
-        out[...] = 0.0
-        for _ in range(layers):
-            for lo, hi in zip(bounds, bounds[1:]):
-                zc, gc = z[:hi - lo], g[:hi - lo]
-                rng.standard_normal(out=zc)
-                out[lo:hi] += np.square(np.matmul(zc, chol_t, out=gc), out=gc)
+    rows = out.shape[0]
+    # chunk lengths differ by at most one row, so no chunk is a short
+    # remainder whose product rounds differently
+    chunks = max(1, min(-(-out.size // _LAYER_CELLS), rows // _MIN_CHUNK_ROWS))
+    bounds = [rows * k // chunks for k in range(chunks + 1)]
+    z = np.empty((-(-rows // chunks), out.shape[1]))
+    g = np.empty_like(z)
+    out[...] = 0.0
+    for _ in range(layers):
+        for lo, hi in zip(bounds, bounds[1:]):
+            zc, gc = z[:hi - lo], g[:hi - lo]
+            rng.standard_normal(out=zc)
+            out[lo:hi] += np.square(np.matmul(zc, chol_t, out=gc), out=gc)
     out *= scale
     return np.sqrt(out, out=out)
 

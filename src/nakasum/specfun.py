@@ -1,5 +1,5 @@
-"""Special functions: log-gamma, the Gauss and Kummer hypergeometric
-functions, and the Lauricella F_A function of several variables.
+"""Special functions: log-gamma and the Gauss, Kummer and Lauricella F_A
+hypergeometric functions, of which ``ln_gamma`` and ``ln_kummer_1f1`` are public.
 
 All functions are pure and take and return plain floats.  Kummer's 1F1 is
 ``scipy.special.hyp1f1``, except where that is not finite and a series of
@@ -26,20 +26,15 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import gammaln, gammasgn, hyp1f1
 
-from .errors import DivergenceError, DomainError, TruncationError
+from .errors import DomainError, TruncationError
 
-__all__ = [
-    "ln_gamma",
-    "gauss_2f1",
-    "kummer_1f1",
-    "ln_kummer_1f1",
-    "lauricella_fa",
-]
+__all__ = ["ln_gamma", "ln_kummer_1f1"]
 
+
+# perfbench/tracer.py wraps this by name until ROADMAP item 1
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, imported on first use.  No routine here
-    calls it; perfbench/tracer.py counts adaptive F_A fallbacks by wrapping
-    this name, and with the exp-sinh rule that count is zero."""
+    calls it, so the tracer's count of adaptive F_A fallbacks is zero."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
@@ -90,31 +85,25 @@ def _f21_series(a: float, b: float, c: float, x: float) -> float:
     )
 
 
+# perfbench/tracer.py wraps this by name until ROADMAP item 1
 def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; x).
-
-    Supports -inf < x < 1 (negative arguments are mapped into the unit
-    interval with the Pfaff transformation) and x = 1 when c - a - b > 0
-    via the Gauss summation formula.  Symmetric in (a, b) bit-for-bit.
+    """Gauss hypergeometric function 2F1(a, b; c; x) for 0 <= x < 1, and
+    at x = 1 when c - a - b > 0 via the Gauss summation formula.
+    Symmetric in (a, b) bit-for-bit.
     """
     if _is_nonpositive_integer(c):
         raise DomainError(f"2F1 undefined for non-positive integer c={c}")
     if x == 1.0:
         if c - a - b <= 0:
-            raise DivergenceError(
+            raise DomainError(
                 f"2F1 diverges at x=1 when c-a-b={c - a - b} <= 0")
         sign = gammasgn(c) * gammasgn(c - a - b) * gammasgn(c - a) * gammasgn(c - b)
         return sign * math.exp(
             _lgamma_abs(c) + _lgamma_abs(c - a - b)
             - _lgamma_abs(c - a) - _lgamma_abs(c - b)
         )
-    if x >= 1.0:
-        raise DivergenceError(f"2F1 series diverges for x={x} >= 1")
-    if x < 0.0:
-        # Pfaff transform onto the convergent interval (0, 1); pivot on the
-        # smaller parameter so the result is identical under an (a, b) swap.
-        lo, hi = (a, b) if a <= b else (b, a)
-        return (1.0 - x) ** (-lo) * _f21_series(lo, c - hi, c, x / (x - 1.0))
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"2F1 needs 0 <= x <= 1, got x={x}")
     return _f21_series(a, b, c, x)
 
 
@@ -188,6 +177,7 @@ def _hyp1f1(a: float, c: float, z) -> NDArray[np.float64]:
     return val
 
 
+# perfbench/tracer.py wraps this by name until ROADMAP item 1
 def kummer_1f1(a: float, c: float, x: float) -> float:
     """Kummer confluent hypergeometric function 1F1(a; c; x).
 
@@ -303,6 +293,7 @@ def _kummer_laplace(a: float, factors: Counter) -> float:
     return float(_exp_sinh(integrand, -40.0 / a, math.log(700.0), _REL_TOL))
 
 
+# perfbench/tracer.py wraps this by name until ROADMAP item 1
 def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
                   x: tuple[float, ...]) -> float:
     """Lauricella F_A hypergeometric function of N variables.
@@ -324,7 +315,7 @@ def lauricella_fa(a: float, b: tuple[float, ...], c: tuple[float, ...],
             raise DomainError(f"F_A undefined for non-positive integer c={ci}")
     s = math.fsum(x)
     if s >= 1.0:
-        raise DivergenceError(f"F_A diverges for sum(x)={s} >= 1")
+        raise DomainError(f"F_A diverges for sum(x)={s} >= 1")
     if all(xi == 0.0 for xi in x):
         return 1.0
 

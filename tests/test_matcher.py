@@ -257,6 +257,22 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="malformed"):
             GammaSumModel.from_json(text)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("flags", "abc", "flags must be a list of strings"),
+        ("flags", [1, None], "flags must be a list of strings"),
+        ("schema", "x/9", "schema must be 'gamma-sum-model/1'"),
+        ("schema", None, "'schema'"),
+    ], ids=["flags-string", "flags-non-strings", "schema-other", "schema-missing"])
+    def test_from_json_reads_only_what_to_json_writes(self, key, value, match):
+        import json
+        doc = json.loads(match_parameters(balanced(EqualCorrelation(0.2), 1, 2)).to_json())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        with pytest.raises(ValidationError, match=f"malformed .*{match}"):
+            GammaSumModel.from_json(json.dumps(doc))
+
     def test_from_json_rejects_wrong_branch_count(self):
         import json
         doc = json.loads(match_parameters(balanced(EqualCorrelation(0.2), 1, 2)).to_json())

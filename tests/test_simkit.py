@@ -268,9 +268,9 @@ class TestInputChecks:
         ENTRY_POINTS[entry](np.int64(20_000), np.uint32(5))
 
 
-# -- the serial einsum block loop of the sampler before its worker pool and
-# streamed layers, kept as the oracle the pooled sampler must match bit for
-# bit -----------------------------------------------------------------------
+# -- the serial block loop of the sampler before its worker pool and streamed
+# layers, kept as the oracle the pooled sampler must match bit for bit; each
+# block adds its squared layers in layer order ------------------------------
 
 def oracle_blocks(spec, n, seed):
     L = spec.branch_count
@@ -282,8 +282,9 @@ def oracle_blocks(spec, n, seed):
     while produced < n:
         rows = min(simkit._BLOCK_ROWS, n - produced)
         rng = simkit._block_generator(seed, block)
-        g = rng.standard_normal((2 * m_z, rows, L)) @ chol_t
-        power = np.einsum("krl,krl->rl", g, g)
+        power = np.zeros((rows, L))
+        for layer in rng.standard_normal((2 * m_z, rows, L)) @ chol_t:
+            power += layer * layer
         yield np.sqrt(power * scale)
         produced += rows
         block += 1
@@ -359,6 +360,15 @@ class TestPooledSamplerMatchesSerialOracle:
         assert np.array_equal(sample_sum(spec, n, 23), want.sum(axis=1))
         assert estimate_sum_moments(spec, n, 23) == oracle_moments(oracle_blocks(spec, n, 23), n)
 
+    def test_one_value_block_sums_layers_in_order(self):
+        # n = 1 at L = 1 takes every block's route: its six squared layers
+        # are added one by one, an order that at seed 23 decides the last bit
+        power = 0.0
+        for v in simkit._block_generator(23, 0).standard_normal(6).tolist():
+            power += v * v
+        got = sample_correlated_nakagami(ORACLE_SPECS[1], 1, 23).data
+        assert got.tolist() == [[math.sqrt(power * (2.0 / 6.0))]]
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("conditional", [True, False])
     def test_egc_simulation(self, fresh_pool, workers, conditional):
@@ -416,7 +426,7 @@ def chunk_edge_sizes(L):
 
 class TestLayerChunksMatchSerialOracle:
     """Each Gaussian layer is drawn and multiplied in row chunks; the
-    samples, sums and moments stay those of the one-shot einsum oracle."""
+    samples, sums and moments stay those of the one-shot oracle."""
 
     @pytest.mark.parametrize("L", [2, 8, 16])
     @pytest.mark.parametrize("m_z", [1, 5])

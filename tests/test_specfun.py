@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nakasum import specfun
-from nakasum.errors import DivergenceError, DomainError, TruncationError
+from nakasum.errors import DomainError, TruncationError
 from nakasum.specfun import (
     gauss_2f1,
     kummer_1f1,
@@ -55,10 +55,17 @@ class TestGauss2F1:
                                                                 rel=1e-13)
 
     def test_divergence_at_one(self):
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DomainError):
             gauss_2f1(1.0, 1.0, 2.0, 1.0)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DomainError):
             gauss_2f1(0.5, 0.5, 2.0, 1.2)
+
+    @pytest.mark.parametrize("x", [-0.9608, -4.0, math.nan])
+    def test_refuses_x_outside_unit_interval(self, x):
+        # E[Z^2] passes only 0 <= rho <= 1; nan must not run the whole term
+        # budget into a TruncationError
+        with pytest.raises(DomainError, match="0 <= x <= 1"):
+            gauss_2f1(2.5, 1.5, 2.0, x)
 
     def test_c_pole(self):
         with pytest.raises(DomainError):
@@ -75,8 +82,6 @@ class TestGauss2F1:
     @pytest.mark.parametrize("a,b,c,x", [
         (-0.5, -0.5, 2.0, 0.3),
         (-1.5, -0.5, 1.0, 0.8),
-        (2.5, 1.5, 2.0, -0.9608),
-        (3.5, -0.5, 3.0, -4.0),
         (7.0, 0.5, 3.0, 0.44),
     ])
     def test_against_mpmath(self, a, b, c, x):
@@ -85,7 +90,7 @@ class TestGauss2F1:
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(-3, 4), b=st.floats(-3, 4),
-           x=st.floats(-5, 0.95))
+           x=st.floats(0, 0.95))
     def test_symmetry_bitwise(self, a, b, x):
         c = 2.25
         assert gauss_2f1(a, b, c, x) == gauss_2f1(b, a, c, x)
@@ -324,7 +329,7 @@ class TestLauricellaFA:
         assert val == pytest.approx(2.0, rel=1e-10)
 
     def test_divergence(self):
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DomainError):
             lauricella_fa(1.0, (1.0, 1.0), (1.0, 1.0), (0.6, 0.5))
 
     def test_oracle_against_mesh(self):
