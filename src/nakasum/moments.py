@@ -28,17 +28,19 @@ all, on the pattern's translate that starts at branch 0; the values are
 expanded back to the subsets by index, and the sums over subsets are the
 per-subset ones bit for bit.  Term k of a lane is
 exp(k log q + log-gamma terms) times two factors 2F1(a0 + k, b; c; x) with
-a0, b, c and x fixed per lane; a triple's second factor has x = 0 and
-stays exactly 1.  Each factor starts from two values of one
-``scipy.special.hyp2f1`` array call and advances along k by the Gauss
-contiguous relation in the first parameter (DLMF 15.5.11); for 0 <= x < 1
-the function is the dominant solution and forward recursion is stable.
-k advances in blocks: the recursion steps through k, while the terms, the
-running sums, the stop rule (the first k > 3 whose term is at most the
-relative tolerance times the lane's partial sum) and the overflow check
-are array operations over the block.  Every lane stops at a relative 1e-12
-and raises TruncationError past 10 000 terms.  The public per-subset
-routines take one subset's links.
+a0, b, c and x fixed per lane.  Each factor starts from two
+``scipy.special.hyp2f1`` array calls and advances along k by the Gauss
+contiguous relation in the first parameter (DLMF 15.5.11),
+F(a + 1) = alpha F(a) + beta F(a - 1); for 0 <= x < 1 the function is the
+dominant solution and forward recursion is stable.  At x = 0, where 2F1 is
+1, (alpha, beta) = (1, 0), so a triple's second factor, whose x is 0, stays
+exactly 1.  k advances in blocks: alpha and beta are formed for the block,
+then the recursion steps through k, while the terms, the running sums, the
+stop rule (the first k > 3 whose term is at most the relative tolerance
+times the lane's partial sum) and the overflow check are array operations
+over the block.  Every lane stops at a relative 1e-12 and raises
+TruncationError past 10 000 terms.  The public per-subset routines take
+one subset's links.
 
 Joint-moment routines take unit-power envelopes; the fourth-moment
 assembly supplies the power prefactors explicitly.
@@ -286,7 +288,7 @@ def w_coefficient(orders: tuple[int, ...], m_z: int, rho: float) -> float:
 
 
 def _require_ratio_below_one(ratio: NDArray[np.float64]) -> None:
-    if np.any(ratio >= 1.0 - 1e-9):
+    if (ratio >= 1.0 - 1e-9).any():
         raise TruncationError(
             "joint-moment series ratio at or above 1; correlation is "
             "effectively maximal and must be handled analytically",
@@ -324,10 +326,10 @@ def _joint_lgam(m: float, k0: int, rows: int) -> NDArray[np.float64]:
     m is an integer, so lgamma(k + 1), lgamma(m + k) and lgamma(m + k + 1)
     are read from one run over the integers k0 + 1 .. k0 + m + rows."""
     n = int(m)
-    ints = np.array([math.lgamma(j) for j in range(k0 + 1, k0 + n + rows + 1)])
+    ints = np.fromiter(map(math.lgamma, range(k0 + 1, k0 + n + rows + 1)), float, n + rows)
     gk, g0, g1 = ints[:rows], ints[n - 1:n - 1 + rows], ints[n:n + rows]
-    gh = np.array([math.lgamma(m + k + 0.5) for k in range(k0, k0 + rows)])
-    return np.stack([g1 + gh - g0 - gk, 2.0 * gh - gk - g0], axis=1)
+    gh = np.fromiter(map(math.lgamma, np.arange(rows) + (m + k0 + 0.5)), float, rows)
+    return np.array([g1 + gh - g0 - gk, 2.0 * gh - gk - g0]).T
 
 
 def _first_block_rows(ratio: NDArray[np.float64]) -> int:
@@ -348,23 +350,24 @@ def _factor_block(cur: NDArray[np.float64], nxt: NDArray[np.float64], a0: NDArra
                   rows: int) -> NDArray[np.float64]:
     """2F1(a0 + k, b; c; x) for k = k0 .. k0 + rows + 1, one row per k,
     from the rows ``cur`` (k0) and ``nxt`` (k0 + 1)."""
-    # DLMF 15.5.11: F(a+1) from F(a) and F(a-1), here a = a0 + k + 1;
-    # F is the dominant solution for 0 <= x < 1
+    # DLMF 15.5.11 as F(a+1) = alpha F(a) + beta F(a-1), a = a0 + k + 1, F
+    # the dominant solution for 0 <= x < 1; coef[j] holds the weights (beta,
+    # alpha) of the rows f[j:j + 2], and (0, 1) at x = 0 keeps F exactly 1
     a = a0 + np.arange(k0, k0 + rows, dtype=float)[:, None] + 1.0
-    fwd = (b - a)[:, None] * x
-    fwd += (2.0 * a - c)[:, None]
-    back = (c - a)[:, None]
     den = a[:, None] * (1.0 - x)
+    coef = np.empty((rows, 2) + x.shape)
+    np.divide((c - a)[:, None], den, out=coef[:, 0])
+    num = (b - a)[:, None] * x
+    num += (2.0 * a - c)[:, None]
+    np.divide(num, den, out=coef[:, 1])
+    coef[:, :, x == 0.0] = [[0.0], [1.0]]
     f = np.empty((rows + 2,) + x.shape)
     f[0], f[1] = cur, nxt
-    tmp = np.empty(x.shape)
-    row = list(f)
-    for j, (fw, bk, dn) in enumerate(zip(fwd, back, den)):
-        out = row[j + 2]
-        np.multiply(fw, row[j + 1], out=out)
-        np.multiply(bk, row[j], out=tmp)
-        np.add(out, tmp, out=out)
-        np.divide(out, dn, out=out)
+    prod = np.empty((2,) + x.shape)
+    back, fwd = prod
+    for j, weights in enumerate(coef):
+        np.multiply(weights, f[j:j + 2], out=prod)
+        np.add(back, fwd, out=f[j + 2])
     return f
 
 
@@ -382,39 +385,39 @@ def _joint_series(lanes: _Lanes, m: float) -> NDArray[np.float64]:
     over the block.
     """
     pref, q, a0, b, x, group = lanes
-    c = m
     total = np.zeros(q.size)
     live = np.arange(q.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_q = np.log(q)
-        cur, nxt = hyp2f1(a0, b, c, x), hyp2f1(a0 + 1.0, b, c, x)
+        cur, nxt = hyp2f1(a0, b, m, x), hyp2f1(a0 + 1.0, b, m, x)
         rows = _first_block_rows(q / np.prod(1.0 - x, axis=0))
         k0 = 0
         while k0 < _JOINT_MAX_TERMS:
             rows = min(rows, max(_BLOCK_CELLS // live.size, 1), _JOINT_MAX_TERMS - k0)
-            f = _factor_block(cur, nxt, a0, b, c, x, k0, rows)
-            k = np.arange(k0, k0 + rows, dtype=float)[:, None]
-            term = k * log_q
+            f = _factor_block(cur, nxt, a0, b, m, x, k0, rows)
+            term = np.arange(k0, k0 + rows, dtype=float)[:, None] * log_q
             if k0 == 0:
                 term[0] = 0.0
             term += _joint_lgam(m, k0, rows)[:, group]
             np.exp(term, out=term)
-            for factor in f[:rows].transpose(1, 0, 2):
-                term *= factor
+            term *= f[:rows, 0]
+            term *= f[:rows, 1]
             # row i: the partial sum before term k0 + i
             part = np.cumsum(np.concatenate([total[live][None], term]), axis=0)
-            stop = (term <= _JOINT_REL_TOL * part[1:]) & (k > 3)
+            stop = term <= _JOINT_REL_TOL * part[1:]
+            stop[:max(4 - k0, 0)] = False
             stop_at = np.where(stop.any(axis=0), stop.argmax(axis=0), rows)
-            bad = ~np.isfinite(term)
-            bad_at = np.where(bad.any(axis=0), bad.argmax(axis=0), rows)
-            fails = (bad_at < rows) & (bad_at <= stop_at)
-            if fails.any():
-                col = np.argmin(np.where(fails, bad_at, rows))
-                raise TruncationError(
-                    "joint-moment series term overflowed; the correlation is "
-                    "too close to maximal for this expansion in double precision",
-                    partial=float(pref[live[col]] * part[bad_at[col], col]),
-                )
+            finite = np.isfinite(term)
+            if not finite.all():
+                bad_at = np.where(finite.all(axis=0), rows, finite.argmin(axis=0))
+                fails = (bad_at < rows) & (bad_at <= stop_at)
+                if fails.any():
+                    col = np.argmin(np.where(fails, bad_at, rows))
+                    raise TruncationError(
+                        "joint-moment series term overflowed; the correlation is "
+                        "too close to maximal for this expansion in double precision",
+                        partial=float(pref[live[col]] * part[bad_at[col], col]),
+                    )
             total[live] = part[np.minimum(stop_at + 1, rows), np.arange(live.size)]
             keep = stop_at == rows
             if not keep.any():
@@ -422,7 +425,7 @@ def _joint_series(lanes: _Lanes, m: float) -> NDArray[np.float64]:
             live, log_q, a0, b, group = live[keep], log_q[keep], a0[keep], b[keep], group[keep]
             x, cur, nxt = x[:, keep], f[rows][:, keep], f[rows + 1][:, keep]
             # release this block's arrays before the next is allocated
-            del f, term, part, stop, bad
+            del f, term, part, stop, finite
             k0 += rows
             # a lane past the prediction gets blocks that grow with k, so a
             # slow lane costs few blocks and overshoots its stop by little
@@ -467,7 +470,7 @@ def _triple_lanes(links: NDArray[np.float64], m_z: int) -> _Lanes:
     pref /= m ** 2.0
     size = len(links)
     return _Lanes(pref, u1 * w2 / s, np.full(size, m + 1.0), np.full(size, m + 0.5),
-                  np.stack([u2 * w1 / s, np.zeros(size)]), np.full(size, _TRIPLE_GROUP))
+                  np.array([u2 * w1 / s, np.zeros(size)]), np.full(size, _TRIPLE_GROUP))
 
 
 def _pair_moment(p: float, q: float, m: int, r: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -510,7 +513,7 @@ def _quad_lanes(links: NDArray[np.float64], m_z: int) -> _Lanes:
     q = u2 * w1 * w3 / (s1 * s2)
     size = len(links)
     return _Lanes(pref, q, np.full(size, m + 0.5), np.full(size, m + 0.5),
-                  np.stack([u1 * w2 / s1, u3 * w2 / s2]), np.full(size, _QUAD_GROUP))
+                  np.array([u1 * w2 / s1, u3 * w2 / s2]), np.full(size, _QUAD_GROUP))
 
 
 def _concat_lanes(lanes: list[_Lanes]) -> _Lanes:
@@ -555,7 +558,7 @@ def joint_moment_quad(links: NDArray[np.float64], m_z: int) -> float:
 def _fourth_moment_pair_terms(spec: EnsembleSpec) -> float:
     m = spec.fading_m
     p = np.asarray(spec.powers)
-    i, j = np.triu_indices(spec.branch_count, 1)
+    i, j = _subsets(spec.branch_count, 2).T
     rho = np.array([spec.rho(a, b) for a, b in zip(i.tolist(), j.tolist())])
     pi, pj = p[i], p[j]
     e31 = (pi ** 1.5 * np.sqrt(pj) + np.sqrt(pi) * pj ** 1.5) * _pair_moment(3, 1, m, rho)
@@ -664,11 +667,18 @@ def _markov_fit(spec: EnsembleSpec) -> CorrelationMatrix | None:
     """The Markov-product matrix that drives the joint moments: exponential
     correlation's own chain, taken with no fit, or an arbitrary matrix's
     fit; None when the equal-correlation coefficients or maximal
-    correlation apply."""
+    correlation apply.  A link that puts a triple's series ratio within 1e-9
+    of 1 raises TruncationError here, before any moment is summed."""
     if spec.is_maximal() or isinstance(spec.correlation, EqualCorrelation):
         return None
     matrix = spec.sqrt_corr_matrix()
-    return matrix if isinstance(spec.correlation, ExponentialCorrelation) else greens_fit(matrix)
+    chain = matrix if isinstance(spec.correlation, ExponentialCorrelation) else greens_fit(matrix)
+    # a triple's ratio is its first link squared, at most its first neighbour
+    # link's, never the last one's; a unit link is left to subset_links
+    links = np.diagonal(chain.entries, 1)
+    if not (links == 1.0).any():
+        _require_ratio_below_one(links[:-1] * links[:-1])
+    return chain
 
 
 def _fourth_moment_Z(spec: EnsembleSpec, fitted: CorrelationMatrix | None) -> float:

@@ -2,6 +2,7 @@
 identities, and scale invariance."""
 import json
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -212,6 +213,40 @@ class TestBoundedTime:
     def test_slow_exponential_fit_at_l32(self, run_child):
         # the lanes of adjacent branches fall only like 0.95^k
         assert self.exponential_fit(run_child, 1, 0.95, 32) < 1.0
+
+    def test_domain_sweep_returns_or_raises_typed_in_bounded_time(self, run_child):
+        # 120 balanced fits over the documented domain's corners, each of
+        # which returns a finite m_r > 0 or raises a NakasumError within 2 s,
+        # in one child that names each case before it starts, so a timeout
+        # names the case that hung
+        code = (
+            "import itertools, math, time\n"
+            "from nakasum.errors import NakasumError\n"
+            "from nakasum.matcher import match_parameters\n"
+            "from nakasum.moments import EnsembleSpec, EqualCorrelation, ExponentialCorrelation\n"
+            "for corr, rho, m_z, L in itertools.product(\n"
+            "        (EqualCorrelation, ExponentialCorrelation),\n"
+            "        (0.0, 1e-300, 0.5, 1.0 - 1e-12, 1.0), (1, 10, 64), (1, 2, 16, 64)):\n"
+            "    print(corr.__name__, rho, m_z, L, end=' ', flush=True)\n"
+            "    t = time.perf_counter()\n"
+            "    try:\n"
+            "        spec = EnsembleSpec(fading_m=m_z, powers=(1.0,) * L, correlation=corr(rho))\n"
+            "        m_r = match_parameters(spec).m_r\n"
+            "        out = 'ok' if math.isfinite(m_r) and m_r > 0.0 else f'm_r={m_r!r}'\n"
+            "    except NakasumError as exc:\n"
+            "        out = f'typed {type(exc).__name__}'\n"
+            "    except Exception as exc:\n"
+            "        out = f'untyped {type(exc).__name__}: {exc}'\n"
+            "    print(time.perf_counter() - t, out, flush=True)\n")
+        try:
+            lines = run_child(code, timeout=120).splitlines()
+        except subprocess.TimeoutExpired as exc:
+            out = exc.output.decode() if isinstance(exc.output, bytes) else exc.output or ""
+            pytest.fail(f"timed out in case {out.splitlines()[-1:]}")
+        assert len(lines) == 120
+        for line in lines:
+            _, _, _, _, seconds, out = line.split(" ", 5)
+            assert out.split()[0] in ("ok", "typed") and float(seconds) < 2.0, line
 
 
 class TestModelChecks:

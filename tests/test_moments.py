@@ -21,7 +21,7 @@ from nakasum.errors import (
     TruncationError,
     ValidationError,
 )
-from nakasum import linalg, moments
+from nakasum import linalg, matcher, moments
 from nakasum.linalg import CorrelationMatrix, greens_fit, subset_links
 from nakasum.matcher import match_parameters
 from nakasum.moments import (
@@ -500,6 +500,33 @@ class TestJointMomentOracles:
         with pytest.raises(TruncationError, match="ratio at or above 1"):
             match_parameters(unit_exponential_spec(1, rho, L))
 
+    @pytest.mark.parametrize("L", [3, 16, 64])
+    def test_near_maximal_chain_raises_before_any_moment(self, monkeypatch, L):
+        # the ratio check reads the chain's links: neither the E[Z^2] series
+        # nor a subset array comes before the error
+        def unreachable(*args):
+            raise AssertionError("reached")
+
+        monkeypatch.setattr(matcher, "second_moment_Z", unreachable)
+        monkeypatch.setattr(moments, "_subsets", unreachable)
+        with pytest.raises(TruncationError, match="ratio at or above 1"):
+            match_parameters(unit_exponential_spec(1, 1.0 - 1e-12, L))
+        spec = EnsembleSpec(fading_m=1, powers=(1.0,) * L, correlation=ArbitraryCorrelation(
+            CorrelationMatrix.from_markov_links([0.5] * (L - 3) + [1.0 - 1e-12, 0.5])))
+        with pytest.raises(TruncationError, match="ratio at or above 1"):
+            match_parameters(spec)
+
+    @pytest.mark.parametrize("links", [(1.0, 1.0 - 1e-12, 0.5), (0.5, 1.0 - 1e-12, 1.0)])
+    def test_unit_link_still_raises_singular_before_ratio(self, links):
+        # a unit link is refused by subset_links, also beside a link whose
+        # ratio is past the guard
+        spec = EnsembleSpec(fading_m=1, powers=(1.0,) * 4, correlation=ArbitraryCorrelation(
+            CorrelationMatrix.from_markov_links(links)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitClampWarning)
+            with pytest.raises(SingularMatrixError):
+                match_parameters(spec)
+
 
 # -- the joint-moment series summed one k at a time --------------------------
 #
@@ -552,7 +579,11 @@ def per_k_series(lanes, pattern, m, max_terms=10_000):
                     if live.size == 0:
                         return pref * total, stops
             a = a0 + k + 1.0
-            cur, nxt = nxt, ((2.0 * a - c + (b - a) * x) * nxt + (c - a) * cur) / (a * omx)
+            den = a * omx
+            # F = 1 at x = 0, kept by the weights (alpha, beta) = (1, 0)
+            alpha = np.where(x == 0.0, 1.0, (2.0 * a - c + (b - a) * x) / den)
+            beta = np.where(x == 0.0, 0.0, (c - a) / den)
+            cur, nxt = nxt, alpha * nxt + beta * cur
     if not (log_q > -np.inf).any():
         return pref * total, stops
     lane = live[np.argmax(log_q > -np.inf)]
@@ -698,6 +729,31 @@ class TestBlockedSeries:
                             worst = max(worst, float(abs(got - ref) / ref))
         assert worst < 1e-13
 
+    @pytest.mark.parametrize("rho, m", [(0.97, 1), (0.98, 1), (0.9, 3)])
+    def test_factor_recurrence_against_mpmath(self, rho, m):
+        # every triple and quad lane of an exponential L = 5 chain, advanced
+        # by the recurrence in a block from k = 0 and a block from k0 = 500:
+        # the x > 0 rows against 2F1 at 40 digits, the triples' x = 0 row
+        # exactly 1
+        chain = CorrelationMatrix.exponential(rho, 5)
+        lanes = _concat_lanes([_triple_lanes(subset_links(chain, moments._subsets(5, 3)), m),
+                               _quad_lanes(subset_links(chain, moments._subsets(5, 4)), m)])
+        a0, b, c, x = lanes.a0, lanes.b, float(m), lanes.x
+        cur = scipy.special.hyp2f1(a0, b, c, x)
+        nxt = scipy.special.hyp2f1(a0 + 1.0, b, c, x)
+        head = moments._factor_block(cur, nxt, a0, b, c, x, 0, 500)
+        tail = moments._factor_block(head[500], head[501], a0, b, c, x, 500, 3)
+        f = np.concatenate([head[:500], tail])
+        assert np.isfinite(f).all()
+        assert (f[:, x == 0.0] == 1.0).all() and (x == 0.0).sum() == 10
+        worst = 0.0
+        with mp.workdps(40):
+            for k in (0, 1, 2, 10, 50, 200, 499, 500, 501, 502, 504):
+                for row, lane in zip(*np.nonzero(x)):
+                    ref = mp.hyp2f1(a0[lane] + k, b[lane], c, x[row, lane])
+                    worst = max(worst, float(abs(f[k, row, lane] - ref) / ref))
+        assert worst <= 2e-13
+
 
 # -- exponential correlation as its own Markov chain ---------------------------
 #
@@ -707,21 +763,17 @@ class TestBlockedSeries:
 # checked bit for bit against step-by-step references kept here.
 
 def factor_block_stepwise(cur, nxt, a0, b, c, x, k0, rows):
-    """``_factor_block`` with each step's row updated through ``f[j + 2]``
-    by in-place operators: the same operations in the same order."""
-    a = a0 + np.arange(k0, k0 + rows, dtype=float)[:, None] + 1.0
-    fwd = (b - a)[:, None] * x
-    fwd += (2.0 * a - c)[:, None]
-    back = (c - a)[:, None]
-    den = a[:, None] * (1.0 - x)
-    f = np.empty((rows + 2,) + x.shape)
-    f[0], f[1] = cur, nxt
-    tmp = np.empty(x.shape)
-    for j in range(rows):
-        np.multiply(fwd[j], f[j + 1], out=f[j + 2])
-        f[j + 2] += np.multiply(back[j], f[j], out=tmp)
-        f[j + 2] /= den[j]
-    return f
+    """``_factor_block`` one row at a time, F(a+1) = alpha F(a) + beta F(a-1)
+    with the weights of each step formed on their own: the same
+    operations, the same values."""
+    f = [cur, nxt]
+    for k in range(k0, k0 + rows):
+        a = a0 + k + 1.0
+        den = a * (1.0 - x)
+        alpha = np.where(x == 0.0, 1.0, ((b - a) * x + (2.0 * a - c)) / den)
+        beta = np.where(x == 0.0, 0.0, (c - a) / den)
+        f.append(alpha * f[-1] + beta * f[-2])
+    return np.array(f)
 
 
 def fourth_moment_or_overflow(spec, fitted):
